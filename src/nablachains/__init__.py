@@ -10,7 +10,6 @@ from .classify import (
 )
 from .counting import (
     CountSequence,
-    CountVector,
     brute_force_count,
     count_per_start,
     count_sequence,
@@ -33,7 +32,7 @@ from .forms import (
     iso_to_components,
     nabla,
 )
-from .graph import Dimension, build_adjacency, is_composable, successors
+from .graph import build_adjacency, is_composable, successors
 from .polynomial import Polynomial, parse_polynomial
 from .recurrence import (
     IntegerPolynomial,
@@ -52,9 +51,7 @@ __all__ = [
     "CompositionWord",
     "ComponentVector",
     "CountSequence",
-    "CountVector",
     "DifferentialForm",
-    "Dimension",
     "EnumerationCapError",
     "IntegerPolynomial",
     "LevelMismatchError",

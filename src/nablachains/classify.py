@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 
-from .graph import DimLike, as_dim
+from .graph import as_dim, check_index
 from .words import CompositionWord, WordLike, as_word
 
 
@@ -23,12 +23,11 @@ class TrivialityClass(enum.Enum):
     UNDEFINED = "undefined"
 
 
-def classify_pair(k: int, j: int, n: DimLike) -> TrivialityClass:
+def classify_pair(k: int, j: int, n: int) -> TrivialityClass:
     """Classify the second-order composition: nabla_j applied after nabla_k."""
     n = as_dim(n)
-    for idx in (k, j):
-        if not 1 <= idx <= n:
-            raise ValueError(f"operator index {idx} out of range 1..{n}")
+    check_index(k, n)
+    check_index(j, n)
     if j == k + 1:
         return TrivialityClass.ZERO
     if k + j == n + 1:
@@ -36,7 +35,7 @@ def classify_pair(k: int, j: int, n: DimLike) -> TrivialityClass:
     return TrivialityClass.UNDEFINED
 
 
-def classify_word(w: WordLike, n: DimLike | None = None) -> TrivialityClass:
+def classify_word(w: WordLike, n: int | None = None) -> TrivialityClass:
     """Classify a chain; single operators are non-trivial by convention."""
     if n is None:
         if not isinstance(w, CompositionWord):
@@ -59,7 +58,7 @@ def _admissible_starts(n: int) -> list[int]:
     return [k for k in range(1, n + 1) if 2 * k != n and 2 * (n + 1 - k) != n]
 
 
-def enumerate_nontrivial(n: DimLike, length: int) -> list[CompositionWord]:
+def enumerate_nontrivial(n: int, length: int) -> list[CompositionWord]:
     """All non-trivial chains of the given length, ordered by starting index.
 
     Non-trivial chains are the alternating words (k, n+1-k, k, ...).  At
@@ -85,7 +84,7 @@ def enumerate_nontrivial(n: DimLike, length: int) -> list[CompositionWord]:
     return out
 
 
-def count_nontrivial(n: DimLike, length: int) -> int:
+def count_nontrivial(n: int, length: int) -> int:
     """Number of non-trivial chains of the given length (>= 2)."""
     n = as_dim(n)
     if length < 2:

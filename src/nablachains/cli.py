@@ -14,9 +14,10 @@ import math
 import os
 import random
 import sys
+from decimal import Decimal
 
 from . import __version__
-from .classify import TrivialityClass, classify_word, enumerate_nontrivial
+from .classify import TrivialityClass, classify_word
 from .counting import (
     DEFAULT_ENUMERATION_CAP,
     brute_force_count,
@@ -57,14 +58,18 @@ class CliError(Exception):
     """Domain/computation failure; maps to exit code 1."""
 
 
-def _enum_cap() -> int:
-    raw = os.environ.get(ENUM_CAP_ENV)
-    return int(raw) if raw else DEFAULT_ENUMERATION_CAP
+class UsageError(Exception):
+    """Bad flags or unparseable input; maps to exit code 2."""
 
 
-def _max_symbolic_n() -> int:
-    raw = os.environ.get(SYMBOLIC_N_ENV)
-    return int(raw) if raw else DEFAULT_MAX_SYMBOLIC_N
+def _env_int(name: str, default: int) -> int:
+    raw = os.environ.get(name)
+    if not raw:
+        return default
+    try:
+        return int(raw)
+    except ValueError:
+        raise UsageError(f"{name} must be an integer, got {raw!r}") from None
 
 
 def _check_counting_n(n: int) -> None:
@@ -73,9 +78,18 @@ def _check_counting_n(n: int) -> None:
 
 
 def _check_symbolic_n(n: int) -> None:
-    cap = _max_symbolic_n()
+    cap = _env_int(SYMBOLIC_N_ENV, DEFAULT_MAX_SYMBOLIC_N)
     if not 3 <= n <= cap:
         raise CliError(f"n must be in 3..{cap} for symbolic computation")
+
+
+def _decimal(count: int) -> str:
+    """Decimal digits of a count of any size.
+
+    str() refuses ints longer than sys.get_int_max_str_digits() (4300 digits
+    by default); the conversion through Decimal is not held to that limit.
+    """
+    return str(Decimal(count))
 
 
 def _word_entry(w: CompositionWord) -> dict:
@@ -99,9 +113,9 @@ def cmd_count(args) -> int:
         raise CliError("k must be >= 0")
     value = count_total(args.n, args.k)
     if args.format == "json":
-        print(json.dumps({"n": args.n, "k": args.k, "count": str(value)}))
+        print(json.dumps({"n": args.n, "k": args.k, "count": _decimal(value)}))
     else:
-        print(value)
+        print(_decimal(value))
     return 0
 
 
@@ -109,23 +123,23 @@ def cmd_sequence(args) -> int:
     _check_counting_n(args.n)
     if args.k_max < 1:
         raise CliError("k-max must be >= 1")
-    seq = count_sequence(args.n, args.k_max)
+    values = count_sequence(args.n, args.k_max).values
     if args.format == "json":
         print(
             json.dumps(
                 {
                     "n": args.n,
                     "k_max": args.k_max,
-                    "values": [str(v) for v in seq.values],
+                    "values": [_decimal(v) for v in values],
                 }
             )
         )
     elif args.format == "csv":
         print("k,f_k")
-        for k, v in enumerate(seq.values, start=1):
-            print(f"{k},{v}")
+        for k, v in enumerate(values, start=1):
+            print(f"{k},{_decimal(v)}")
     else:
-        print(",".join(str(v) for v in seq.values))
+        print(",".join(map(_decimal, values)))
     return 0
 
 
@@ -162,7 +176,7 @@ def cmd_enumerate(args) -> int:
     if args.length < 1:
         raise CliError("length must be >= 1")
     try:
-        words = enumerate_words(args.n, args.length, cap=_enum_cap())
+        words = enumerate_words(args.n, args.length, cap=_env_int(ENUM_CAP_ENV, DEFAULT_ENUMERATION_CAP))
     except EnumerationCapError as exc:
         raise CliError(str(exc)) from exc
     if args.nontrivial:
@@ -243,77 +257,62 @@ def cmd_apply(args) -> int:
     return 0
 
 
-# verification checks
+# verification checks: each returns the first failure's detail, or "" on a pass
 
 
-def _check_counting() -> list[tuple[str, bool, str]]:
-    checks = []
-    ok, detail = True, ""
+def _oracle_equality() -> str:
     for n in range(3, 7):
         for k in range(1, 11):
             fast, slow = count_total(n, k), brute_force_count(n, k)
             if fast != slow:
-                ok, detail = False, f"n={n} k={k}: matrix {fast} != brute force {slow}"
-                break
-        if not ok:
-            break
-    checks.append(("oracle equality n=3..6, k=1..10", ok, detail))
+                return f"n={n} k={k}: matrix {fast} != brute force {slow}"
+    return ""
 
+
+def _shifted_fibonacci() -> str:
     fib = [1, 1]
     while len(fib) < 40:
         fib.append(fib[-1] + fib[-2])
-    ok, detail = True, ""
     for k in range(1, 31):
         if count_total(3, k) != fib[k + 2]:
-            ok, detail = False, f"k={k}: f(k) != Fib(k+3)"
-            break
-    checks.append(("n=3 counts are shifted Fibonacci, k=1..30", ok, detail))
-    return checks
+            return f"k={k}: f(k) != Fib(k+3)"
+    return ""
 
 
-def _check_recurrence() -> list[tuple[str, bool, str]]:
+def _minimal_recurrences() -> str:
     from .recurrence import _fit_order
 
-    checks = []
-
-    ok, detail = True, ""
     for n in range(3, 11):
-        rec = minimal_recurrence(count_sequence(n, 2 * n + 8))
-        long_seq = count_sequence(n, 60)
-        if not verify_recurrence(rec, long_seq):
-            ok, detail = False, f"n={n}: derived recurrence fails on longer sequence"
-            break
-        if rec.order > 1 and _fit_order(count_sequence(n, 2 * n + 8).values, rec.order - 1):
-            ok, detail = False, f"n={n}: a shorter recurrence also fits"
-            break
-    checks.append(
-        ("derived minimal recurrences annihilate and are minimal n=3..10", ok, detail)
-    )
+        seq = count_sequence(n, 2 * n + 8)
+        rec = minimal_recurrence(seq)
+        if not verify_recurrence(rec, count_sequence(n, 60)):
+            return f"n={n}: derived recurrence fails on longer sequence"
+        if rec.order > 1 and _fit_order(seq.values, rec.order - 1):
+            return f"n={n}: a shorter recurrence also fits"
+    return ""
 
-    ok, detail = True, ""
+
+def _characteristic_recurrences() -> str:
     for n in range(3, 13):
         rec = recurrence_from_polynomial(characteristic_polynomial(build_adjacency(n)))
-        seq = count_sequence(n, n + 20)
-        if not verify_recurrence(rec, seq):
-            ok, detail = False, f"n={n}: characteristic recurrence fails"
-            break
-    checks.append(("characteristic recurrence annihilates counts n=3..12", ok, detail))
+        if not verify_recurrence(rec, count_sequence(n, n + 20)):
+            return f"n={n}: characteristic recurrence fails"
+    return ""
 
+
+def _reference_table() -> str:
     reference = reference_recurrences()
-    mismatches = []
-    for n, expected in reference.items():
-        got = minimal_recurrence(count_sequence(n, 2 * n + 8))
-        if got != expected:
-            mismatches.append(n)
-    ok = not mismatches
-    detail = (
-        ""
-        if ok
-        else f"{8 - len(mismatches)}/8 rows match; derived minimal recurrences "
-        f"disagree with the reference table at n={mismatches}"
+    mismatches = [
+        n
+        for n, expected in reference.items()
+        if minimal_recurrence(count_sequence(n, 2 * n + 8)) != expected
+    ]
+    if not mismatches:
+        return ""
+    return (
+        f"{len(reference) - len(mismatches)}/{len(reference)} rows match; derived "
+        f"minimal recurrences disagree with the reference table at n={mismatches}"
     )
-    checks.append(("minimal recurrences match reference table n=3..10", ok, detail))
-    return checks
 
 
 def _random_form(rng: random.Random, n: int, degree: int) -> DifferentialForm:
@@ -327,81 +326,90 @@ def _random_form(rng: random.Random, n: int, degree: int) -> DifferentialForm:
     return DifferentialForm(n, degree, comps)
 
 
-def _check_calculus() -> list[tuple[str, bool, str]]:
-    checks = []
+def _d_squared() -> str:
     rng = random.Random(20260823)
-
-    ok, detail = True, ""
     for n in range(3, 7):
         for degree in range(0, n + 1):
             for _ in range(10):
                 form = _random_form(rng, n, degree)
                 if not exterior_derivative(exterior_derivative(form)).is_zero():
-                    ok, detail = False, f"d^2 != 0 at n={n} degree={degree}"
-                    break
-    checks.append(("d^2 == 0 on random polynomial forms", ok, detail))
+                    return f"d^2 != 0 at n={n} degree={degree}"
+    return ""
 
-    # classical identities for n=3 on a generic input
-    n = 3
-    f = Polynomial(
-        n, {(2, 0, 0): 3, (1, 1, 0): -2, (0, 1, 2): 7, (0, 0, 1): 1}
-    )
-    grad = nabla(1, ComponentVector(n, 0, (f,)))
-    expected_grad = ComponentVector(n, 1, tuple(f.diff(i) for i in (1, 2, 3)))
-    ok = grad == expected_grad
-    detail = "" if ok else "first-operator output disagrees with componentwise gradient"
-    checks.append(("grad identity (n=3)", ok, detail))
 
-    fs = tuple(
-        Polynomial(n, {(1, 1, 0): 2, (0, 0, 2): idx + 1, (1, 0, 1): -idx})
+# classical identities for n=3 on generic inputs
+def _grad_identity() -> str:
+    f = Polynomial(3, {(2, 0, 0): 3, (1, 1, 0): -2, (0, 1, 2): 7, (0, 0, 1): 1})
+    grad = nabla(1, ComponentVector(3, 0, (f,)))
+    if grad != ComponentVector(3, 1, tuple(f.diff(i) for i in (1, 2, 3))):
+        return "first-operator output disagrees with componentwise gradient"
+    return ""
+
+
+def _vector_field() -> tuple[Polynomial, ...]:
+    return tuple(
+        Polynomial(3, {(1, 1, 0): 2, (0, 0, 2): idx + 1, (1, 0, 1): -idx})
         for idx in range(3)
     )
-    vec = ComponentVector(n, 1, fs)
-    curl = nabla(2, vec)
-    expected_curl = ComponentVector(
-        n,
-        1,
-        (
-            fs[2].diff(2) - fs[1].diff(3),
-            fs[0].diff(3) - fs[2].diff(1),
-            fs[1].diff(1) - fs[0].diff(2),
-        ),
-    )
-    ok = curl == expected_curl
-    detail = "" if ok else "second-operator output disagrees with the curl formula"
-    checks.append(("curl identity (n=3)", ok, detail))
 
-    div = nabla(3, vec)
-    expected_div = ComponentVector(
-        n, 0, (fs[0].diff(1) + fs[1].diff(2) + fs[2].diff(3),)
-    )
-    ok = div == expected_div
-    detail = "" if ok else "third-operator output disagrees with the divergence formula"
-    checks.append(("div identity (n=3)", ok, detail))
 
-    ok, detail = True, ""
+def _curl_identity() -> str:
+    fs = _vector_field()
+    expected = (
+        fs[2].diff(2) - fs[1].diff(3),
+        fs[0].diff(3) - fs[2].diff(1),
+        fs[1].diff(1) - fs[0].diff(2),
+    )
+    if nabla(2, ComponentVector(3, 1, fs)) != ComponentVector(3, 1, expected):
+        return "second-operator output disagrees with the curl formula"
+    return ""
+
+
+def _div_identity() -> str:
+    fs = _vector_field()
+    expected = (fs[0].diff(1) + fs[1].diff(2) + fs[2].diff(3),)
+    if nabla(3, ComponentVector(3, 1, fs)) != ComponentVector(3, 0, expected):
+        return "third-operator output disagrees with the divergence formula"
+    return ""
+
+
+def _triviality_concordance() -> str:
     for n in (3, 4):
         for length in (2, 3):
             for w in enumerate_words(n, length):
                 symbolic_zero = is_zero_operator(w, n)
                 combinatorial_zero = classify_word(w) is TrivialityClass.ZERO
                 if symbolic_zero != combinatorial_zero:
-                    ok, detail = False, f"mismatch at n={n}, word {w.indices}"
-                    break
-    checks.append(("triviality concordance (n=3..4, length<=3)", ok, detail))
-    return checks
+                    return f"mismatch at n={n}, word {w.indices}"
+    return ""
+
+
+# scope -> (name, check) pairs, in the order verify runs and reports them
+SUITES = {
+    "counting": [
+        ("oracle equality n=3..6, k=1..10", _oracle_equality),
+        ("n=3 counts are shifted Fibonacci, k=1..30", _shifted_fibonacci),
+    ],
+    "recurrence": [
+        ("derived minimal recurrences annihilate and are minimal n=3..10", _minimal_recurrences),
+        ("characteristic recurrence annihilates counts n=3..12", _characteristic_recurrences),
+        ("minimal recurrences match reference table n=3..10", _reference_table),
+    ],
+    "calculus": [
+        ("d^2 == 0 on random polynomial forms", _d_squared),
+        ("grad identity (n=3)", _grad_identity),
+        ("curl identity (n=3)", _curl_identity),
+        ("div identity (n=3)", _div_identity),
+        ("triviality concordance (n=3..4, length<=3)", _triviality_concordance),
+    ],
+}
 
 
 def cmd_verify(args) -> int:
     scope = args.scope
-    checks: list[tuple[str, bool, str]] = []
-    if scope in ("counting", "all"):
-        checks += _check_counting()
-    if scope in ("recurrence", "all"):
-        checks += _check_recurrence()
-    if scope in ("calculus", "all"):
-        checks += _check_calculus()
-    passed = all(ok for _, ok, _ in checks)
+    scopes = list(SUITES) if scope == "all" else [scope]
+    checks = [(name, check()) for s in scopes for name, check in SUITES[s]]
+    passed = not any(detail for _, detail in checks)
     if args.format == "json":
         print(
             json.dumps(
@@ -409,23 +417,19 @@ def cmd_verify(args) -> int:
                     "scope": scope,
                     "passed": passed,
                     "checks": [
-                        {"name": name, "passed": ok, **({"detail": d} if d else {})}
-                        for name, ok, d in checks
+                        {"name": name, "passed": not d, **({"detail": d} if d else {})}
+                        for name, d in checks
                     ],
                 }
             )
         )
     else:
-        for name, ok, detail in checks:
-            line = f"{'PASS' if ok else 'FAIL'}  {name}"
+        for name, detail in checks:
+            line = f"{'FAIL' if detail else 'PASS'}  {name}"
             if detail:
                 line += f"  ({detail})"
             print(line)
     return 0 if passed else 1
-
-
-class UsageError(Exception):
-    """Bad flags or unparseable input; maps to exit code 2."""
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -472,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_apply)
 
     p = sub.add_parser("verify", help="run the built-in cross-check suites")
-    p.add_argument("--scope", choices=("counting", "recurrence", "calculus", "all"), default="all")
+    p.add_argument("--scope", choices=(*SUITES, "all"), default="all")
     add_format(p, "plain", ("plain", "json"))
     p.set_defaults(func=cmd_verify)
 

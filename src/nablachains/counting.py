@@ -12,22 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import EnumerationCapError
-from .graph import DimLike, as_dim, build_adjacency, successors
+from .graph import as_dim, build_adjacency, successors
 from .words import CompositionWord
 
 DEFAULT_ENUMERATION_CAP = 10**6
-
-
-@dataclass(frozen=True)
-class CountVector:
-    """Per-starting-operator counts f_i(k) for a fixed (n, k)."""
-
-    n: int
-    k: int
-    per_start: tuple[int, ...]
-
-    def total(self) -> int:
-        return sum(self.per_start)
 
 
 @dataclass(frozen=True)
@@ -46,48 +34,47 @@ class CountSequence:
         return self.values[k - 1]
 
 
-def _mat_vec(a: list[list[int]], v: list[int]) -> list[int]:
-    return [sum(aij * vj for aij, vj in zip(row, v)) for row in a]
+def _walk(n: int, k: int):
+    """Yield the vector (f_1(t), ..., f_n(t)) for t = 1..k, one matrix-vector
+    product per step; only the current vector is kept."""
+    a = build_adjacency(n)
+    v = [1] * n
+    yield v
+    for _ in range(k - 1):
+        v = [sum(aij * vj for aij, vj in zip(row, v)) for row in a]
+        yield v
 
 
-def count_per_start(n: DimLike, k: int) -> CountVector:
+def count_per_start(n: int, k: int) -> tuple[int, ...]:
     """f_i(k) for i = 1..n, via k-1 matrix-vector products from all-ones."""
     n = as_dim(n)
     if k < 1:
         raise ValueError(f"order k must be >= 1, got {k}")
-    a = build_adjacency(n)
-    v = [1] * n
-    for _ in range(k - 1):
-        v = _mat_vec(a, v)
-    return CountVector(n, k, tuple(v))
+    for v in _walk(n, k):
+        pass
+    return tuple(v)
 
 
-def count_total(n: DimLike, k: int) -> int:
+def count_total(n: int, k: int) -> int:
     """f(k); f(0) = 1 by the empty-chain convention."""
     n = as_dim(n)
     if k < 0:
         raise ValueError(f"order k must be >= 0, got {k}")
     if k == 0:
         return 1
-    return count_per_start(n, k).total()
+    return sum(count_per_start(n, k))
 
 
-def count_sequence(n: DimLike, k_max: int) -> CountSequence:
+def count_sequence(n: int, k_max: int) -> CountSequence:
     """f(1)..f(k_max) in one pass (one matrix-vector product per step)."""
     n = as_dim(n)
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
-    a = build_adjacency(n)
-    v = [1] * n
-    values = [sum(v)]
-    for _ in range(k_max - 1):
-        v = _mat_vec(a, v)
-        values.append(sum(v))
-    return CountSequence(n, tuple(values))
+    return CountSequence(n, tuple(sum(v) for v in _walk(n, k_max)))
 
 
 def enumerate_words(
-    n: DimLike, k: int, cap: int = DEFAULT_ENUMERATION_CAP
+    n: int, k: int, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> list[CompositionWord]:
     """All meaningful length-k words in lexicographic order of the index tuple."""
     n = as_dim(n)
@@ -114,7 +101,7 @@ def enumerate_words(
     return out
 
 
-def brute_force_count(n: DimLike, k: int) -> int:
+def brute_force_count(n: int, k: int) -> int:
     """Count meaningful length-k words by plain depth-first search.
 
     Independent of the matrix iteration on purpose; no memoization.

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import LevelMismatchError
-from .graph import DimLike, as_dim
+from .graph import as_dim, check_index
 from .polynomial import Polynomial
-from .words import CompositionWord, WordLike, as_word
+from .words import WordLike, as_word
 
 Subset = tuple[int, ...]
 
@@ -229,8 +229,7 @@ def codomain_level(i: int, n: int) -> int:
 def nabla(i: int, v: ComponentVector) -> ComponentVector:
     """The operator nabla_i: lift, exterior-differentiate, push down."""
     n = v.n
-    if not 1 <= i <= n:
-        raise ValueError(f"operator index {i} out of range 1..{n}")
+    check_index(i, n)
     expected = domain_level(i, n)
     if v.level != expected:
         raise LevelMismatchError(expected, v.level)
@@ -261,7 +260,7 @@ def _degree_bounded_exponents(n: int, max_degree: int):
     return rec(n, max_degree)
 
 
-def is_zero_operator(w: WordLike, n: DimLike) -> bool:
+def is_zero_operator(w: WordLike, n: int) -> bool:
     """Decide exactly whether the composed operator annihilates everything.
 
     The composition is linear with constant coefficients and differential

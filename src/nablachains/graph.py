@@ -9,64 +9,47 @@ Indices are 1-based throughout the public surface.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Union
 
-
-@dataclass(frozen=True)
-class Dimension:
-    """Space dimension n (n >= 3) together with m = floor(n/2)."""
-
-    n: int
-
-    def __post_init__(self):
-        if self.n < 3:
-            raise ValueError(f"dimension must be >= 3, got {self.n}")
-
-    @property
-    def m(self) -> int:
-        return self.n // 2
-
-
-DimLike = Union[int, Dimension]
-
-
-def as_dim(n: DimLike) -> int:
-    """Validate and unwrap a dimension argument."""
-    if isinstance(n, Dimension):
-        return n.n
+def as_dim(n: int) -> int:
+    """Validate a dimension argument (n >= 3)."""
     if n < 3:
         raise ValueError(f"dimension must be >= 3, got {n}")
     return int(n)
 
 
-def _check_index(i: int, n: int) -> None:
+def check_index(i: int, n: int) -> None:
+    """Reject an operator index outside 1..n."""
     if not 1 <= i <= n:
         raise ValueError(f"operator index {i} out of range 1..{n}")
 
 
-def is_composable(i: int, j: int, n: DimLike) -> bool:
-    """True iff nabla_j may be applied after nabla_i in dimension n."""
-    n = as_dim(n)
-    _check_index(i, n)
-    _check_index(j, n)
+def _composable(i: int, j: int, n: int) -> bool:
+    # The rule itself, for indices the caller has already validated.
     return j == i + 1 or i + j == n + 1
 
 
-def build_adjacency(n: DimLike) -> list[list[int]]:
+def is_composable(i: int, j: int, n: int) -> bool:
+    """True iff nabla_j may be applied after nabla_i in dimension n."""
+    n = as_dim(n)
+    check_index(i, n)
+    check_index(j, n)
+    return _composable(i, j, n)
+
+
+def build_adjacency(n: int) -> list[list[int]]:
     """The n x n 0/1 matrix with entry (i, j) = is_composable(i, j, n).
 
     Rows/columns are returned 0-based (entry [i-1][j-1] for operators i, j).
     """
     n = as_dim(n)
     return [
-        [1 if (j == i + 1 or i + j == n + 1) else 0 for j in range(1, n + 1)]
+        [1 if _composable(i, j, n) else 0 for j in range(1, n + 1)]
         for i in range(1, n + 1)
     ]
 
 
-def successors(i: int, n: DimLike) -> list[int]:
+def successors(i: int, n: int) -> list[int]:
     """Ascending list of all j composable after i."""
     n = as_dim(n)
-    _check_index(i, n)
-    return [j for j in range(1, n + 1) if j == i + 1 or i + j == n + 1]
+    check_index(i, n)
+    return [j for j in range(1, n + 1) if _composable(i, j, n)]

@@ -113,10 +113,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def total_degree(self) -> int:
-        """Degree of the zero polynomial is reported as -1."""
-        return max((sum(e) for e in self.terms), default=-1)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Polynomial):
             return NotImplemented
@@ -131,10 +127,8 @@ class Polynomial:
     # rendering
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
         ordered = sorted(self.terms, key=lambda e: (-sum(e), tuple(-x for x in e)))
-        parts: list[str] = []
+        terms: list[tuple[Fraction, str]] = []
         for e in ordered:
             c = self.terms[e]
             factors = [
@@ -149,14 +143,24 @@ class Polynomial:
                 body = "*".join(factors)
             else:
                 body = "*".join([str(mag)] + factors)
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(("+ " if c > 0 else "- ") + body)
-        return " ".join(parts)
+            terms.append((c, body))
+        return join_signed(terms)
 
     def __repr__(self) -> str:
         return f"Polynomial({self.n_vars}, {self})"
+
+
+def join_signed(terms: Iterable[tuple[Scalar, str]]) -> str:
+    """Render (coefficient, body) pairs as a signed sum, body being the
+    magnitude's rendering: the first term bare or with a leading '-', later
+    ones prefixed '+ ' or '- ', and the empty sum as '0'."""
+    parts: list[str] = []
+    for c, body in terms:
+        if not parts:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(("+ " if c > 0 else "- ") + body)
+    return " ".join(parts) if parts else "0"
 
 
 _TOKEN = re.compile(
@@ -177,23 +181,26 @@ def parse_polynomial(text: str, n_vars: int) -> Polynomial:
         tokens.append(m.group(m.lastgroup))
         pos = m.end()
 
-    result = Polynomial.zero(n_vars)
     idx = 0
+    terms: dict[Exponents, Fraction] = {}
 
-    def parse_factor(sign_allowed: bool = False) -> Polynomial:
+    def parse_factor(sign_allowed: bool = False) -> tuple[Fraction, list[int]]:
+        """One factor as (coefficient, exponents)."""
         nonlocal idx
         if idx >= len(tokens):
             raise ValueError("unexpected end of polynomial")
         tok = tokens[idx]
         if tok == "-" and sign_allowed:
             idx += 1
-            return -parse_factor()
+            c, exps = parse_factor()
+            return -c, exps
         if tok == "+" and sign_allowed:
             idx += 1
             return parse_factor()
+        exps = [0] * n_vars
         if re.fullmatch(r"\d+(?:/\d+)?", tok):
             idx += 1
-            return Polynomial.constant(n_vars, Fraction(tok))
+            return Fraction(tok), exps
         if re.fullmatch(r"x\d+", tok):
             i = int(tok[1:])
             if not 1 <= i <= n_vars:
@@ -206,27 +213,30 @@ def parse_polynomial(text: str, n_vars: int) -> Polynomial:
                     raise ValueError("expected integer exponent after '^'")
                 power = int(tokens[idx])
                 idx += 1
-            exps = [0] * n_vars
             exps[i - 1] = power
-            return Polynomial.monomial(n_vars, exps)
+            return Fraction(1), exps
         raise ValueError(f"unexpected token {tok!r}")
 
-    def parse_term() -> Polynomial:
+    def add_term(sign: int) -> None:
+        # A term is a product of factors, so a single monomial; adding it to
+        # one dict keeps parsing linear in the number of terms.
         nonlocal idx
-        p = parse_factor(sign_allowed=True)
+        c, exps = parse_factor(sign_allowed=True)
         while idx < len(tokens) and tokens[idx] == "*":
             idx += 1
-            p = p * parse_factor()
-        return p
+            c2, exps2 = parse_factor()
+            c *= c2
+            exps = [a + b for a, b in zip(exps, exps2)]
+        key = tuple(exps)
+        terms[key] = terms.get(key, 0) + sign * c
 
     if not tokens:
         raise ValueError("empty polynomial")
-    result = parse_term()
+    add_term(1)
     while idx < len(tokens):
         op = tokens[idx]
         if op not in "+-":
             raise ValueError(f"expected '+' or '-', got {op!r}")
         idx += 1
-        term = parse_term()
-        result = result + term if op == "+" else result - term
-    return result
+        add_term(1 if op == "+" else -1)
+    return Polynomial(n_vars, terms)

@@ -18,6 +18,7 @@ from typing import Optional
 
 from .counting import CountSequence
 from .errors import RecurrenceFitError
+from .polynomial import join_signed
 
 
 @dataclass(frozen=True)
@@ -55,27 +56,22 @@ class Recurrence:
     def relation_string(self) -> str:
         """Render in the shifted style f(i+d) = c_1 f(i+d-1) + ..."""
         d = self.order
-        parts: list[str] = []
+        terms = []
         for t, c in enumerate(self.coefficients, start=1):
             if c == 0:
                 continue
             shift = d - t
             term = f"f(i+{shift})" if shift else "f(i)"
             mag = abs(c)
-            body = term if mag == 1 else f"{mag} {term}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(("+ " if c > 0 else "- ") + body)
-        rhs = " ".join(parts) if parts else "0"
-        return f"f(i+{d})={rhs}"
+            terms.append((c, term if mag == 1 else f"{mag} {term}"))
+        return f"f(i+{d})={join_signed(terms)}"
 
     def __str__(self) -> str:
         return self.relation_string()
 
 
 def render_polynomial(coefficients: tuple[int, ...], var: str = "t") -> str:
-    parts: list[str] = []
+    terms = []
     for p in range(len(coefficients) - 1, -1, -1):
         c = coefficients[p]
         if c == 0:
@@ -86,11 +82,8 @@ def render_polynomial(coefficients: tuple[int, ...], var: str = "t") -> str:
         else:
             power = var if p == 1 else f"{var}^{p}"
             body = power if mag == 1 else f"{mag}*{power}"
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(("+ " if c > 0 else "- ") + body)
-    return " ".join(parts) if parts else "0"
+        terms.append((c, body))
+    return join_signed(terms)
 
 
 def characteristic_polynomial(a: list[list[int]]) -> IntegerPolynomial:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from .errors import NotComposableError
-from .graph import DimLike, as_dim, is_composable
+from .graph import _composable, as_dim, check_index
 
 # Operator names for n = 3, keyed by index.
 _NAMED_N3 = {1: "grad", 2: "curl", 3: "div"}
@@ -24,8 +24,7 @@ class CompositionWord:
         if not self.indices:
             raise ValueError("composition word must be nonempty")
         for i in self.indices:
-            if not 1 <= i <= self.n:
-                raise ValueError(f"operator index {i} out of range 1..{self.n}")
+            check_index(i, self.n)
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -33,7 +32,7 @@ class CompositionWord:
     def first_invalid_pair(self) -> Optional[tuple[int, int]]:
         """First consecutive pair that is not composable, or None."""
         for a, b in zip(self.indices, self.indices[1:]):
-            if not is_composable(a, b, self.n):
+            if not _composable(a, b, self.n):
                 return (a, b)
         return None
 
@@ -59,7 +58,7 @@ class CompositionWord:
 WordLike = Union[CompositionWord, Sequence[int]]
 
 
-def as_word(w: WordLike, n: DimLike) -> CompositionWord:
+def as_word(w: WordLike, n: int) -> CompositionWord:
     n = as_dim(n)
     if isinstance(w, CompositionWord):
         if w.n != n:

@@ -1,11 +1,19 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import nablachains
+from nablachains import count_total
 from nablachains.cli import main
 
-SCHEMA_PATH = pathlib.Path(__file__).resolve().parents[1] / "schemas" / "output.json"
+REPO = pathlib.Path(__file__).resolve().parents[1]
+SCHEMA_PATH = REPO / "schemas" / "output.json"
+# lets a child interpreter import the package under test
+CHILD_ENV = {**os.environ, "PYTHONPATH": str(pathlib.Path(nablachains.__file__).parents[1])}
 
 try:
     import jsonschema
@@ -49,6 +57,43 @@ def test_count_survives_big_integers(capsys):
     code, payload, _ = run_json(capsys, "count", "--n", "3", "--k", "300", "--format", "json")
     assert code == 0
     assert int(payload["count"]) > 10**60
+
+
+def _digits(value: int) -> str:
+    # reference decimal string, with str()'s digit limit lifted only here
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_count_beyond_str_digit_limit(capsys):
+    # f(30000) for n=3 has 6270 digits, past str()'s default 4300-digit limit
+    expected = _digits(count_total(3, 30000))
+    code, out, _ = run(capsys, "count", "--n", "3", "--k", "30000")
+    assert code == 0
+    assert out == expected + "\n"
+    code, out, _ = run(capsys, "count", "--n", "3", "--k", "30000", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"n": 3, "k": 30000, "count": expected}
+
+
+def test_sequence_csv_beyond_str_digit_limit():
+    # streamed from a child process: the whole output is about 94 MB
+    argv = ["sequence", "--n", "3", "--k-max", "30000", "--format", "csv"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "nablachains.cli", *argv],
+        stdout=subprocess.PIPE,
+        env=CHILD_ENV,
+    )
+    lines, last = 0, b""
+    for line in proc.stdout:
+        lines, last = lines + 1, line
+    assert proc.wait(timeout=120) == 0
+    assert lines == 30001
+    assert last.decode() == f"30000,{_digits(count_total(3, 30000))}\n"
 
 
 def test_sequence_plain(capsys):
@@ -152,6 +197,31 @@ def test_apply_parse_error_is_usage(capsys):
     assert code == 2
 
 
+def test_enumerate_malformed_cap_env_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("NABLACHAINS_ENUM_CAP", "abc")
+    code, out, err = run(capsys, "enumerate", "--n", "3", "--length", "2")
+    assert code == 2
+    assert out == ""
+    assert "NABLACHAINS_ENUM_CAP" in err
+
+
+def test_apply_malformed_symbolic_cap_env_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("NABLACHAINS_MAX_SYMBOLIC_N", "x")
+    code, out, err = run(capsys, "apply", "--n", "3", "--word", "1", "--input", "[x1]")
+    assert code == 2
+    assert out == ""
+    assert "NABLACHAINS_MAX_SYMBOLIC_N" in err
+
+
+def test_apply_oversized_exponent_is_usage_error(capsys):
+    # parsing user input keeps int()'s digit limit
+    code, out, err = run(
+        capsys, "apply", "--n", "3", "--word", "1", "--input", "[x1^" + "9" * 5000 + "]"
+    )
+    assert code == 2
+    assert out == ""
+
+
 def test_apply_symbolic_cap_env(capsys, monkeypatch):
     monkeypatch.setenv("NABLACHAINS_MAX_SYMBOLIC_N", "4")
     code, out, err = run(capsys, "apply", "--n", "5", "--word", "1", "--input", "[x1]")
@@ -202,6 +272,57 @@ def test_verify_recurrence_scope_reports_table_disagreement(capsys):
     assert by_name["characteristic recurrence annihilates counts n=3..12"] is True
     assert by_name["derived minimal recurrences annihilate and are minimal n=3..10"] is True
     assert by_name["minimal recurrences match reference table n=3..10"] is False
+
+
+def test_verify_all_payload(capsys):
+    code, payload, _ = run_json(capsys, "verify", "--scope", "all", "--format", "json")
+    assert code == 1
+    table = "minimal recurrences match reference table n=3..10"
+    assert payload == {
+        "scope": "all",
+        "passed": False,
+        "checks": [
+            {"name": name, "passed": True}
+            for name in [
+                "oracle equality n=3..6, k=1..10",
+                "n=3 counts are shifted Fibonacci, k=1..30",
+                "derived minimal recurrences annihilate and are minimal n=3..10",
+                "characteristic recurrence annihilates counts n=3..12",
+            ]
+        ]
+        + [
+            {
+                "name": table,
+                "passed": False,
+                "detail": "5/8 rows match; derived minimal recurrences disagree "
+                "with the reference table at n=[6, 8, 10]",
+            }
+        ]
+        + [
+            {"name": name, "passed": True}
+            for name in [
+                "d^2 == 0 on random polynomial forms",
+                "grad identity (n=3)",
+                "curl identity (n=3)",
+                "div identity (n=3)",
+                "triviality concordance (n=3..4, length<=3)",
+            ]
+        ],
+    }
+
+
+def test_reproduce_script_cross_checks_pass():
+    proc = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / "reproduce_results.py")],
+        capture_output=True,
+        text=True,
+        env=CHILD_ENV,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    checks = proc.stdout.split("cross-checks:\n", 1)[1].splitlines()
+    assert len(checks) == 7
+    assert all(line.startswith("PASS  ") for line in checks)
 
 
 def test_schema_file_is_valid_json():

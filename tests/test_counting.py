@@ -19,13 +19,13 @@ def fib(k: int) -> int:
 
 
 def test_per_start_k1_is_all_ones():
-    assert count_per_start(3, 1).per_start == (1, 1, 1)
-    assert count_per_start(7, 1).per_start == (1,) * 7
+    assert count_per_start(3, 1) == (1, 1, 1)
+    assert count_per_start(7, 1) == (1,) * 7
 
 
 def test_per_start_small_n3():
-    assert count_per_start(3, 2).per_start == (2, 2, 1)
-    assert count_per_start(3, 3).per_start == (3, 3, 2)
+    assert count_per_start(3, 2) == (2, 2, 1)
+    assert count_per_start(3, 3) == (3, 3, 2)
 
 
 def test_count_total_known_values():
@@ -108,7 +108,7 @@ def test_fibonacci_law():
 @pytest.mark.parametrize("n", range(3, 7))
 def test_decomposition(n):
     for k in range(1, 9):
-        assert count_per_start(n, k).total() == count_total(n, k)
+        assert sum(count_per_start(n, k)) == count_total(n, k)
 
 
 @pytest.mark.parametrize("n", range(3, 7))

@@ -1,18 +1,19 @@
 import pytest
 
-from nablachains import Dimension, build_adjacency, is_composable, successors
+from nablachains import (
+    ComponentVector,
+    CompositionWord,
+    build_adjacency,
+    classify_pair,
+    is_composable,
+    nabla,
+    successors,
+)
 
 
 def test_dimension_rejects_small_n():
     with pytest.raises(ValueError):
-        Dimension(2)
-    with pytest.raises(ValueError):
         is_composable(1, 2, 2)
-
-
-def test_dimension_m():
-    assert Dimension(3).m == 1
-    assert Dimension(10).m == 5
 
 
 @pytest.mark.parametrize(
@@ -36,6 +37,22 @@ def test_index_out_of_range():
         is_composable(1, 4, 3)
     with pytest.raises(ValueError):
         successors(5, 4)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: is_composable(1, 4, 3),
+        lambda: successors(4, 3),
+        lambda: CompositionWord(3, (1, 4)),
+        lambda: classify_pair(4, 1, 3),
+        lambda: nabla(4, ComponentVector.zero(3, 0)),
+    ],
+    ids=["is_composable", "successors", "CompositionWord", "classify_pair", "nabla"],
+)
+def test_operator_index_message_is_shared(call):
+    with pytest.raises(ValueError, match=r"^operator index 4 out of range 1\.\.3$"):
+        call()
 
 
 def test_adjacency_n3_matches_known_table():

@@ -98,3 +98,35 @@ def test_diff_is_linear_and_leibniz(p, q, i):
 def test_mismatched_variable_counts_rejected():
     with pytest.raises(ValueError):
         Polynomial.variable(2, 1) + Polynomial.variable(3, 1)
+
+
+def test_parse_merges_repeated_and_cancelling_monomials():
+    p = parse_polynomial("x1 + 2*x2 - x1 + x2*1", 3)
+    assert p == Polynomial(3, {(0, 1, 0): 3})
+    assert str(p) == "3*x2"
+    assert parse_polynomial("x1 - x1", 3).is_zero()
+    assert parse_polynomial("2*x1*x1^2 - x1^3*2 + 0*x2", 3).is_zero()
+    assert parse_polynomial("-x1*3/2 + x1", 3) == Polynomial(3, {(1, 0, 0): Fraction(-1, 2)})
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(["+", "-"]),
+            st.integers(0, 4),
+            st.tuples(*[st.integers(0, 2) for _ in range(3)]),
+        ),
+        min_size=1,
+        max_size=8,
+    )
+)
+def test_parse_agrees_with_polynomial_sum(terms):
+    # Repeated monomials are likely here; the sum built with Polynomial.__add__
+    # is the reference for the parser's accumulation.
+    text, expected = "", Polynomial.zero(3)
+    for sign, c, exps in terms:
+        factors = [str(c)] + [f"x{i + 1}^{e}" for i, e in enumerate(exps)]
+        text += f" {sign} " + "*".join(factors)
+        term = Polynomial.monomial(3, exps, c)
+        expected = expected + term if sign == "+" else expected - term
+    assert parse_polynomial(text, 3) == expected
