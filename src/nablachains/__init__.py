@@ -20,7 +20,6 @@ from .errors import (
     EnumerationCapError,
     LevelMismatchError,
     NotComposableError,
-    RecurrenceFitError,
 )
 from .forms import (
     ComponentVector,
@@ -58,7 +57,6 @@ __all__ = [
     "NotComposableError",
     "Polynomial",
     "Recurrence",
-    "RecurrenceFitError",
     "TrivialityClass",
     "apply_word",
     "brute_force_count",

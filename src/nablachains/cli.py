@@ -280,14 +280,16 @@ def _shifted_fibonacci() -> str:
 
 
 def _minimal_recurrences() -> str:
-    from .recurrence import _fit_order
-
     for n in range(3, 11):
         seq = count_sequence(n, 2 * n + 8)
         rec = minimal_recurrence(seq)
         if not verify_recurrence(rec, count_sequence(n, 60)):
             return f"n={n}: derived recurrence fails on longer sequence"
-        if rec.order > 1 and _fit_order(seq.values, rec.order - 1):
+        # a relation of order < d from the first term makes the d x d Hankel
+        # matrix singular; det(-H) is the constant term of its charpoly
+        d = rec.order
+        hankel = [list(seq.values[i : i + d]) for i in range(d)]
+        if characteristic_polynomial(hankel).coefficients[0] == 0:
             return f"n={n}: a shorter recurrence also fits"
     return ""
 

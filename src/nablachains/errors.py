@@ -33,7 +33,3 @@ class EnumerationCapError(RuntimeError):
         self.count = count
         self.cap = cap
         super().__init__(f"enumeration of {count} words exceeds the cap of {cap}")
-
-
-class RecurrenceFitError(RuntimeError):
-    """Raised when no linear recurrence of admissible order fits a sequence."""

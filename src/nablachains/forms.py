@@ -246,26 +246,14 @@ def apply_word(w: WordLike, v: ComponentVector) -> ComponentVector:
     return v
 
 
-def _degree_bounded_exponents(n: int, max_degree: int):
-    """All exponent tuples of length n with total degree <= max_degree."""
-
-    def rec(slots: int, budget: int):
-        if slots == 0:
-            yield ()
-            return
-        for e in range(budget + 1):
-            for rest in rec(slots - 1, budget - e):
-                yield (e,) + rest
-
-    return rec(n, max_degree)
-
-
 def is_zero_operator(w: WordLike, n: int) -> bool:
     """Decide exactly whether the composed operator annihilates everything.
 
-    The composition is linear with constant coefficients and differential
-    order at most len(w), so vanishing on every single-slot monomial input of
-    total degree <= len(w) is equivalent to being the zero operator.
+    Each nabla_i = iso . d . iso is first order and homogeneous with constant
+    coefficients, so a chain of length L is sum_{|a|=L} C_a d^a with constant
+    matrices C_a.  It sends every monomial of degree < L to 0 and x^b with
+    |b| = L to b! C_b; hence it is zero iff it kills every single-slot
+    monomial of degree exactly L, one per multiset of L variables.
     """
     n = as_dim(n)
     word = as_word(w, n)
@@ -273,7 +261,8 @@ def is_zero_operator(w: WordLike, n: int) -> bool:
     level = domain_level(word.indices[0], n)
     slots = math.comb(n, level)
     for slot in range(slots):
-        for exps in _degree_bounded_exponents(n, len(word)):
+        for variables in itertools.combinations_with_replacement(range(n), len(word)):
+            exps = tuple(variables.count(t) for t in range(n))
             entries = [Polynomial.zero(n)] * slots
             entries[slot] = Polynomial.monomial(n, exps)
             probe = ComponentVector(n, level, tuple(entries))

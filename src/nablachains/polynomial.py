@@ -200,7 +200,10 @@ def parse_polynomial(text: str, n_vars: int) -> Polynomial:
         exps = [0] * n_vars
         if re.fullmatch(r"\d+(?:/\d+)?", tok):
             idx += 1
-            return Fraction(tok), exps
+            try:
+                return Fraction(tok), exps
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in {tok!r}") from None
         if re.fullmatch(r"x\d+", tok):
             i = int(tok[1:])
             if not 1 <= i <= n_vars:

@@ -2,22 +2,22 @@
 
 Two routes to a recurrence, kept deliberately separate so they can check one
 another: the characteristic polynomial of the adjacency matrix (which always
-annihilates the counts for k > n), and exact minimal-order fitting against
-the computed sequence itself.  A reference table for n = 3..10 is shipped
-for regression comparison: each row is the recurrence of the characteristic
-polynomial with its zero roots removed, p(t)/t^e.  Every walk count obeys
-that relation; the minimal recurrence of the total-count sequence divides it,
-and is a proper divisor at n = 6, 8 and 10.
+annihilates the counts for k > n), and the minimal recurrence of the computed
+sequence itself, found by Berlekamp-Massey over the rationals: the shortest
+relation that holds from the first term, with a nonzero last coefficient.
+A reference table for n = 3..10 is shipped for regression comparison: each
+row is the recurrence of the characteristic polynomial with its zero roots
+removed, p(t)/t^e.  Every walk count obeys that relation; the minimal
+recurrence of the total-count sequence divides it, and is a proper divisor
+at n = 6, 8 and 10.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .counting import CountSequence
-from .errors import RecurrenceFitError
 from .polynomial import join_signed
 
 
@@ -121,73 +121,44 @@ def recurrence_from_polynomial(p: IntegerPolynomial) -> Recurrence:
     return Recurrence(coeffs, valid_from=d + 1)
 
 
-def _fit_order(values: tuple[int, ...], d: int) -> Optional[tuple[int, ...]]:
-    """Exact-rational least-order fit: solve for c_1..c_d satisfying
-    values[k] = sum c_t values[k-t] for every applicable k, or None."""
-    rows = [
-        [Fraction(values[k - t]) for t in range(1, d + 1)] + [Fraction(values[k])]
-        for k in range(d, len(values))
-    ]
-    if not rows:
-        return None
-    ncols = d
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pr = rows[r]
-        inv = 1 / pr[c]
-        rows[r] = [x * inv for x in pr]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                factor = rows[i][c]
-                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    # inconsistent system: a zero row with nonzero rhs
-    for i in range(r, len(rows)):
-        if rows[i][-1] != 0:
-            return None
-    sol = [Fraction(0)] * ncols
-    for row_idx, c in enumerate(pivots):
-        sol[c] = rows[row_idx][-1]
-    if any(x.denominator != 1 for x in sol):
-        return None
-    coeffs = tuple(int(x) for x in sol)
-    # re-verify against every provided term (guards the free-variable choice)
-    for k in range(d, len(values)):
-        if values[k] != sum(coeffs[t - 1] * values[k - t] for t in range(1, d + 1)):
-            return None
-    return coeffs
-
-
 def minimal_recurrence(seq: CountSequence) -> Recurrence:
-    """Shortest integer recurrence satisfied by all terms of seq.
+    """Shortest integer recurrence that holds on seq from its first term.
 
-    Requires at least 2n + 4 terms so an order <= n recurrence is pinned
-    with a safety margin.
+    Returns f(k) = c_1 f(k-1) + ... + c_d f(k-d) for all k > d, with c_d != 0
+    and valid_from = d + 1, d being the least order of any relation holding
+    from the first term.  One Berlekamp-Massey pass over the rationals (J. L.
+    Massey, IEEE Trans. Inf. Theory 15(1), 1969).  At least 2n + 4 terms are
+    required, so a relation of order d <= n is unique.  Raises ValueError when
+    d is 0 (all terms zero) or exceeds n, when c_d = 0, or when a coefficient
+    is not an integer.
     """
-    n = seq.n
-    values = seq.values
+    n, values = seq.n, seq.values
     if len(values) < 2 * n + 4:
         raise ValueError(
             f"need at least {2 * n + 4} terms for n={n}, got {len(values)}"
         )
-    for d in range(1, n + 1):
-        coeffs = _fit_order(values, d)
-        if coeffs is None:
-            continue
-        if coeffs and coeffs[-1] == 0:
-            # trailing zeros mean an even shorter relation; it would have been
-            # found at a smaller d, so treat this as non-minimal and move on
-            continue
-        return Recurrence(coeffs, valid_from=d + 1)
-    raise RecurrenceFitError(
-        f"no linear recurrence of order <= {n} fits the sequence for n={n}"
-    )
+    # conn = 1 - c_1 x - ... - c_d x^d annihilates the terms read so far;
+    # prev is conn as it was before the last change of order, when its
+    # discrepancy was prev_disc, `gap` terms ago.
+    conn, prev = [Fraction(1)], [Fraction(1)]
+    order, gap, prev_disc = 0, 1, Fraction(1)
+    for k in range(len(values)):
+        disc = sum(c * v for c, v in zip(conn, values[k::-1]))
+        if disc:
+            new = conn + [Fraction(0)] * (gap + len(prev) - len(conn))
+            scale = disc / prev_disc
+            for i, c in enumerate(prev):
+                new[gap + i] -= scale * c
+            if 2 * order <= k:
+                prev, prev_disc, order, gap = conn, disc, k + 1 - order, 0
+            conn = new
+        gap += 1
+    coeffs = [-c for c in (conn + [Fraction(0)] * order)[1 : order + 1]]
+    if not 0 < order <= n or coeffs[-1] == 0 or any(c.denominator != 1 for c in coeffs):
+        raise ValueError(
+            f"no linear recurrence of order <= {n} fits the sequence for n={n}"
+        )
+    return Recurrence(tuple(int(c) for c in coeffs), valid_from=order + 1)
 
 
 def verify_recurrence(r: Recurrence, seq: CountSequence) -> bool:

@@ -197,6 +197,16 @@ def test_apply_parse_error_is_usage(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("number", ["1/0", "1/00"])
+def test_apply_zero_denominator_is_usage_error(capsys, number):
+    code, out, err = run(
+        capsys, "apply", "--n", "3", "--word", "1", "--input", f"[{number}]"
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"error: bad polynomial: zero denominator in '{number}'\n"
+
+
 def test_enumerate_malformed_cap_env_is_usage_error(capsys, monkeypatch):
     monkeypatch.setenv("NABLACHAINS_ENUM_CAP", "abc")
     code, out, err = run(capsys, "enumerate", "--n", "3", "--length", "2")

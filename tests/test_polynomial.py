@@ -66,6 +66,12 @@ def test_parse_errors():
         parse_polynomial("", 3)
 
 
+@pytest.mark.parametrize("text", ["1/0", "1/00", "x1 + 2/0*x2"])
+def test_parse_zero_denominator_names_the_token(text):
+    with pytest.raises(ValueError, match="zero denominator in '[0-9]+/0+'"):
+        parse_polynomial(text, 3)
+
+
 def test_str_round_trip_examples():
     for text in ["3/2*x1^2*x3 - x2", "x1*x2 + 1", "-x3^4", "7"]:
         p = parse_polynomial(text, 3)

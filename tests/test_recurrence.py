@@ -15,12 +15,13 @@ first two coefficients swapped.  Neither annihilates the true counts.
 """
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from nablachains import (
     CountSequence,
     IntegerPolynomial,
     Recurrence,
-    RecurrenceFitError,
     build_adjacency,
     characteristic_polynomial,
     count_sequence,
@@ -29,7 +30,6 @@ from nablachains import (
     reference_recurrences,
     verify_recurrence,
 )
-from nablachains.recurrence import _fit_order
 
 # reference rows the total-count sequence needs in full
 TABLE_MATCHES_MINIMAL = (3, 4, 5, 7, 9)
@@ -122,7 +122,20 @@ def test_no_fit_raises():
     import math
 
     values = tuple(math.factorial(k) for k in range(1, 12))
-    with pytest.raises(RecurrenceFitError):
+    with pytest.raises(ValueError, match="no linear recurrence of order <= 3"):
+        minimal_recurrence(CountSequence(3, values))
+
+
+def test_all_zero_sequence_raises():
+    with pytest.raises(ValueError, match="no linear recurrence of order <= 3"):
+        minimal_recurrence(CountSequence(3, (0,) * 10))
+
+
+def test_relation_ending_in_zero_raises():
+    # f(k) = 2 f(k-1) holds only from k = 3: the shortest relation from the
+    # first term is f(k) = 2 f(k-1) + 0 f(k-2), and c_d = 0 is rejected
+    values = (5,) + tuple(2**k for k in range(1, 12))
+    with pytest.raises(ValueError, match="no linear recurrence of order <= 3"):
         minimal_recurrence(CountSequence(3, values))
 
 
@@ -187,12 +200,50 @@ def test_row8_is_the_characteristic_relation_with_lead_swapped():
     assert (old[1], old[0]) + old[2:] == ref.coefficients
 
 
+def _hankel_nonsingular(values: tuple[int, ...], d: int) -> bool:
+    """The d x d Hankel matrix [values[i:i+d] for i < d] is nonsingular.
+
+    A relation of order e < d holding from the first term makes column e a
+    combination of columns 0..e-1, so nonsingularity rules out every shorter
+    relation.  det(-H) is the constant term of the characteristic polynomial.
+    """
+    hankel = [list(values[i : i + d]) for i in range(d)]
+    return characteristic_polynomial(hankel).coefficients[0] != 0
+
+
 @pytest.mark.parametrize("n", range(3, 11))
 def test_minimality_no_shorter_recurrence_fits(n):
     values = count_sequence(n, 2 * n + 8).values
     r = minimal_recurrence(count_sequence(n, 2 * n + 8))
-    if r.order > 1:
-        assert _fit_order(values, r.order - 1) is None
+    assert _hankel_nonsingular(values, r.order)
+
+
+def test_minimal_recurrence_annihilates_and_is_certified_n3_to_32():
+    for n in range(3, 33):
+        r = minimal_recurrence(count_sequence(n, 2 * n + 8))
+        long_seq = count_sequence(n, 4 * n + 16)
+        assert verify_recurrence(r, long_seq), n
+        assert _hankel_nonsingular(long_seq.values, r.order), n
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    coeffs=st.lists(st.integers(-5, 5), min_size=1, max_size=6).filter(lambda c: c[-1]),
+    start=st.lists(st.integers(-5, 5), min_size=6, max_size=6),
+)
+def test_minimal_recurrence_of_generated_sequence(coeffs, start):
+    # a sequence made by an integer recurrence of order g <= 6 with c_g != 0
+    g = len(coeffs)
+    values = start[:g]
+    assume(any(values))
+    while len(values) < 2 * 6 + 4:
+        values.append(sum(c * values[-t] for t, c in enumerate(coeffs, start=1)))
+    seq = CountSequence(6, tuple(values))
+    r = minimal_recurrence(seq)
+    assert r.order <= g
+    assert r.coefficients[-1] != 0
+    assert verify_recurrence(r, seq)
+    assert _hankel_nonsingular(seq.values, r.order)
 
 
 def _recurrence_polynomial(r: Recurrence) -> tuple[int, ...]:
