@@ -1,9 +1,9 @@
 """Exact counts of meaningful operator chains.
 
 f_i(k) counts length-k meaningful words whose first-applied operator is
-nabla_i; f(k) is the total over all starting operators.  The fast path
-iterates the adjacency matrix against the all-ones vector; brute_force_count
-is a deliberately independent depth-first oracle used to cross-check it.
+nabla_i; f(k) is the total over all starting operators.  The fast path steps
+(f_1, ..., f_n) along each operator's successors from all ones; the
+depth-first brute_force_count is a deliberately independent oracle for it.
 All arithmetic is on Python ints, so counts are exact at any size.
 """
 
@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import EnumerationCapError
-from .graph import as_dim, build_adjacency, successors
+from .graph import as_dim, successors
 from .words import CompositionWord
 
 DEFAULT_ENUMERATION_CAP = 10**6
@@ -35,18 +35,18 @@ class CountSequence:
 
 
 def _walk(n: int, k: int):
-    """Yield the vector (f_1(t), ..., f_n(t)) for t = 1..k, one matrix-vector
-    product per step; only the current vector is kept."""
-    a = build_adjacency(n)
+    """Yield (f_1(t), ..., f_n(t)) for t = 1..k; a step sums, per operator, the
+    counts of its at most two successors.  Only the current vector is kept."""
+    succ = [[j - 1 for j in successors(i, n)] for i in range(1, n + 1)]
     v = [1] * n
     yield v
     for _ in range(k - 1):
-        v = [sum(aij * vj for aij, vj in zip(row, v)) for row in a]
+        v = [sum(v[j] for j in s) for s in succ]
         yield v
 
 
 def count_per_start(n: int, k: int) -> tuple[int, ...]:
-    """f_i(k) for i = 1..n, via k-1 matrix-vector products from all-ones."""
+    """f_i(k) for i = 1..n, via k-1 successor steps from all-ones."""
     n = as_dim(n)
     if k < 1:
         raise ValueError(f"order k must be >= 1, got {k}")
@@ -66,7 +66,7 @@ def count_total(n: int, k: int) -> int:
 
 
 def count_sequence(n: int, k_max: int) -> CountSequence:
-    """f(1)..f(k_max) in one pass (one matrix-vector product per step)."""
+    """f(1)..f(k_max) in one pass (one successor step per k)."""
     n = as_dim(n)
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
@@ -80,9 +80,11 @@ def enumerate_words(
     n = as_dim(n)
     if k < 1:
         raise ValueError(f"length k must be >= 1, got {k}")
-    total = count_total(n, k)
-    if total > cap:
-        raise EnumerationCapError(total, cap)
+    # Totals never decrease (every operator has a predecessor), so the first
+    # one above the cap rules k out before f(k) itself is computed.
+    for v in _walk(n, k):
+        if (total := sum(v)) > cap:
+            raise EnumerationCapError(total, cap)
     succ = {i: successors(i, n) for i in range(1, n + 1)}
     out: list[CompositionWord] = []
     stack: list[int] = []
@@ -104,7 +106,7 @@ def enumerate_words(
 def brute_force_count(n: int, k: int) -> int:
     """Count meaningful length-k words by plain depth-first search.
 
-    Independent of the matrix iteration on purpose; no memoization.
+    Independent of the successor stepping on purpose; no memoization.
     """
     n = as_dim(n)
     if k < 0:

@@ -32,4 +32,4 @@ class EnumerationCapError(RuntimeError):
     def __init__(self, count: int, cap: int):
         self.count = count
         self.cap = cap
-        super().__init__(f"enumeration of {count} words exceeds the cap of {cap}")
+        super().__init__(f"enumeration of at least {count} words exceeds the cap of {cap}")

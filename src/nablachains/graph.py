@@ -1,8 +1,8 @@
 """Composability relation between the operators nabla_1..nabla_n on R^n.
 
 nabla_j can be applied after nabla_i exactly when j = i + 1 or i + j = n + 1.
-This module materializes that relation as an adjacency matrix; everything else
-in the package (counting, classification, the symbolic engine) is driven by it.
+This module materializes it as an adjacency matrix and as successor lists;
+the rest of the package (counting, classification, symbolics) is driven by it.
 
 Indices are 1-based throughout the public surface.
 """

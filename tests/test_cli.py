@@ -167,6 +167,22 @@ def test_enumerate_cap_env(capsys, monkeypatch):
     assert "cap" in err
 
 
+@pytest.mark.parametrize("length", ["25000", "10000000"])
+def test_enumerate_cap_error_returns_at_once(length):
+    proc = subprocess.run(
+        [sys.executable, "-m", "nablachains.cli", "enumerate", "--n", "3", "--length", length],
+        capture_output=True,
+        text=True,
+        env=CHILD_ENV,
+        timeout=30,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "error: enumeration of at least 1346269 words exceeds the cap of 1000000\n"
+    )
+
+
 def test_apply_gradient(capsys):
     code, payload, _ = run_json(
         capsys, "apply", "--n", "3", "--word", "1", "--input", "[x1*x2]"

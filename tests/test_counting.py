@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from nablachains import (
@@ -86,6 +88,20 @@ def test_enumeration_cap():
     with pytest.raises(EnumerationCapError) as exc:
         enumerate_words(3, 10, cap=10)
     assert "10" in str(exc.value)
+
+
+@pytest.mark.parametrize("length", [25_000, 10_000_000])
+def test_enumeration_cap_stops_at_first_total_above_it(length):
+    # f(k) at these lengths has thousands to millions of digits; the cap
+    # check must neither compute it nor format it
+    start = time.monotonic()
+    with pytest.raises(EnumerationCapError) as exc:
+        enumerate_words(3, length)
+    assert time.monotonic() - start < 5.0
+    assert exc.value.count == fib(31)  # f(28), the first total above 10**6
+    assert str(exc.value) == (
+        "enumeration of at least 1346269 words exceeds the cap of 1000000"
+    )
 
 
 def test_brute_force_known_values():

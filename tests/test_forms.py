@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from nablachains import (
     NotComposableError,
     Polynomial,
     apply_word,
+    enumerate_words,
     exterior_derivative,
     is_zero_operator,
     iso_from_components,
@@ -20,6 +22,7 @@ from nablachains import (
     nabla,
     parse_polynomial,
 )
+from nablachains import forms
 from nablachains.forms import complement_sign, domain_level, codomain_level, subsets
 
 
@@ -214,8 +217,6 @@ def test_identification_mismatch_has_nonzero_witness(n):
 @given(st.integers(3, 5), st.data())
 @settings(max_examples=60, deadline=None)
 def test_apply_word_linearity(n, data):
-    from nablachains import enumerate_words
-
     rng = random.Random(data.draw(st.integers(0, 10**6)))
     words = [w for w in enumerate_words(n, 2)]
     w = words[data.draw(st.integers(0, len(words) - 1))]
@@ -227,3 +228,65 @@ def test_apply_word_linearity(n, data):
     lhs = apply_word(w, u.scale(a) + v.scale(b))
     rhs = apply_word(w, u).scale(a) + apply_word(w, v).scale(b)
     assert lhs == rhs
+
+
+def test_probe_lemma_coefficients():
+    # The argument behind is_zero_operator, checked coefficient by coefficient:
+    # a length-L chain is sum_{|a|=L} C_a d^a, so on x^b e_s with b = (L, ..., L)
+    # the coefficient of x^(b-a) is b!/((b-a)! a!) times the constant the chain
+    # gives on x^a e_s (= a! C_a e_s), and no other monomial appears.
+    for n in range(3, 6):
+        for length in range(1, 4):
+            beta = (length,) * n
+            alphas = [
+                tuple(v.count(t) for t in range(n))
+                for v in combinations_with_replacement(range(n), length)
+            ]
+            for w in enumerate_words(n, length):
+                level = domain_level(w.indices[0], n)
+                slots = math.comb(n, level)
+
+                def single(slot, exps):
+                    entries = [Polynomial.zero(n)] * slots
+                    entries[slot] = Polynomial.monomial(n, exps)
+                    return apply_word(w, ComponentVector(n, level, tuple(entries))).entries
+
+                for slot in range(slots):
+                    probe = single(slot, beta)
+                    expected = [{} for _ in probe]
+                    for alpha in alphas:
+                        factor = math.prod(math.comb(length, a) for a in alpha)
+                        shifted = tuple(length - a for a in alpha)
+                        for r, c in enumerate(single(slot, alpha)):
+                            assert set(c.terms) <= {(0,) * n}
+                            if c:
+                                expected[r][shifted] = factor * c.terms[(0,) * n]
+                    assert [p.terms for p in probe] == expected, (n, w.indices, slot)
+
+
+def test_is_zero_operator_probes_each_slot_once(monkeypatch):
+    # is_zero_operator must feed exactly the probe the lemma above is about,
+    # x^(L, ..., L) in slot 0, 1, ... in turn, and stop at the first nonzero output
+    calls = []
+
+    def spy(word, v):
+        out = apply_word(word, v)
+        calls.append((v, out.is_zero()))
+        return out
+
+    monkeypatch.setattr(forms, "apply_word", spy)
+    for n in range(3, 6):
+        for length in range(1, 4):
+            for w in enumerate_words(n, length):
+                calls.clear()
+                zero = is_zero_operator(w, n)
+                level = domain_level(w.indices[0], n)
+                beta = Polynomial.monomial(n, (length,) * n)
+                assert [v.level for v, _ in calls] == [level] * len(calls)
+                for slot, (v, _) in enumerate(calls):
+                    assert v.entries[slot] == beta
+                    assert sum(1 for p in v.entries if p) == 1
+                assert [out_zero for _, out_zero in calls[:-1]] == [True] * (len(calls) - 1)
+                assert calls[-1][1] is zero
+                if zero:
+                    assert len(calls) == math.comb(n, level)
