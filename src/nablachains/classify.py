@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 
-from .graph import as_dim, check_index
+from .graph import _composable, as_dim, check_index
 from .words import CompositionWord, WordLike, as_word
 
 
@@ -28,11 +28,9 @@ def classify_pair(k: int, j: int, n: int) -> TrivialityClass:
     n = as_dim(n)
     check_index(k, n)
     check_index(j, n)
-    if j == k + 1:
-        return TrivialityClass.ZERO
-    if k + j == n + 1:
-        return TrivialityClass.NONTRIVIAL
-    return TrivialityClass.UNDEFINED
+    if not _composable(k, j, n):
+        return TrivialityClass.UNDEFINED
+    return TrivialityClass.ZERO if j == k + 1 else TrivialityClass.NONTRIVIAL
 
 
 def classify_word(w: WordLike, n: int | None = None) -> TrivialityClass:

@@ -6,7 +6,8 @@ identified with vectors of C(n, min(i, n-i)) polynomial components; the
 high-degree identification carries the permutation sign that sorts
 (S, complement(S)) into (1..n).  That sign choice is what makes the n=3
 operators come out as the classical grad, curl and div, and it is pinned
-by tests rather than assumed.
+by tests rather than assumed.  The identification is stated once, in
+_level and _slots; both iso maps and the level helpers read it from there.
 
 The operator chain machinery (nabla, apply_word) and the exact
 zero-operator decision procedure live here too.
@@ -32,19 +33,31 @@ def subsets(n: int, size: int) -> list[Subset]:
     return list(itertools.combinations(range(1, n + 1), size))
 
 
-def _perm_sign(seq: tuple[int, ...]) -> int:
-    inv = 0
-    for a in range(len(seq)):
-        for b in range(a + 1, len(seq)):
-            if seq[a] > seq[b]:
-                inv += 1
-    return -1 if inv % 2 else 1
-
-
 def complement_sign(s: Subset, n: int) -> tuple[Subset, int]:
-    """Complement T of S in {1..n} and the sign of the permutation (S, T)."""
+    """Complement T of S in {1..n} and the sign of the permutation (S, T).
+
+    The k-th smallest s_k exceeds s_k - k elements of T, so (S, T) has
+    sum(S) - |S|(|S|+1)/2 inversions.
+    """
     t = tuple(x for x in range(1, n + 1) if x not in s)
-    return t, _perm_sign(s + t)
+    return t, -1 if (sum(s) - len(s) * (len(s) + 1) // 2) % 2 else 1
+
+
+def _level(degree: int, n: int) -> int:
+    """Level of the coefficient space that forms of this degree live on."""
+    return min(degree, n - degree)
+
+
+def _slots(n: int, degree: int) -> list[tuple[Subset, int]]:
+    """Basis subset and sign behind each slot of a degree's coefficient vector.
+
+    Slot s, in lexicographic order, holds the coefficient of dx_s up to
+    degree n // 2, and sign(S, T) times that of dx_T, T = complement(s), above.
+    """
+    level = _level(degree, n)
+    if degree <= n // 2:
+        return [(s, 1) for s in subsets(n, level)]
+    return [complement_sign(s, n) for s in subsets(n, level)]
 
 
 @dataclass(frozen=True)
@@ -173,23 +186,12 @@ def exterior_derivative(form: DifferentialForm) -> DifferentialForm:
 
 
 def iso_to_components(form: DifferentialForm) -> ComponentVector:
-    """Push a form down to its coefficient vector.
-
-    Degree <= m reads coefficients off in lexicographic order; higher degree
-    uses the signed-complement pairing.
-    """
-    n, m = form.n, form.n // 2
-    if form.degree <= m:
-        level = form.degree
-        entries = tuple(form.coefficient(s) for s in subsets(n, level))
-    else:
-        level = n - form.degree
-        entries = []
-        for s in subsets(n, level):
-            t, sign = complement_sign(s, n)
-            entries.append(form.coefficient(t).scale(sign))
-        entries = tuple(entries)
-    return ComponentVector(n, level, entries)
+    """Push a form down to its coefficient vector."""
+    entries = []
+    for s, sign in _slots(form.n, form.degree):
+        p = form.coefficient(s)
+        entries.append(p.scale(sign) if sign < 0 else p)
+    return ComponentVector(form.n, _level(form.degree, form.n), tuple(entries))
 
 
 def iso_from_components(v: ComponentVector, target_degree: int) -> DifferentialForm:
@@ -197,33 +199,22 @@ def iso_from_components(v: ComponentVector, target_degree: int) -> DifferentialF
 
     target_degree must be v.level (low side) or n - v.level (high side).
     """
-    n, m = v.n, v.n // 2
-    if target_degree <= m:
-        if target_degree != v.level:
-            raise ValueError(
-                f"target degree {target_degree} incompatible with level {v.level}"
-            )
-        comps = dict(zip(subsets(n, v.level), v.entries))
-    else:
-        if target_degree != n - v.level:
-            raise ValueError(
-                f"target degree {target_degree} incompatible with level {v.level}"
-            )
-        comps = {}
-        for s, p in zip(subsets(n, v.level), v.entries):
-            t, sign = complement_sign(s, n)
-            comps[t] = p.scale(sign)
-    return DifferentialForm(n, target_degree, comps)
+    if _level(target_degree, v.n) != v.level:
+        raise ValueError(f"target degree {target_degree} incompatible with level {v.level}")
+    comps = {}
+    for (s, sign), p in zip(_slots(v.n, target_degree), v.entries):
+        comps[s] = p.scale(sign) if sign < 0 else p
+    return DifferentialForm(v.n, target_degree, comps)
 
 
 def domain_level(i: int, n: int) -> int:
     """Level of the coefficient space nabla_i consumes."""
-    return min(i - 1, n - i + 1)
+    return _level(i - 1, n)
 
 
 def codomain_level(i: int, n: int) -> int:
     """Level of the coefficient space nabla_i produces."""
-    return min(i, n - i)
+    return _level(i, n)
 
 
 def nabla(i: int, v: ComponentVector) -> ComponentVector:

@@ -164,7 +164,7 @@ def join_signed(terms: Iterable[tuple[Scalar, str]]) -> str:
 
 
 _TOKEN = re.compile(
-    r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<var>x\d+)|(?P<op>[-+*^]))"
+    r"\s*(?:(?P<num>[0-9]+(?:/[0-9]+)?)|(?P<var>x[0-9]+)|(?P<op>[-+*^]))"
 )
 
 
@@ -198,13 +198,13 @@ def parse_polynomial(text: str, n_vars: int) -> Polynomial:
             idx += 1
             return parse_factor()
         exps = [0] * n_vars
-        if re.fullmatch(r"\d+(?:/\d+)?", tok):
+        if re.fullmatch(r"[0-9]+(?:/[0-9]+)?", tok):
             idx += 1
             try:
                 return Fraction(tok), exps
             except ZeroDivisionError:
                 raise ValueError(f"zero denominator in {tok!r}") from None
-        if re.fullmatch(r"x\d+", tok):
+        if re.fullmatch(r"x[0-9]+", tok):
             i = int(tok[1:])
             if not 1 <= i <= n_vars:
                 raise ValueError(f"variable {tok} out of range for n={n_vars}")
@@ -212,7 +212,7 @@ def parse_polynomial(text: str, n_vars: int) -> Polynomial:
             power = 1
             if idx < len(tokens) and tokens[idx] == "^":
                 idx += 1
-                if idx >= len(tokens) or not tokens[idx].isdigit():
+                if idx >= len(tokens) or not re.fullmatch(r"[0-9]+", tokens[idx]):
                     raise ValueError("expected integer exponent after '^'")
                 power = int(tokens[idx])
                 idx += 1

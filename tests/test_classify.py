@@ -8,6 +8,7 @@ from nablachains import (
     count_nontrivial,
     enumerate_nontrivial,
     enumerate_words,
+    is_composable,
     is_zero_operator,
 )
 
@@ -25,6 +26,21 @@ from nablachains import (
 )
 def test_classify_pair(k, j, n, expected):
     assert classify_pair(k, j, n) is expected
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_classify_pair_follows_composability(n):
+    for k in range(1, n + 1):
+        for j in range(1, n + 1):
+            if not is_composable(k, j, n):
+                expected = TrivialityClass.UNDEFINED
+            elif j == k + 1:
+                expected = TrivialityClass.ZERO
+            else:
+                expected = TrivialityClass.NONTRIVIAL
+            assert classify_pair(k, j, n) is expected
+    if n % 2 == 0:  # j = k + 1 and k + j = n + 1 both hold; zero wins
+        assert classify_pair(n // 2, n // 2 + 1, n) is TrivialityClass.ZERO
 
 
 def test_classify_pair_rejects_bad_index():

@@ -223,6 +223,15 @@ def test_apply_zero_denominator_is_usage_error(capsys, number):
     assert err == f"error: bad polynomial: zero denominator in '{number}'\n"
 
 
+# Arabic-Indic three, Arabic-Indic one, fullwidth three
+@pytest.mark.parametrize("poly", ["x1^\u0663", "x\u0661", "\uff13*x1"])
+def test_apply_non_ascii_digits_are_usage_errors(capsys, poly):
+    code, out, err = run(capsys, "apply", "--n", "3", "--word", "1", "--input", f"[{poly}]")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: bad polynomial: cannot parse polynomial near ")
+
+
 def test_enumerate_malformed_cap_env_is_usage_error(capsys, monkeypatch):
     monkeypatch.setenv("NABLACHAINS_ENUM_CAP", "abc")
     code, out, err = run(capsys, "enumerate", "--n", "3", "--length", "2")

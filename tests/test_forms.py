@@ -1,7 +1,7 @@
 import math
 import random
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
@@ -86,6 +86,17 @@ def test_complement_sign_n3():
     assert complement_sign((), 3) == ((1, 2, 3), 1)
 
 
+@pytest.mark.parametrize("n", range(1, 11))
+def test_complement_sign_counts_inversions(n):
+    for size in range(n + 1):
+        for s in subsets(n, size):
+            t, sign = complement_sign(s, n)
+            assert t == tuple(x for x in range(1, n + 1) if x not in s)
+            seq = s + t
+            inversions = sum(seq[a] > seq[b] for a, b in combinations(range(n), 2))
+            assert sign == (-1) ** inversions
+
+
 def test_iso_high_side_n3():
     rng = random.Random(5)
     f1, f2, f3 = (rand_poly(rng, 3) for _ in range(3))
@@ -162,6 +173,20 @@ def test_nabla_3_is_divergence():
     fs = tuple(rand_poly(rng, 3) for _ in range(3))
     out = nabla(3, ComponentVector(3, 1, fs))
     assert out.entries == (fs[0].diff(1) + fs[1].diff(2) + fs[2].diff(3),)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_divergence_of_gradient_is_laplacian(n):
+    # nabla_1 is the gradient and nabla_n the divergence in every dimension,
+    # which pins the complement sign of each level-1 slot
+    rng = random.Random(400 + n)
+    f = rand_poly(rng, n, terms=4, max_exp=3) + parse_polynomial(
+        " + ".join(f"{s}*x{s}^3*x{s % n + 1}" for s in range(1, n + 1)), n
+    )
+    second = [f.diff(s).diff(s) for s in range(1, n + 1)]
+    assert not any(p.is_zero() for p in second)
+    out = nabla(n, nabla(1, ComponentVector(n, 0, (f,))))
+    assert out.entries == (sum(second, Polynomial.zero(n)),)
 
 
 def test_nabla_level_mismatch():

@@ -72,6 +72,16 @@ def test_parse_zero_denominator_names_the_token(text):
         parse_polynomial(text, 3)
 
 
+# Unicode decimal digits that are not ASCII: Arabic-Indic three and one,
+# fullwidth three, Devanagari one
+@pytest.mark.parametrize(
+    "text", ["x1^\u0663", "\u0663*x1", "x\u0661", "1/\u0663", "x1^\uff13", "\u0967"]
+)
+def test_parse_rejects_non_ascii_digits(text):
+    with pytest.raises(ValueError):
+        parse_polynomial(text, 3)
+
+
 def test_str_round_trip_examples():
     for text in ["3/2*x1^2*x3 - x2", "x1*x2 + 1", "-x3^4", "7"]:
         p = parse_polynomial(text, 3)
