@@ -62,12 +62,29 @@ class UsageError(Exception):
     """Bad flags or unparseable input; maps to exit code 2."""
 
 
+def _ascii_int(text: str) -> int:
+    """int(text) for ASCII text only; int() alone also reads '٣' and '５'."""
+    if not text.isascii():
+        raise ValueError(f"non-ASCII character in integer {text!r}")
+    return int(text)
+
+
+def _int_option(text: str) -> int:
+    # argparse type; argparse prints an ArgumentTypeError's message as it is
+    try:
+        return _ascii_int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}" if text.isascii() else str(exc)
+        ) from None
+
+
 def _env_int(name: str, default: int) -> int:
     raw = os.environ.get(name)
     if not raw:
         return default
     try:
-        return int(raw)
+        return _ascii_int(raw)
     except ValueError:
         raise UsageError(f"{name} must be an integer, got {raw!r}") from None
 
@@ -207,7 +224,7 @@ def cmd_enumerate(args) -> int:
 
 def _parse_word(text: str, n: int) -> CompositionWord:
     try:
-        indices = tuple(int(part) for part in text.split(","))
+        indices = tuple(_ascii_int(part) for part in text.split(","))
         return CompositionWord(n, indices)
     except ValueError as exc:
         raise UsageError(f"bad word {text!r}: {exc}") from exc
@@ -447,31 +464,31 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=choices, default=default)
 
     p = sub.add_parser("count", help="number of meaningful chains of order k")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--n", type=_int_option, required=True)
+    p.add_argument("--k", type=_int_option, required=True)
     add_format(p, "plain", ("plain", "json"))
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("sequence", help="counts for k = 1..k_max")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k-max", dest="k_max", type=int, required=True)
+    p.add_argument("--n", type=_int_option, required=True)
+    p.add_argument("--k-max", dest="k_max", type=_int_option, required=True)
     add_format(p, "plain")
     p.set_defaults(func=cmd_sequence)
 
     p = sub.add_parser("recurrence", help="minimal recurrence for the counts")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_option, required=True)
     add_format(p, "json", ("plain", "json"))
     p.set_defaults(func=cmd_recurrence)
 
     p = sub.add_parser("enumerate", help="list meaningful chains")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--length", type=int, required=True)
+    p.add_argument("--n", type=_int_option, required=True)
+    p.add_argument("--length", type=_int_option, required=True)
     p.add_argument("--nontrivial", action="store_true")
     add_format(p, "json")
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("apply", help="apply an operator chain to polynomial input")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_option, required=True)
     p.add_argument("--word", required=True, help="comma-separated indices, first applied first")
     p.add_argument("--input", required=True, help="bracketed polynomial components")
     add_format(p, "json", ("plain", "json"))

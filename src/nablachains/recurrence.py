@@ -90,23 +90,34 @@ def characteristic_polynomial(a: list[list[int]]) -> IntegerPolynomial:
     """Monic characteristic polynomial det(tI - A) of an integer matrix.
 
     Faddeev-LeVerrier iteration; all divisions are exact over the integers.
+    Row r of A M_k is the combination of the rows M_k[s] weighted by the
+    nonzero entries a[r][s], so a matrix with at most two nonzeros per row
+    (the composability graph) costs O(n^3) in all, and a dense one O(n^4).
+    Raises ValueError if the matrix is not square.
     """
     n = len(a)
-    ident = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
-    mk = ident
+    for r, row in enumerate(a):
+        if len(row) != n:
+            raise ValueError(
+                f"matrix must be square: {n} rows, but row {r} has length {len(row)}"
+            )
+    nonzero = [[(s, x) for s, x in enumerate(row) if x] for row in a]
+    mk = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
     coefs = [1]  # descending: coefficient of t^n first
     for k in range(1, n + 1):
-        am = [
-            [sum(a[r][s] * mk[s][c] for s in range(n)) for c in range(n)]
-            for r in range(n)
-        ]
+        am = []
+        for entries in nonzero:
+            row = [0] * n
+            for s, x in entries:
+                row = [acc + x * m for acc, m in zip(row, mk[s])]
+            am.append(row)
         tr = sum(am[r][r] for r in range(n))
         ck, rem = divmod(-tr, k)
         assert rem == 0, "Faddeev-LeVerrier division must be exact"
         coefs.append(ck)
-        mk = [
-            [am[r][c] + (ck if r == c else 0) for c in range(n)] for r in range(n)
-        ]
+        for r in range(n):
+            am[r][r] += ck
+        mk = am
     ascending = tuple(reversed(coefs))
     return IntegerPolynomial(ascending)
 

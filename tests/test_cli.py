@@ -232,6 +232,42 @@ def test_apply_non_ascii_digits_are_usage_errors(capsys, poly):
     assert err.startswith("error: bad polynomial: cannot parse polynomial near ")
 
 
+# int() reads Arabic-Indic and fullwidth digits; the CLI takes ASCII only
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (("count", "--n", "\u0663", "--k", "\uff15"), "argument --n"),
+        (("count", "--n", "3", "--k", "\uff15"), "argument --k"),
+        (("sequence", "--n", "3", "--k-max", "\u0665"), "argument --k-max"),
+        (("recurrence", "--n", "\u0663"), "argument --n"),
+        (("enumerate", "--n", "3", "--length", "\u0662"), "argument --length"),
+        (("apply", "--n", "3", "--word", "\u0663", "--input", "[x1, x2, x3]"), "bad word"),
+        (("apply", "--n", "3", "--word", "1,\u0662", "--input", "[x1]"), "bad word"),
+    ],
+)
+def test_non_ascii_integer_arguments_are_usage_errors(capsys, argv, named):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert named in err
+    assert "non-ASCII character in integer" in err
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("NABLACHAINS_ENUM_CAP", ("enumerate", "--n", "3", "--length", "2")),
+        ("NABLACHAINS_MAX_SYMBOLIC_N", ("apply", "--n", "3", "--word", "1", "--input", "[x1]")),
+    ],
+)
+def test_non_ascii_env_integers_are_usage_errors(capsys, monkeypatch, name, argv):
+    monkeypatch.setenv(name, "\u0665")
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {name} must be an integer, got '\u0665'\n"
+
+
 def test_enumerate_malformed_cap_env_is_usage_error(capsys, monkeypatch):
     monkeypatch.setenv("NABLACHAINS_ENUM_CAP", "abc")
     code, out, err = run(capsys, "enumerate", "--n", "3", "--length", "2")

@@ -76,6 +76,77 @@ def test_characteristic_polynomial_is_monic_degree_n(n):
     assert p.is_monic()
 
 
+def test_characteristic_polynomial_rejects_non_square():
+    for bad in ([[1, 2, 3], [4, 5, 6]], [[1], [2, 3]], [[1, 2]]):
+        with pytest.raises(ValueError, match="matrix must be square"):
+            characteristic_polynomial(bad)
+    assert characteristic_polynomial([]).coefficients == (1,)
+
+
+def _bareiss_det(m: list[list[int]]) -> int:
+    """Determinant by fraction-free (Bareiss) elimination; every // is exact."""
+    m = [row[:] for row in m]
+    size, sign, prev = len(m), 1, 1
+    for k in range(size - 1):
+        if m[k][k] == 0:
+            pivot = next((i for i in range(k + 1, size) if m[i][k]), None)
+            if pivot is None:
+                return 0
+            m[k], m[pivot] = m[pivot], m[k]
+            sign = -sign
+        for i in range(k + 1, size):
+            for j in range(k + 1, size):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[-1][-1] if size else 1
+
+
+@st.composite
+def _integer_matrices(draw):
+    """Square integer matrices of size 0..7: dense, or at most two nonzeros a row."""
+    size = draw(st.integers(0, 7))
+    entry = st.integers(-1000, 1000)
+    if draw(st.booleans()):
+        return [draw(st.lists(entry, min_size=size, max_size=size)) for _ in range(size)]
+    matrix = [[0] * size for _ in range(size)]
+    for row in matrix:
+        for s in draw(st.lists(st.integers(0, size - 1), max_size=2)):
+            row[s] = draw(entry)
+    return matrix
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=_integer_matrices())
+def test_characteristic_polynomial_agrees_with_bareiss_determinant(a):
+    p = characteristic_polynomial(a).coefficients
+    size = len(a)
+    assert len(p) == size + 1 and p[-1] == 1
+    # size + 1 points fix a polynomial of degree size
+    for x in range(size + 1):
+        shifted = [[(x if r == c else 0) - a[r][c] for c in range(size)] for r in range(size)]
+        assert sum(c * x**i for i, c in enumerate(p)) == _bareiss_det(shifted)
+
+
+def _dense_faddeev_leverrier(a: list[list[int]]) -> tuple[int, ...]:
+    """Faddeev-LeVerrier with every product A M_k formed densely, entry by entry."""
+    n = len(a)
+    mk = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
+    coefs = [1]
+    for k in range(1, n + 1):
+        am = [[sum(a[r][s] * mk[s][c] for s in range(n)) for c in range(n)] for r in range(n)]
+        ck, rem = divmod(-sum(am[r][r] for r in range(n)), k)
+        assert rem == 0
+        coefs.append(ck)
+        mk = [[am[r][c] + (ck if r == c else 0) for c in range(n)] for r in range(n)]
+    return tuple(reversed(coefs))
+
+
+@pytest.mark.parametrize("n", range(3, 41))
+def test_characteristic_polynomial_matches_dense_products(n):
+    a = build_adjacency(n)
+    assert characteristic_polynomial(a).coefficients == _dense_faddeev_leverrier(a)
+
+
 def test_recurrence_from_polynomial_transcription():
     r = recurrence_from_polynomial(IntegerPolynomial((0, -1, -1, 1)))
     assert r.coefficients == (1, 1, 0)
