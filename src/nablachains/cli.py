@@ -3,7 +3,8 @@
 Subcommands: count, sequence, recurrence, enumerate, apply, verify.
 Counts are emitted as decimal strings in JSON so arbitrary precision
 survives any downstream consumer.  Exit codes: 0 success, 1 domain or
-computation failure, 2 usage/parse failure.
+computation failure (any ValueError, the package's own errors included),
+2 usage/parse failure (UsageError).
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .counting import (
     count_total,
     enumerate_words,
 )
-from .errors import EnumerationCapError, NotComposableError
 from .forms import (
     ComponentVector,
     DifferentialForm,
@@ -52,10 +52,6 @@ DEFAULT_MAX_SYMBOLIC_N = 12
 
 ENUM_CAP_ENV = "NABLACHAINS_ENUM_CAP"
 SYMBOLIC_N_ENV = "NABLACHAINS_MAX_SYMBOLIC_N"
-
-
-class CliError(Exception):
-    """Domain/computation failure; maps to exit code 1."""
 
 
 class UsageError(Exception):
@@ -91,13 +87,13 @@ def _env_int(name: str, default: int) -> int:
 
 def _check_counting_n(n: int) -> None:
     if not 3 <= n <= MAX_COUNTING_N:
-        raise CliError(f"n must be in 3..{MAX_COUNTING_N}")
+        raise ValueError(f"n must be in 3..{MAX_COUNTING_N}")
 
 
 def _check_symbolic_n(n: int) -> None:
     cap = _env_int(SYMBOLIC_N_ENV, DEFAULT_MAX_SYMBOLIC_N)
     if not 3 <= n <= cap:
-        raise CliError(f"n must be in 3..{cap} for symbolic computation")
+        raise ValueError(f"n must be in 3..{cap} for symbolic computation")
 
 
 def _decimal(count: int) -> str:
@@ -127,7 +123,7 @@ def _word_entry(w: CompositionWord) -> dict:
 def cmd_count(args) -> int:
     _check_counting_n(args.n)
     if args.k < 0:
-        raise CliError("k must be >= 0")
+        raise ValueError("k must be >= 0")
     value = count_total(args.n, args.k)
     if args.format == "json":
         print(json.dumps({"n": args.n, "k": args.k, "count": _decimal(value)}))
@@ -139,7 +135,7 @@ def cmd_count(args) -> int:
 def cmd_sequence(args) -> int:
     _check_counting_n(args.n)
     if args.k_max < 1:
-        raise CliError("k-max must be >= 1")
+        raise ValueError("k-max must be >= 1")
     values = count_sequence(args.n, args.k_max).values
     if args.format == "json":
         print(
@@ -191,11 +187,8 @@ def cmd_recurrence(args) -> int:
 def cmd_enumerate(args) -> int:
     _check_counting_n(args.n)
     if args.length < 1:
-        raise CliError("length must be >= 1")
-    try:
-        words = enumerate_words(args.n, args.length, cap=_env_int(ENUM_CAP_ENV, DEFAULT_ENUMERATION_CAP))
-    except EnumerationCapError as exc:
-        raise CliError(str(exc)) from exc
+        raise ValueError("length must be >= 1")
+    words = enumerate_words(args.n, args.length, cap=_env_int(ENUM_CAP_ENV, DEFAULT_ENUMERATION_CAP))
     if args.nontrivial:
         words = [w for w in words if classify_word(w) is TrivialityClass.NONTRIVIAL]
     entries = [_word_entry(w) for w in words]
@@ -237,7 +230,7 @@ def _parse_vector(text: str, n: int, level: int) -> ComponentVector:
     parts = [p.strip() for p in text[1:-1].split(",")]
     expected = math.comb(n, level)
     if len(parts) != expected:
-        raise CliError(
+        raise ValueError(
             f"word starting with that operator needs {expected} input components "
             f"at level {level}, got {len(parts)}"
         )
@@ -251,9 +244,7 @@ def _parse_vector(text: str, n: int, level: int) -> ComponentVector:
 def cmd_apply(args) -> int:
     _check_symbolic_n(args.n)
     word = _parse_word(args.word, args.n)
-    bad = word.first_invalid_pair()
-    if bad is not None:
-        raise CliError(f"pair {bad} is not composable in dimension n={args.n}")
+    word.require_meaningful()
     level = domain_level(word.indices[0], args.n)
     vector = _parse_vector(args.input, args.n, level)
     result = apply_word(word, vector)
@@ -513,7 +504,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (CliError, NotComposableError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -25,14 +25,6 @@ class CountSequence:
     n: int
     values: tuple[int, ...]
 
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def f(self, k: int) -> int:
-        if not 1 <= k <= len(self.values):
-            raise IndexError(f"k={k} outside computed range 1..{len(self.values)}")
-        return self.values[k - 1]
-
 
 def _walk(n: int, k: int):
     """Yield (f_1(t), ..., f_n(t)) for t = 1..k; a step sums, per operator, the

@@ -26,7 +26,7 @@ class LevelMismatchError(ValueError):
         super().__init__(f"expected component vector at level {expected}, got level {got}")
 
 
-class EnumerationCapError(RuntimeError):
+class EnumerationCapError(ValueError):
     """Raised when an enumeration would materialize more words than the cap."""
 
     def __init__(self, count: int, cap: int):

@@ -103,21 +103,6 @@ class DifferentialForm:
             and dict(self.components) == dict(other.components)
         )
 
-    def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        for s in subsets(self.n, self.degree):
-            poly = self.components.get(s)
-            if poly is None:
-                continue
-            if s:
-                basis = "^".join(f"dx{i}" for i in s)
-                parts.append(f"({poly}) {basis}")
-            else:
-                parts.append(f"({poly})")
-        return " + ".join(parts)
-
 
 @dataclass(frozen=True)
 class ComponentVector:
@@ -150,9 +135,6 @@ class ComponentVector:
     def zero(cls, n: int, level: int) -> "ComponentVector":
         return cls(n, level, tuple(Polynomial.zero(n) for _ in range(math.comb(n, level))))
 
-    def map(self, fn) -> "ComponentVector":
-        return ComponentVector(self.n, self.level, tuple(fn(p) for p in self.entries))
-
     def __add__(self, other: "ComponentVector") -> "ComponentVector":
         if (self.n, self.level) != (other.n, other.level):
             raise ValueError("component vectors of different shape")
@@ -161,7 +143,7 @@ class ComponentVector:
         )
 
     def scale(self, c) -> "ComponentVector":
-        return self.map(lambda p: p.scale(c))
+        return ComponentVector(self.n, self.level, tuple(p.scale(c) for p in self.entries))
 
 
 def exterior_derivative(form: DifferentialForm) -> DifferentialForm:

@@ -3,7 +3,9 @@
 Variables are x1..xn; internally a term is an exponent tuple of length
 n_vars mapped to a nonzero Fraction.  Canonical form (no zero coefficients)
 makes structural equality decide polynomial equality, which is all the
-zero-operator decision procedure needs.
+zero-operator decision procedure needs.  The operators are linear with
+constant coefficients, so polynomials support +, -, scaling and partial
+derivatives, and not products.
 """
 
 from __future__ import annotations
@@ -20,21 +22,22 @@ class Polynomial:
     __slots__ = ("n_vars", "terms")
 
     def __init__(self, n_vars: int, terms: Mapping[Exponents, Scalar] | None = None):
+        """Keys, after tuple(), must be distinct tuples of n_vars ints >= 0;
+        terms with a zero coefficient are dropped.  No like terms are summed:
+        a key given twice raises ValueError, as a malformed one does."""
         if n_vars < 1:
             raise ValueError("need at least one variable")
         self.n_vars = n_vars
         canon: dict[Exponents, Fraction] = {}
-        if terms:
-            for exps, coeff in terms.items():
-                exps = tuple(exps)
-                if len(exps) != n_vars or any(e < 0 for e in exps):
-                    raise ValueError(f"bad exponent tuple {exps} for {n_vars} variables")
-                c = Fraction(coeff)
-                if c:
-                    canon[exps] = canon.get(exps, Fraction(0)) + c
-                    if not canon[exps]:
-                        del canon[exps]
-        self.terms = canon
+        for exps, coeff in (terms or {}).items():
+            key = tuple(exps)
+            if len(key) != n_vars or not all(isinstance(e, int) and e >= 0 for e in key):
+                raise ValueError(f"bad exponent tuple {key} for {n_vars} variables")
+            if key in canon:
+                raise ValueError(f"exponent tuple {key} given twice")
+            # a Fraction is immutable, and Fraction() of one only copies it
+            canon[key] = coeff if type(coeff) is Fraction else Fraction(coeff)
+        self.terms = {e: c for e, c in canon.items() if c}
 
     # construction helpers
 
@@ -43,23 +46,10 @@ class Polynomial:
         return cls(n_vars)
 
     @classmethod
-    def constant(cls, n_vars: int, c: Scalar) -> "Polynomial":
-        return cls(n_vars, {(0,) * n_vars: c})
-
-    @classmethod
     def monomial(cls, n_vars: int, exps: Iterable[int], coeff: Scalar = 1) -> "Polynomial":
         return cls(n_vars, {tuple(exps): coeff})
 
-    @classmethod
-    def variable(cls, n_vars: int, i: int) -> "Polynomial":
-        """x_i, 1-based."""
-        if not 1 <= i <= n_vars:
-            raise ValueError(f"variable index {i} out of range 1..{n_vars}")
-        exps = [0] * n_vars
-        exps[i - 1] = 1
-        return cls(n_vars, {tuple(exps): 1})
-
-    # ring operations
+    # linear operations
 
     def _check(self, other: "Polynomial") -> None:
         if self.n_vars != other.n_vars:
@@ -78,19 +68,6 @@ class Polynomial:
     def __neg__(self) -> "Polynomial":
         return Polynomial(self.n_vars, {e: -c for e, c in self.terms.items()})
 
-    def __mul__(self, other: Union["Polynomial", Scalar]) -> "Polynomial":
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        self._check(other)
-        terms: dict[Exponents, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                terms[e] = terms.get(e, Fraction(0)) + c1 * c2
-        return Polynomial(self.n_vars, terms)
-
-    __rmul__ = __mul__
-
     def scale(self, c: Scalar) -> "Polynomial":
         c = Fraction(c)
         return Polynomial(self.n_vars, {e: c * v for e, v in self.terms.items()})
@@ -99,13 +76,13 @@ class Polynomial:
         """Partial derivative with respect to x_i (1-based), exact power rule."""
         if not 1 <= i <= self.n_vars:
             raise ValueError(f"variable index {i} out of range 1..{self.n_vars}")
+        # Lowering the i-th exponent maps distinct exponents to distinct ones,
+        # so each surviving term lands on its own key.
         terms: dict[Exponents, Fraction] = {}
         for e, c in self.terms.items():
             p = e[i - 1]
-            if p == 0:
-                continue
-            ne = e[: i - 1] + (p - 1,) + e[i:]
-            terms[ne] = terms.get(ne, Fraction(0)) + c * p
+            if p:
+                terms[e[: i - 1] + (p - 1,) + e[i:]] = c * p
         return Polynomial(self.n_vars, terms)
 
     # predicates and comparison
@@ -171,6 +148,7 @@ _TOKEN = re.compile(
 def parse_polynomial(text: str, n_vars: int) -> Polynomial:
     """Parse syntax like ``3/2*x1^2*x3 - x2 + 4``."""
     tokens: list[str] = []
+    kinds: list[str] = []  # the _TOKEN group each token matched
     pos = 0
     while pos < len(text):
         m = _TOKEN.match(text, pos)
@@ -179,6 +157,7 @@ def parse_polynomial(text: str, n_vars: int) -> Polynomial:
                 break
             raise ValueError(f"cannot parse polynomial near {text[pos:]!r}")
         tokens.append(m.group(m.lastgroup))
+        kinds.append(m.lastgroup)
         pos = m.end()
 
     idx = 0
@@ -198,13 +177,13 @@ def parse_polynomial(text: str, n_vars: int) -> Polynomial:
             idx += 1
             return parse_factor()
         exps = [0] * n_vars
-        if re.fullmatch(r"[0-9]+(?:/[0-9]+)?", tok):
+        if kinds[idx] == "num":
             idx += 1
             try:
                 return Fraction(tok), exps
             except ZeroDivisionError:
                 raise ValueError(f"zero denominator in {tok!r}") from None
-        if re.fullmatch(r"x[0-9]+", tok):
+        if kinds[idx] == "var":
             i = int(tok[1:])
             if not 1 <= i <= n_vars:
                 raise ValueError(f"variable {tok} out of range for n={n_vars}")
@@ -212,7 +191,7 @@ def parse_polynomial(text: str, n_vars: int) -> Polynomial:
             power = 1
             if idx < len(tokens) and tokens[idx] == "^":
                 idx += 1
-                if idx >= len(tokens) or not re.fullmatch(r"[0-9]+", tokens[idx]):
+                if idx >= len(tokens) or kinds[idx] != "num" or "/" in tokens[idx]:
                     raise ValueError("expected integer exponent after '^'")
                 power = int(tokens[idx])
                 idx += 1

@@ -70,7 +70,7 @@ class Recurrence:
         return self.relation_string()
 
 
-def render_polynomial(coefficients: tuple[int, ...], var: str = "t") -> str:
+def render_polynomial(coefficients: tuple[int, ...]) -> str:
     terms = []
     for p in range(len(coefficients) - 1, -1, -1):
         c = coefficients[p]
@@ -80,7 +80,7 @@ def render_polynomial(coefficients: tuple[int, ...], var: str = "t") -> str:
         if p == 0:
             body = str(mag)
         else:
-            power = var if p == 1 else f"{var}^{p}"
+            power = "t" if p == 1 else f"t^{p}"
             body = power if mag == 1 else f"{mag}*{power}"
         terms.append((c, body))
     return join_signed(terms)

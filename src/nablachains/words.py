@@ -36,9 +36,6 @@ class CompositionWord:
                 return (a, b)
         return None
 
-    def is_meaningful(self) -> bool:
-        return self.first_invalid_pair() is None
-
     def require_meaningful(self) -> None:
         bad = self.first_invalid_pair()
         if bad is not None:

@@ -73,7 +73,7 @@ def test_undefined_iff_not_meaningful():
             for indices in itertools.product(range(1, n + 1), repeat=length):
                 w = CompositionWord(n, indices)
                 undefined = classify_word(w) is TrivialityClass.UNDEFINED
-                assert undefined == (not w.is_meaningful())
+                assert undefined == (w.first_invalid_pair() is not None)
 
 
 def test_enumerate_nontrivial_n3():

@@ -7,8 +7,14 @@ import sys
 import pytest
 
 import nablachains
-from nablachains import count_total
-from nablachains.cli import main
+from nablachains import (
+    EnumerationCapError,
+    LevelMismatchError,
+    NotComposableError,
+    cli,
+    count_total,
+)
+from nablachains.cli import UsageError, main
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 SCHEMA_PATH = REPO / "schemas" / "output.json"
@@ -203,7 +209,14 @@ def test_apply_zero_composition(capsys):
 def test_apply_non_meaningful_word(capsys):
     code, out, err = run(capsys, "apply", "--n", "3", "--word", "1,1", "--input", "[x1]")
     assert code == 1
-    assert "(1, 1)" in err
+    assert out == ""
+    assert err == "error: operators (1, 1) are not composable in dimension n=3\n"
+
+
+def test_apply_checks_the_word_before_the_vector(capsys):
+    code, out, err = run(capsys, "apply", "--n", "3", "--word", "1,1", "--input", "[bad")
+    assert (code, out) == (1, "")
+    assert "not composable" in err
 
 
 def test_apply_parse_error_is_usage(capsys):
@@ -304,6 +317,25 @@ def test_bad_flags_exit_2(capsys):
     assert run(capsys, "count", "--n", "3")[0] == 2
     assert run(capsys, "count", "--n", "x", "--k", "1")[0] == 2
     assert run(capsys, "nonsense")[0] == 2
+
+
+@pytest.mark.parametrize(
+    "exc, code",
+    [
+        (UsageError("bad flag"), 2),
+        (ValueError("out of range"), 1),
+        (NotComposableError(1, 1, 3), 1),
+        (LevelMismatchError(0, 1), 1),
+        (EnumerationCapError(8, 5), 1),
+    ],
+    ids=lambda x: type(x).__name__ if isinstance(x, Exception) else str(x),
+)
+def test_error_class_exit_code(capsys, monkeypatch, exc, code):
+    def fail(n, k):
+        raise exc
+
+    monkeypatch.setattr(cli, "count_total", fail)
+    assert run(capsys, "count", "--n", "3", "--k", "1") == (code, "", f"error: {exc}\n")
 
 
 def test_domain_error_exit_1(capsys):

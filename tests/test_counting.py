@@ -47,7 +47,7 @@ def test_count_sequence_agrees_with_count_total():
     for n in (3, 4, 5, 7):
         seq = count_sequence(n, 12)
         for k in range(1, 13):
-            assert seq.f(k) == count_total(n, k)
+            assert seq.values[k - 1] == count_total(n, k)
 
 
 def test_domain_errors():
