@@ -49,6 +49,8 @@ from .words import CompositionWord
 
 MAX_COUNTING_N = 64
 DEFAULT_MAX_SYMBOLIC_N = 12
+# bits of f(k) that count admits; the slowest admitted is n = 63, k = 2^17 - 5
+MAX_COUNT_BITS = 2**17
 
 ENUM_CAP_ENV = "NABLACHAINS_ENUM_CAP"
 SYMBOLIC_N_ENV = "NABLACHAINS_MAX_SYMBOLIC_N"
@@ -124,6 +126,12 @@ def cmd_count(args) -> int:
     _check_counting_n(args.n)
     if args.k < 0:
         raise ValueError("k must be >= 0")
+    # f(k) <= n * 2^(k-1), since each operator has at most two successors
+    bits = args.k - 1 + args.n.bit_length()
+    if bits > MAX_COUNT_BITS:
+        raise ValueError(
+            f"f(k) may need up to {bits} bits, over the budget of {MAX_COUNT_BITS} bits"
+        )
     value = count_total(args.n, args.k)
     if args.format == "json":
         print(json.dumps({"n": args.n, "k": args.k, "count": _decimal(value)}))
@@ -273,7 +281,7 @@ def _oracle_equality() -> str:
         for k in range(1, 11):
             fast, slow = count_total(n, k), brute_force_count(n, k)
             if fast != slow:
-                return f"n={n} k={k}: matrix {fast} != brute force {slow}"
+                return f"n={n} k={k}: count_total {fast} != brute force {slow}"
     return ""
 
 

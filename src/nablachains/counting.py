@@ -1,18 +1,20 @@
 """Exact counts of meaningful operator chains.
 
 f_i(k) counts length-k meaningful words whose first-applied operator is
-nabla_i; f(k) is the total over all starting operators.  The fast path steps
-(f_1, ..., f_n) along each operator's successors from all ones; the
-depth-first brute_force_count is a deliberately independent oracle for it.
-All arithmetic is on Python ints, so counts are exact at any size.
+nabla_i; f(k) is the total over all starting operators.  Sequences step
+(f_1, ..., f_n) along each operator's successors from all ones; a single
+total jumps to f(k) through a certified recurrence.  The depth-first
+brute_force_count is a deliberately independent oracle for both.  All
+arithmetic is on Python ints, so counts are exact at any size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from .errors import EnumerationCapError
-from .graph import as_dim, successors
+from .graph import as_dim, successors, total_count_polynomial
 from .words import CompositionWord
 
 DEFAULT_ENUMERATION_CAP = 10**6
@@ -28,12 +30,16 @@ class CountSequence:
 
 def _walk(n: int, k: int):
     """Yield (f_1(t), ..., f_n(t)) for t = 1..k; a step sums, per operator, the
-    counts of its at most two successors.  Only the current vector is kept."""
-    succ = [[j - 1 for j in successors(i, n)] for i in range(1, n + 1)]
+    counts of its one or two successors.  Only the current vector is kept."""
+    # 0-based successor pairs; index n stands for a missing second successor
+    # and reads the 0 appended to each padded copy of the vector
+    succ = [successors(i, n) for i in range(1, n + 1)]
+    pairs = [(s[0] - 1, s[1] - 1 if len(s) == 2 else n) for s in succ]
     v = [1] * n
     yield v
     for _ in range(k - 1):
-        v = [sum(v[j] for j in s) for s in succ]
+        w = v + [0]
+        v = [w[a] + w[b] for a, b in pairs]
         yield v
 
 
@@ -47,14 +53,67 @@ def count_per_start(n: int, k: int) -> tuple[int, ...]:
     return tuple(v)
 
 
+def _power_mod(e: int, g: tuple[int, ...]) -> list[int]:
+    """Ascending coefficients of t^e mod g, for monic g of degree d >= 1, by
+    binary powering: per bit of e, square, then multiply by t if it is set.
+    Each step costs O(d^2) products, so the whole O(d^2 log e)."""
+    d = len(g) - 1
+
+    def reduce(p: list[int]) -> list[int]:
+        # cancel the top coefficient with a multiple of g until degree < d
+        while len(p) > d:
+            c = p.pop()
+            if c:
+                for i in range(d):
+                    p[len(p) - d + i] -= c * g[i]
+        return p
+
+    r = [1] + [0] * (d - 1)
+    for bit in bin(e)[2:]:
+        sq = [0] * (2 * d - 1)
+        for i, a in enumerate(r):
+            if a:
+                sq[2 * i] += a * a
+                twice = 2 * a
+                for j in range(i + 1, d):
+                    sq[i + j] += twice * r[j]
+        r = reduce(sq)
+        if bit == "1":
+            r = reduce([0] + r)
+    return r
+
+
 def count_total(n: int, k: int) -> int:
-    """f(k); f(0) = 1 by the empty-chain convention."""
+    """f(k); f(0) = 1 by the empty-chain convention.
+
+    Steps the prefix f(1..n+d), d being the degree of g =
+    graph.total_count_polynomial(n), and checks that g annihilates it:
+    sum_i g_i f(s+i) = 0 for s = 1..n.  That certifies g on the whole
+    sequence.  With A the adjacency matrix, f(s) = 1^T A^(s-1) 1, so the
+    g-shifted sequence h(s) = sum_i g_i f(s+i) = 1^T A^(s-1) g(A) 1 is, like
+    f, annihilated by the characteristic polynomial of A (Cayley-Hamilton),
+    which is monic of degree n.  A monic recurrence of order n determines
+    each term from the n before it, so n zeros force h to be zero
+    everywhere.  Then f(k) = sum_i r_i f(i+1) with r = t^(k-1) mod g
+    (C. M. Fiduccia, SIAM J. Comput. 14(1), 1985).  For k <= n + d, or if
+    the check fails, the value is stepped instead.
+    """
     n = as_dim(n)
     if k < 0:
         raise ValueError(f"order k must be >= 0, got {k}")
     if k == 0:
         return 1
-    return sum(count_per_start(n, k))
+    g = total_count_polynomial(n)
+    d = len(g) - 1
+    walk = _walk(n, k)
+    prefix = [sum(v) for v in islice(walk, n + d)]
+    if k <= n + d:
+        return prefix[k - 1]
+    if any(sum(c * f for c, f in zip(g, prefix[s:])) for s in range(n)):
+        for v in walk:  # g is not certified: step on to f(k)
+            pass
+        return sum(v)
+    return sum(r * f for r, f in zip(_power_mod(k - 1, g), prefix))
 
 
 def count_sequence(n: int, k_max: int) -> CountSequence:

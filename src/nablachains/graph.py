@@ -53,3 +53,32 @@ def successors(i: int, n: int) -> list[int]:
     n = as_dim(n)
     check_index(i, n)
     return [j for j in range(1, n + 1) if _composable(i, j, n)]
+
+
+def total_count_polynomial(n: int) -> tuple[int, ...]:
+    """Ascending coefficients of the monic g that annihilates the total chain
+    counts f(1), f(2), ... in dimension n, in closed form.
+
+    Let N = n + 2 for odd n and N = n/2 + 2 for even n.  For odd N,
+    g = r_{(N-1)/2} with r_0 = 1, r_1 = t - 1 and r_{j+1} = t r_j - r_{j-1}
+    (the characteristic polynomial of a path with a loop at one end).  For
+    even N, g = L_{N/2}, where L_0 = 2, L_1 = t and the same three-term rule
+    give the Vieta-Lucas polynomials, divided by t when N/2 is odd.  Its
+    roots are 2cos(j pi / N) for odd j < N, less 0 (for even n, the main
+    eigenvalues of the adjacency matrix; P. Rowlinson, Appl. Anal. Discrete
+    Math. 1, 2007).  The tests check that g is the minimal polynomial of the
+    counts for n <= 64; count_total certifies it on the counts before use.
+    """
+    n = as_dim(n)
+    big_n = n + 2 if n % 2 else n // 2 + 2
+    if big_n % 2:
+        prev, cur, m = [1], [-1, 1], (big_n - 1) // 2
+    else:
+        prev, cur, m = [2], [0, 1], big_n // 2
+    for _ in range(m):
+        nxt = [0] + cur
+        for i, c in enumerate(prev):
+            nxt[i] -= c
+        prev, cur = cur, nxt
+    # prev is now r_m or L_m; L_m(0) = 0 exactly when m is odd
+    return tuple(prev[1:] if big_n % 2 == 0 and m % 2 else prev)

@@ -11,6 +11,7 @@ derivatives, and not products.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
@@ -22,9 +23,10 @@ class Polynomial:
     __slots__ = ("n_vars", "terms")
 
     def __init__(self, n_vars: int, terms: Mapping[Exponents, Scalar] | None = None):
-        """Keys, after tuple(), must be distinct tuples of n_vars ints >= 0;
-        terms with a zero coefficient are dropped.  No like terms are summed:
-        a key given twice raises ValueError, as a malformed one does."""
+        """Keys, after tuple(), must be distinct tuples of n_vars ints >= 0,
+        and coefficients ints or Fractions; terms with a zero coefficient are
+        dropped.  No like terms are summed: a key given twice raises
+        ValueError, as a malformed key or an inexact coefficient does."""
         if n_vars < 1:
             raise ValueError("need at least one variable")
         self.n_vars = n_vars
@@ -36,7 +38,7 @@ class Polynomial:
             if key in canon:
                 raise ValueError(f"exponent tuple {key} given twice")
             # a Fraction is immutable, and Fraction() of one only copies it
-            canon[key] = coeff if type(coeff) is Fraction else Fraction(coeff)
+            canon[key] = coeff if type(coeff) is Fraction else _exact(coeff)
         self.terms = {e: c for e, c in canon.items() if c}
 
     # construction helpers
@@ -69,7 +71,7 @@ class Polynomial:
         return Polynomial(self.n_vars, {e: -c for e, c in self.terms.items()})
 
     def scale(self, c: Scalar) -> "Polynomial":
-        c = Fraction(c)
+        c = _exact(c)
         return Polynomial(self.n_vars, {e: c * v for e, v in self.terms.items()})
 
     def diff(self, i: int) -> "Polynomial":
@@ -127,6 +129,14 @@ class Polynomial:
         return f"Polynomial({self.n_vars}, {self})"
 
 
+def _exact(c: Scalar) -> Fraction:
+    """c as a Fraction; Fraction() would also take a float at its binary
+    value or parse a string, so anything but an int or Fraction raises."""
+    if not isinstance(c, (int, Fraction)):
+        raise ValueError(f"coefficient must be an int or Fraction, got {c!r}")
+    return Fraction(c)
+
+
 def join_signed(terms: Iterable[tuple[Scalar, str]]) -> str:
     """Render (coefficient, body) pairs as a signed sum, body being the
     magnitude's rendering: the first term bare or with a leading '-', later
@@ -147,6 +157,9 @@ _TOKEN = re.compile(
 
 def parse_polynomial(text: str, n_vars: int) -> Polynomial:
     """Parse syntax like ``3/2*x1^2*x3 - x2 + 4``."""
+    # int() refuses digit strings over this limit (0: none; Python before
+    # 3.10.7 has none) with advice that a CLI user cannot act on
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     tokens: list[str] = []
     kinds: list[str] = []  # the _TOKEN group each token matched
     pos = 0
@@ -156,7 +169,12 @@ def parse_polynomial(text: str, n_vars: int) -> Polynomial:
             if text[pos:].strip() == "":
                 break
             raise ValueError(f"cannot parse polynomial near {text[pos:]!r}")
-        tokens.append(m.group(m.lastgroup))
+        tok = m.group(m.lastgroup)
+        if limit and len(tok) > limit:
+            digits = max(len(part) for part in tok.lstrip("x").split("/"))
+            if digits > limit:
+                raise ValueError(f"number too long: {digits} digits (limit {limit})")
+        tokens.append(tok)
         kinds.append(m.lastgroup)
         pos = m.end()
 

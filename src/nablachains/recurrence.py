@@ -66,9 +66,6 @@ class Recurrence:
             terms.append((c, term if mag == 1 else f"{mag} {term}"))
         return f"f(i+{d})={join_signed(terms)}"
 
-    def __str__(self) -> str:
-        return self.relation_string()
-
 
 def render_polynomial(coefficients: tuple[int, ...]) -> str:
     terms = []

@@ -3,6 +3,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -84,6 +85,28 @@ def test_count_beyond_str_digit_limit(capsys):
     code, out, _ = run(capsys, "count", "--n", "3", "--k", "30000", "--format", "json")
     assert code == 0
     assert json.loads(out) == {"n": 3, "k": 30000, "count": expected}
+
+
+def test_count_refuses_a_result_over_the_bit_budget(capsys):
+    # refused from the bound k - 1 + n.bit_length() before any stepping
+    start = time.monotonic()
+    code, out, err = run(capsys, "count", "--n", "3", "--k", "1000000000")
+    assert time.monotonic() - start < 5.0
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: f(k) may need up to 1000000001 bits, over the budget of 131072 bits\n"
+    )
+
+
+def test_count_bit_budget_boundary(capsys):
+    # n = 3 has 2 bits: k = 2^17 - 1 needs up to 2^17 bits, k = 2^17 one more
+    k = cli.MAX_COUNT_BITS - 1
+    code, out, err = run(capsys, "count", "--n", "3", "--k", str(k), "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"n": 3, "k": k, "count": _digits(count_total(3, k))}
+    code, out, err = run(capsys, "count", "--n", "3", "--k", str(k + 1))
+    assert (code, out) == (1, "")
+    assert "over the budget of 131072 bits" in err
 
 
 def test_sequence_csv_beyond_str_digit_limit():
@@ -298,12 +321,22 @@ def test_apply_malformed_symbolic_cap_env_is_usage_error(capsys, monkeypatch):
 
 
 def test_apply_oversized_exponent_is_usage_error(capsys):
-    # parsing user input keeps int()'s digit limit
+    # parsing user input keeps int()'s digit limit, reported in our own words
     code, out, err = run(
         capsys, "apply", "--n", "3", "--word", "1", "--input", "[x1^" + "9" * 5000 + "]"
     )
     assert code == 2
     assert out == ""
+    limit = sys.get_int_max_str_digits()
+    assert err == f"error: bad polynomial: number too long: 5000 digits (limit {limit})\n"
+
+
+@pytest.mark.parametrize("poly", ["9" * 5000 + "*x1", "1/" + "0" * 4999 + "3", "x" + "1" * 5000])
+def test_apply_oversized_number_is_usage_error(capsys, poly):
+    code, out, err = run(capsys, "apply", "--n", "3", "--word", "1", "--input", f"[{poly}]")
+    assert (code, out) == (2, "")
+    limit = sys.get_int_max_str_digits()
+    assert err == f"error: bad polynomial: number too long: 5000 digits (limit {limit})\n"
 
 
 def test_apply_symbolic_cap_env(capsys, monkeypatch):
@@ -357,6 +390,13 @@ def test_verify_counting_scope(capsys):
     code, payload, _ = run_json(capsys, "verify", "--scope", "counting", "--format", "json")
     assert code == 0
     assert payload["passed"] is True
+
+
+def test_verify_oracle_failure_names_count_total(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "count_total", lambda n, k: 0)
+    code, payload, _ = run_json(capsys, "verify", "--scope", "counting", "--format", "json")
+    assert code == 1
+    assert payload["checks"][0]["detail"] == "n=3 k=1: count_total 0 != brute force 3"
 
 
 def test_verify_calculus_scope(capsys):

@@ -1,6 +1,8 @@
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nablachains import (
     EnumerationCapError,
@@ -11,6 +13,8 @@ from nablachains import (
     enumerate_words,
     is_composable,
 )
+from nablachains import counting
+from nablachains.graph import total_count_polynomial
 
 
 def fib(k: int) -> int:
@@ -110,9 +114,10 @@ def test_brute_force_known_values():
     assert brute_force_count(3, 0) == 1
 
 
-@pytest.mark.parametrize("n", range(3, 7))
+@pytest.mark.parametrize("n", range(3, 9))
 def test_oracle_equivalence(n):
-    for k in range(1, 11):
+    # k runs past n + d, the last stepped value, for every n here
+    for k in range(1, 16):
         assert brute_force_count(n, k) == count_total(n, k)
 
 
@@ -143,3 +148,39 @@ def test_sequence_positive_and_nondecreasing(n):
 def test_counts_exceed_64_bits_without_overflow():
     # Fibonacci growth passes 2^63 near k = 90 for n = 3
     assert count_total(3, 200) > 2**63
+
+
+def stepped_total(n: int, k: int) -> int:
+    return sum(count_per_start(n, k)) if k else 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(3, 64), k=st.integers(0, 3000))
+def test_jumps_agree_with_stepping(n, k):
+    assert count_total(n, k) == stepped_total(n, k)
+
+
+@pytest.mark.parametrize("n", range(3, 65))
+def test_jump_boundary(n):
+    # k <= n + d returns a stepped prefix value; k = n + d + 1 is the first jump
+    d = len(total_count_polynomial(n)) - 1
+    for k in (n + d - 1, n + d, n + d + 1):
+        assert count_total(n, k) == stepped_total(n, k)
+
+
+@pytest.mark.parametrize(
+    "n, wrong_g",
+    [
+        (5, (-1, -1, 1)),  # n = 3's polynomial
+        (64, (-1,) + total_count_polynomial(64)[1:]),  # constant term off by one
+        (9, total_count_polynomial(9)[:-1] + (0, 1)),  # true g with t^d raised to t^(d+1)
+    ],
+)
+def test_uncertified_polynomial_falls_back_to_stepping(monkeypatch, n, wrong_g):
+    d = len(wrong_g) - 1
+    values = count_sequence(n, n + d).values
+    # the certificate's first window already fails, so a jump would be wrong
+    assert sum(c * f for c, f in zip(wrong_g, values))
+    monkeypatch.setattr(counting, "total_count_polynomial", lambda n: wrong_g)
+    for k in (n + d + 1, 3 * n + 40, 700):
+        assert count_total(n, k) == stepped_total(n, k)

@@ -9,6 +9,7 @@ from nablachains import (
     nabla,
     successors,
 )
+from nablachains.graph import total_count_polynomial
 
 
 def test_dimension_rejects_small_n():
@@ -103,3 +104,17 @@ def test_adjacency_agrees_with_is_composable(n):
 )
 def test_successors(i, n, expected):
     assert successors(i, n) == expected
+
+
+@pytest.mark.parametrize(
+    "n, expected",
+    [
+        (3, (-1, -1, 1)),  # t^2 - t - 1: Fibonacci, N = 5
+        (4, (-2, 0, 1)),  # L_2 = t^2 - 2, N = 4
+        (8, (-3, 0, 1)),  # L_3 / t = t^2 - 3, N = 6
+        (7, (1, 2, -3, -1, 1)),  # r_4 = t^4 - t^3 - 3t^2 + 2t + 1, N = 9
+        (20, (-2, 0, 9, 0, -6, 0, 1)),  # (t^2 - 2)(t^4 - 4t^2 + 1), N = 12
+    ],
+)
+def test_total_count_polynomial_closed_form(n, expected):
+    assert total_count_polynomial(n) == expected

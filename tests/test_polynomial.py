@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -57,6 +58,15 @@ def test_constructor_rejects_malformed_exponents(key):
         Polynomial(1, {key: 1})
 
 
+@pytest.mark.parametrize("coeff", [0.1, 1.0, "1/3", None, 1j])
+def test_constructor_and_scale_reject_inexact_coefficients(coeff):
+    # Fraction() would take 0.1 at its binary value and parse "1/3"
+    with pytest.raises(ValueError, match="coefficient must be an int or Fraction"):
+        Polynomial.monomial(2, (1, 0), coeff)
+    with pytest.raises(ValueError, match="coefficient must be an int or Fraction"):
+        Polynomial.monomial(2, (1, 0)).scale(coeff)
+
+
 @pytest.mark.parametrize("first", [1, 0])
 def test_constructor_rejects_a_key_repeated_after_tuple(first):
     with pytest.raises(ValueError, match=r"exponent tuple \(1, 0\) given twice"):
@@ -94,6 +104,19 @@ def test_parse_errors():
         parse_polynomial("y1", 3)
     with pytest.raises(ValueError):
         parse_polynomial("", 3)
+
+
+@pytest.mark.parametrize("text", ["9" * 4400, "x1^" + "9" * 4400, "1/" + "7" * 4400, "x" + "1" * 4400])
+def test_parse_rejects_numbers_over_the_digit_limit(text):
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(ValueError, match=f"^number too long: 4400 digits \\(limit {limit}\\)$"):
+        parse_polynomial(text, 3)
+
+
+def test_parse_takes_numbers_at_the_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    p = parse_polynomial("9" * limit + "*x1^" + "0" * (limit - 1) + "2", 3)
+    assert p.terms == {(2, 0, 0): Fraction(10**limit - 1)}
 
 
 @pytest.mark.parametrize("text", ["1/0", "1/00", "x1 + 2/0*x2"])

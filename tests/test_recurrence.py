@@ -30,6 +30,7 @@ from nablachains import (
     reference_recurrences,
     verify_recurrence,
 )
+from nablachains.graph import total_count_polynomial
 
 # reference rows the total-count sequence needs in full
 TABLE_MATCHES_MINIMAL = (3, 4, 5, 7, 9)
@@ -338,6 +339,12 @@ def _poly_divides(divisor: tuple[int, ...], dividend: tuple[int, ...]) -> bool:
             rem[shift + i] -= factor * c
         rem.pop()
     return not any(rem)
+
+
+@pytest.mark.parametrize("n", range(3, 65))
+def test_closed_form_is_the_minimal_polynomial_of_the_counts(n):
+    r = minimal_recurrence(count_sequence(n, 2 * n + 8))
+    assert total_count_polynomial(n) == _recurrence_polynomial(r)
 
 
 @pytest.mark.parametrize("n", range(3, 11))
