@@ -10,6 +10,7 @@ computation failure (any ValueError, the package's own errors included),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -51,6 +52,9 @@ MAX_COUNTING_N = 64
 DEFAULT_MAX_SYMBOLIC_N = 12
 # bits of f(k) that count admits; the slowest admitted is n = 63, k = 2^17 - 5
 MAX_COUNT_BITS = 2**17
+# bits of f(1) + ... + f(k_max) that sequence admits, about k_max^2 / 2;
+# n = 3 at k_max = 30 000 needs 450 045 000, and n = 64 is admitted to 32 761
+MAX_SEQUENCE_BITS = 2**29
 
 ENUM_CAP_ENV = "NABLACHAINS_ENUM_CAP"
 SYMBOLIC_N_ENV = "NABLACHAINS_MAX_SYMBOLIC_N"
@@ -144,7 +148,15 @@ def cmd_sequence(args) -> int:
     _check_counting_n(args.n)
     if args.k_max < 1:
         raise ValueError("k-max must be >= 1")
-    values = count_sequence(args.n, args.k_max).values
+    # count's bound on the bits of f(k), k - 1 + n.bit_length(), summed
+    k_max = args.k_max
+    bits = k_max * (k_max - 1) // 2 + k_max * args.n.bit_length()
+    if bits > MAX_SEQUENCE_BITS:
+        raise ValueError(
+            f"f(1..k_max) may need up to {bits} bits in all, "
+            f"over the budget of {MAX_SEQUENCE_BITS} bits"
+        )
+    values = count_sequence(args.n, k_max).values
     if args.format == "json":
         print(
             json.dumps(
@@ -450,7 +462,10 @@ def cmd_verify(args) -> int:
     return 0 if passed else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and then shared by every main() call:
+    parse_args returns a fresh namespace and keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="nablachains",
         description="Count, classify and symbolically verify chains of the "

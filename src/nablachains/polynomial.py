@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
@@ -108,21 +109,34 @@ class Polynomial:
     def __str__(self) -> str:
         ordered = sorted(self.terms, key=lambda e: (-sum(e), tuple(-x for x in e)))
         terms: list[tuple[Fraction, str]] = []
-        for e in ordered:
-            c = self.terms[e]
-            factors = [
-                f"x{i + 1}" if p == 1 else f"x{i + 1}^{p}"
-                for i, p in enumerate(e)
-                if p > 0
-            ]
-            mag = abs(c)
-            if not factors:
-                body = str(mag)
-            elif mag == 1:
-                body = "*".join(factors)
-            else:
-                body = "*".join([str(mag)] + factors)
-            terms.append((c, body))
+        try:
+            for e in ordered:
+                c = self.terms[e]
+                factors = [
+                    f"x{i + 1}" if p == 1 else f"x{i + 1}^{p}"
+                    for i, p in enumerate(e)
+                    if p > 0
+                ]
+                mag = abs(c)
+                if not factors:
+                    body = str(mag)
+                elif mag == 1:
+                    body = "*".join(factors)
+                else:
+                    body = "*".join([str(mag)] + factors)
+                terms.append((c, body))
+        except ValueError:
+            # str() refused an int over the digit limit, with advice that a
+            # CLI user cannot act on; Decimal() is not held to that limit
+            digits = max(
+                Decimal(part).adjusted() + 1
+                for c in self.terms.values()
+                for part in (abs(c.numerator), c.denominator)
+            )
+            limit = sys.get_int_max_str_digits()
+            raise ValueError(
+                f"coefficient too long to print: {digits} digits (limit {limit})"
+            ) from None
         return join_signed(terms)
 
     def __repr__(self) -> str:

@@ -2,9 +2,11 @@
 
 Two routes to a recurrence, kept deliberately separate so they can check one
 another: the characteristic polynomial of the adjacency matrix (which always
-annihilates the counts for k > n), and the minimal recurrence of the computed
-sequence itself, found by Berlekamp-Massey over the rationals: the shortest
+annihilates the counts for k > n), found from the traces of its powers with
+each row packed into one int, and the minimal recurrence of the computed
+sequence itself, found by fraction-free Berlekamp-Massey: the shortest
 relation that holds from the first term, with a nonzero last coefficient.
+Both work on Python ints only.
 A reference table for n = 3..10 is shipped for regression comparison: each
 row is the recurrence of the characteristic polynomial with its zero roots
 removed, p(t)/t^e.  Every walk count obeys that relation; the minimal
@@ -14,8 +16,8 @@ at n = 6, 8 and 10.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .counting import CountSequence
 from .polynomial import join_signed
@@ -86,11 +88,22 @@ def render_polynomial(coefficients: tuple[int, ...]) -> str:
 def characteristic_polynomial(a: list[list[int]]) -> IntegerPolynomial:
     """Monic characteristic polynomial det(tI - A) of an integer matrix.
 
-    Faddeev-LeVerrier iteration; all divisions are exact over the integers.
-    Row r of A M_k is the combination of the rows M_k[s] weighted by the
-    nonzero entries a[r][s], so a matrix with at most two nonzeros per row
-    (the composability graph) costs O(n^3) in all, and a dense one O(n^4).
-    Raises ValueError if the matrix is not square.
+    LeVerrier's trace method: p_k = tr(A^k) for k = 1..n, then Newton's
+    identities k c_k = -(c_{k-1} p_1 + ... + c_0 p_k), c_0 = 1, give
+    det(tI - A) = t^n + c_1 t^{n-1} + ... + c_n.  Each c_k is an integer
+    (the determinant of an integer matrix is a polynomial in its entries
+    with integer coefficients) and the identity fixes it uniquely, so the
+    sum is an exact multiple of k.
+
+    Row r of A^k is held as one int, the sum of (A^k)[r][s] 2^(w s), and
+    A^(k+1) = A A^k combines those ints over the nonzero entries of A's
+    rows: one or two bigint additions a row for the composability graph.
+    With R the largest absolute row sum of A, the infinity norm is
+    submultiplicative, so |(A^k)[r][s]| <= R^k <= R^n < 2^(w-2) for k <= n
+    when w = bit_length(R^n) + 2.  Adding 2^(w-1) to every w-bit digit
+    then leaves each digit in [0, 2^w), so the diagonal entry is read off
+    without a borrow from the digits below.  Raises ValueError if the matrix
+    is not square.
     """
     n = len(a)
     for r, row in enumerate(a):
@@ -99,24 +112,30 @@ def characteristic_polynomial(a: list[list[int]]) -> IntegerPolynomial:
                 f"matrix must be square: {n} rows, but row {r} has length {len(row)}"
             )
     nonzero = [[(s, x) for s, x in enumerate(row) if x] for row in a]
-    mk = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
+    bound = max((sum(abs(x) for _, x in entries) for entries in nonzero), default=0)
+    w = (bound**n).bit_length() + 2
+    mask, half = (1 << w) - 1, 1 << (w - 1)
+    offset = half * (((1 << (w * n)) - 1) // mask)  # half in every digit
+    rows = [1 << (w * r) for r in range(n)]  # A^0 = I, packed
+    traces = [0]  # traces[k] = tr(A^k); index 0 unused
+    for _ in range(n):
+        new = []
+        for entries in nonzero:
+            acc = 0
+            for s, x in entries:
+                # a 0/1 matrix, such as the composability graph, needs no products
+                acc += rows[s] if x == 1 else x * rows[s]
+            new.append(acc)
+        rows = new
+        traces.append(
+            sum(((row + offset) >> (w * r) & mask) - half for r, row in enumerate(rows))
+        )
     coefs = [1]  # descending: coefficient of t^n first
     for k in range(1, n + 1):
-        am = []
-        for entries in nonzero:
-            row = [0] * n
-            for s, x in entries:
-                row = [acc + x * m for acc, m in zip(row, mk[s])]
-            am.append(row)
-        tr = sum(am[r][r] for r in range(n))
-        ck, rem = divmod(-tr, k)
-        assert rem == 0, "Faddeev-LeVerrier division must be exact"
+        ck, rem = divmod(-sum(coefs[k - i] * traces[i] for i in range(1, k + 1)), k)
+        assert rem == 0, "Newton's identities must divide exactly"
         coefs.append(ck)
-        for r in range(n):
-            am[r][r] += ck
-        mk = am
-    ascending = tuple(reversed(coefs))
-    return IntegerPolynomial(ascending)
+    return IntegerPolynomial(tuple(reversed(coefs)))
 
 
 def recurrence_from_polynomial(p: IntegerPolynomial) -> Recurrence:
@@ -134,39 +153,47 @@ def minimal_recurrence(seq: CountSequence) -> Recurrence:
 
     Returns f(k) = c_1 f(k-1) + ... + c_d f(k-d) for all k > d, with c_d != 0
     and valid_from = d + 1, d being the least order of any relation holding
-    from the first term.  One Berlekamp-Massey pass over the rationals (J. L.
-    Massey, IEEE Trans. Inf. Theory 15(1), 1969).  At least 2n + 4 terms are
-    required, so a relation of order d <= n is unique.  Raises ValueError when
-    d is 0 (all terms zero) or exceeds n, when c_d = 0, or when a coefficient
-    is not an integer.
+    from the first term.  One Berlekamp-Massey pass (J. L. Massey, IEEE
+    Trans. Inf. Theory 15(1), 1969), fraction-free: each connection
+    polynomial is an integer multiple of the rational one, with its content
+    divided out.  At least 2n + 4 terms are required, so a relation of order
+    d <= n is unique.  Raises ValueError when d is 0 (all terms zero) or
+    exceeds n, when c_d = 0, or when a coefficient is not an integer.
     """
     n, values = seq.n, seq.values
     if len(values) < 2 * n + 4:
         raise ValueError(
             f"need at least {2 * n + 4} terms for n={n}, got {len(values)}"
         )
-    # conn = 1 - c_1 x - ... - c_d x^d annihilates the terms read so far;
-    # prev is conn as it was before the last change of order, when its
-    # discrepancy was prev_disc, `gap` terms ago.
-    conn, prev = [Fraction(1)], [Fraction(1)]
-    order, gap, prev_disc = 0, 1, Fraction(1)
+    # conn = lead * (1 - c_1 x - ... - c_d x^d) annihilates the terms read so
+    # far; prev is conn as it was before the last change of order, when its
+    # discrepancy was prev_disc, `gap` terms ago.  prev_disc * conn -
+    # disc * x^gap * prev is prev_disc times the rational update
+    # conn - (disc / prev_disc) x^gap prev, whatever the scales of conn and
+    # prev, since disc and prev_disc carry those same scales.
+    conn, prev = [1], [1]
+    order, gap, prev_disc = 0, 1, 1
     for k in range(len(values)):
         disc = sum(c * v for c, v in zip(conn, values[k::-1]))
         if disc:
-            new = conn + [Fraction(0)] * (gap + len(prev) - len(conn))
-            scale = disc / prev_disc
+            new = [prev_disc * c for c in conn]
+            new += [0] * (gap + len(prev) - len(conn))
             for i, c in enumerate(prev):
-                new[gap + i] -= scale * c
+                new[gap + i] -= disc * c
+            content = math.gcd(*new)
+            new = [c // content for c in new]
             if 2 * order <= k:
                 prev, prev_disc, order, gap = conn, disc, k + 1 - order, 0
             conn = new
         gap += 1
-    coeffs = [-c for c in (conn + [Fraction(0)] * order)[1 : order + 1]]
-    if not 0 < order <= n or coeffs[-1] == 0 or any(c.denominator != 1 for c in coeffs):
+    # x^gap * prev never reaches the constant term, so lead = conn[0] != 0
+    lead = conn[0]
+    coeffs = [-c for c in (conn + [0] * order)[1 : order + 1]]
+    if not 0 < order <= n or coeffs[-1] == 0 or any(c % lead for c in coeffs):
         raise ValueError(
             f"no linear recurrence of order <= {n} fits the sequence for n={n}"
         )
-    return Recurrence(tuple(int(c) for c in coeffs), valid_from=order + 1)
+    return Recurrence(tuple(c // lead for c in coeffs), valid_from=order + 1)
 
 
 def verify_recurrence(r: Recurrence, seq: CountSequence) -> bool:

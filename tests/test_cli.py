@@ -109,6 +109,36 @@ def test_count_bit_budget_boundary(capsys):
     assert "over the budget of 131072 bits" in err
 
 
+def test_sequence_refuses_values_over_the_bit_budget(capsys):
+    # refused from the sum of the per-term bounds before any stepping
+    start = time.monotonic()
+    code, out, err = run(capsys, "sequence", "--n", "3", "--k-max", "1000000000")
+    assert time.monotonic() - start < 5.0
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: f(1..k_max) may need up to 500000001500000000 bits in all, "
+        "over the budget of 536870912 bits\n"
+    )
+    # n = 64 (7 bits) is admitted up to k_max = 32 761
+    code, out, err = run(capsys, "sequence", "--n", "64", "--k-max", "32762")
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: f(1..k_max) may need up to 536887275 bits in all, "
+        "over the budget of 536870912 bits\n"
+    )
+
+
+def test_sequence_bit_budget_boundary(capsys, monkeypatch):
+    # n = 3 (2 bits) at k_max = 10 needs up to 45 + 20 bits; so does the
+    # budget, and one more term is refused
+    monkeypatch.setattr(cli, "MAX_SEQUENCE_BITS", 65)
+    code, out, err = run(capsys, "sequence", "--n", "3", "--k-max", "10")
+    assert (code, out, err) == (0, "3,5,8,13,21,34,55,89,144,233\n", "")
+    code, out, err = run(capsys, "sequence", "--n", "3", "--k-max", "11")
+    assert (code, out) == (1, "")
+    assert err == "error: f(1..k_max) may need up to 77 bits in all, over the budget of 65 bits\n"
+
+
 def test_sequence_csv_beyond_str_digit_limit():
     # streamed from a child process: the whole output is about 94 MB
     argv = ["sequence", "--n", "3", "--k-max", "30000", "--format", "csv"]
@@ -339,11 +369,39 @@ def test_apply_oversized_number_is_usage_error(capsys, poly):
     assert err == f"error: bad polynomial: number too long: 5000 digits (limit {limit})\n"
 
 
+@pytest.mark.parametrize("fmt", ["json", "plain"])
+def test_apply_output_over_the_digit_limit_is_refused(capsys, fmt):
+    # the input coefficient is at the limit; 2 * (10^L - 1) in the
+    # derivative has L + 1 digits
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(
+        capsys, "apply", "--n", "3", "--word", "1", "--input", f"[{'9' * limit}*x1^2]",
+        "--format", fmt,
+    )
+    assert (code, out) == (1, "")
+    assert err == f"error: coefficient too long to print: {limit + 1} digits (limit {limit})\n"
+
+
 def test_apply_symbolic_cap_env(capsys, monkeypatch):
     monkeypatch.setenv("NABLACHAINS_MAX_SYMBOLIC_N", "4")
     code, out, err = run(capsys, "apply", "--n", "5", "--word", "1", "--input", "[x1]")
     assert code == 1
     assert "3..4" in err
+
+
+def test_parser_is_built_once_and_keeps_no_state(capsys):
+    # a usage error, --version and a valid call, each in a fresh parser and
+    # then all three in turn through the one cached parser
+    calls = [("recurrence", "--n"), ("--version",), ("recurrence", "--n", "3")]
+    first = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        first.append(run(capsys, *argv))
+    assert [code for code, _, _ in first] == [2, 0, 0]
+    cli.build_parser.cache_clear()
+    assert [run(capsys, *argv) for argv in calls] == first
+    assert [run(capsys, *argv) for argv in calls] == first
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_bad_flags_exit_2(capsys):

@@ -119,6 +119,21 @@ def test_parse_takes_numbers_at_the_digit_limit():
     assert p.terms == {(2, 0, 0): Fraction(10**limit - 1)}
 
 
+@pytest.mark.parametrize(
+    "coeff, digits",
+    [(2 * (10**4300 - 1), 4301), (-(10**4400), 4401), (Fraction(3, 10**4300), 4301)],
+    ids=["numerator", "negative", "denominator"],
+)
+def test_str_refuses_coefficients_over_the_digit_limit(coeff, digits):
+    # str() of an int that long raises, with advice a CLI user cannot act on
+    limit = sys.get_int_max_str_digits()
+    p = Polynomial(3, {(1, 0, 0): coeff, (0, 0, 0): 1})
+    with pytest.raises(
+        ValueError, match=f"^coefficient too long to print: {digits} digits \\(limit {limit}\\)$"
+    ):
+        str(p)
+
+
 @pytest.mark.parametrize("text", ["1/0", "1/00", "x1 + 2/0*x2"])
 def test_parse_zero_denominator_names_the_token(text):
     with pytest.raises(ValueError, match="zero denominator in '[0-9]+/0+'"):

@@ -14,6 +14,9 @@ MISTRANSCRIBED_ROWS: row 7 carried an extra leading zero and row 8 had its
 first two coefficients swapped.  Neither annihilates the true counts.
 """
 
+import math
+from fractions import Fraction
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -116,9 +119,7 @@ def _integer_matrices(draw):
     return matrix
 
 
-@settings(max_examples=300, deadline=None)
-@given(a=_integer_matrices())
-def test_characteristic_polynomial_agrees_with_bareiss_determinant(a):
+def _assert_agrees_with_bareiss(a: list[list[int]]) -> None:
     p = characteristic_polynomial(a).coefficients
     size = len(a)
     assert len(p) == size + 1 and p[-1] == 1
@@ -126,6 +127,58 @@ def test_characteristic_polynomial_agrees_with_bareiss_determinant(a):
     for x in range(size + 1):
         shifted = [[(x if r == c else 0) - a[r][c] for c in range(size)] for r in range(size)]
         assert sum(c * x**i for i, c in enumerate(p)) == _bareiss_det(shifted)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=_integer_matrices())
+def test_characteristic_polynomial_agrees_with_bareiss_determinant(a):
+    _assert_agrees_with_bareiss(a)
+
+
+def _count_hankel(n: int, d: int) -> list[list[int]]:
+    """The d x d Hankel matrix of total counts, as verify builds it."""
+    values = count_sequence(n, 2 * d).values
+    return [list(values[i : i + d]) for i in range(d)]
+
+
+_BIG = 10**40
+
+# Matrices whose powers meet the bound |(A^k)[r][s]| <= R^k that sizes the
+# packed digits (R the largest absolute row sum): a single entry, or a whole
+# row, of A^n equal to +-R^n, negative entries that need the digit offset,
+# and entries far wider than a machine word.
+WIDTH_EDGE_MATRICES = {
+    **{f"ones{m}": [[1] * m for _ in range(m)] for m in (1, 2, 3, 5, 8)},
+    **{f"neg{r}": [[-r]] for r in (1, 2, 3, 5, 7, 2**64 - 1, _BIG + 1)},
+    **{f"diag{r}": [[-r, 0], [0, r]] for r in (1, 3, 5, 2**31 + 1, _BIG)},
+    "neg_ones3": [[-1] * 3 for _ in range(3)],
+    "big_signs": [
+        [_BIG, -_BIG, _BIG, -_BIG],
+        [-_BIG, -_BIG, _BIG, _BIG],
+        [_BIG, _BIG, -_BIG, _BIG],
+        [-_BIG, _BIG, _BIG, -_BIG],
+    ],
+    "big_sparse": [[0, _BIG, 0], [0, 0, -_BIG], [_BIG, 0, 0]],
+    **{f"hankel{n}_{d}": _count_hankel(n, d) for n, d in ((3, 2), (5, 3), (9, 5), (10, 6), (12, 7))},
+}
+
+
+@pytest.mark.parametrize("name", sorted(WIDTH_EDGE_MATRICES))
+def test_characteristic_polynomial_at_the_digit_width_bound(name):
+    a = WIDTH_EDGE_MATRICES[name]
+    _assert_agrees_with_bareiss(a)
+    assert characteristic_polynomial(a).coefficients == _dense_faddeev_leverrier(a)
+
+
+def test_characteristic_polynomial_of_width_edge_closed_forms():
+    for m in (1, 2, 3, 5, 8):
+        # J_m has eigenvalues m and 0 (m - 1 times): t^(m-1) (t - m)
+        ones = WIDTH_EDGE_MATRICES[f"ones{m}"]
+        assert characteristic_polynomial(ones).coefficients == (0,) * (m - 1) + (-m, 1)
+    for r in (3, _BIG + 1):
+        assert characteristic_polynomial([[-r]]).coefficients == (r, 1)
+    for r in (3, _BIG):
+        assert characteristic_polynomial([[-r, 0], [0, r]]).coefficients == (-r * r, 0, 1)
 
 
 def _dense_faddeev_leverrier(a: list[list[int]]) -> tuple[int, ...]:
@@ -191,8 +244,6 @@ def test_minimal_recurrence_needs_enough_terms():
 
 def test_no_fit_raises():
     # factorial growth has no fixed-order linear recurrence
-    import math
-
     values = tuple(math.factorial(k) for k in range(1, 12))
     with pytest.raises(ValueError, match="no linear recurrence of order <= 3"):
         minimal_recurrence(CountSequence(3, values))
@@ -318,6 +369,108 @@ def test_minimal_recurrence_of_generated_sequence(coeffs, start):
     assert _hankel_nonsingular(seq.values, r.order)
 
 
+def _rational_berlekamp_massey(seq: CountSequence) -> Recurrence:
+    """Berlekamp-Massey over the rationals, as the library once computed
+    minimal_recurrence: the same pass, with conn kept monic in x^0."""
+    n, values = seq.n, seq.values
+    if len(values) < 2 * n + 4:
+        raise ValueError(
+            f"need at least {2 * n + 4} terms for n={n}, got {len(values)}"
+        )
+    conn, prev = [Fraction(1)], [Fraction(1)]
+    order, gap, prev_disc = 0, 1, Fraction(1)
+    for k in range(len(values)):
+        disc = sum(c * v for c, v in zip(conn, values[k::-1]))
+        if disc:
+            new = conn + [Fraction(0)] * (gap + len(prev) - len(conn))
+            scale = disc / prev_disc
+            for i, c in enumerate(prev):
+                new[gap + i] -= scale * c
+            if 2 * order <= k:
+                prev, prev_disc, order, gap = conn, disc, k + 1 - order, 0
+            conn = new
+        gap += 1
+    coeffs = [-c for c in (conn + [Fraction(0)] * order)[1 : order + 1]]
+    if not 0 < order <= n or coeffs[-1] == 0 or any(c.denominator != 1 for c in coeffs):
+        raise ValueError(
+            f"no linear recurrence of order <= {n} fits the sequence for n={n}"
+        )
+    return Recurrence(tuple(int(c) for c in coeffs), valid_from=order + 1)
+
+
+def _assert_matches_rational_berlekamp_massey(seq: CountSequence) -> None:
+    try:
+        expected = _rational_berlekamp_massey(seq)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            minimal_recurrence(seq)
+        assert str(info.value) == str(exc)
+    else:
+        assert minimal_recurrence(seq) == expected
+
+
+@st.composite
+def _integer_sequences(draw):
+    """CountSequences for n = 1..6: random terms, or terms of a recurrence with
+    rational coefficients cleared of denominators, so that some fits have
+    integer coefficients and some do not."""
+    n = draw(st.integers(1, 6))
+    length = draw(st.integers(2 * n + 2, 2 * n + 10))
+    if draw(st.booleans()):
+        terms = draw(st.lists(st.integers(-50, 50), min_size=length, max_size=length))
+        return CountSequence(n, tuple(terms))
+    order = draw(st.integers(1, n + 1))
+    coeffs = [
+        Fraction(draw(st.integers(-6, 6)), draw(st.sampled_from((1, 1, 1, 2, 3))))
+        for _ in range(order)
+    ]
+    terms = [Fraction(draw(st.integers(-9, 9))) for _ in range(order)]
+    while len(terms) < length:
+        terms.append(sum(c * terms[-t] for t, c in enumerate(coeffs, start=1)))
+    scale = math.lcm(*(t.denominator for t in terms))
+    return CountSequence(n, tuple(int(t * scale) for t in terms))
+
+
+@settings(max_examples=500, deadline=None)
+@given(seq=_integer_sequences())
+def test_minimal_recurrence_matches_rational_berlekamp_massey(seq):
+    _assert_matches_rational_berlekamp_massey(seq)
+
+
+@pytest.mark.parametrize(
+    "seq",
+    [
+        # all zeros: order 0
+        CountSequence(3, (0,) * 10),
+        # factorials: no fit of order <= n
+        CountSequence(3, tuple(math.factorial(k) for k in range(1, 12))),
+        # f(k) = 2 f(k-1) only from k = 3: c_d = 0
+        CountSequence(3, (5,) + tuple(2**k for k in range(1, 12))),
+        # f(k) = 3/2 f(k-1): a fit whose coefficient is not an integer
+        CountSequence(1, (32, 48, 72, 108, 162, 243)),
+        CountSequence(3, tuple(2 ** (9 - k) * 3**k for k in range(10))),
+        # too short
+        CountSequence(3, (1, 1, 2, 3, 5)),
+        # a leading zero, then a fit of full order
+        CountSequence(2, (0, 1, 1, 2, 3, 5, 8, 13)),
+        # constant and alternating
+        CountSequence(2, (7,) * 8),
+        CountSequence(2, (1, -1) * 4),
+    ],
+    ids=[
+        "zeros", "factorials", "last_zero", "three_halves_n1", "three_halves_n3",
+        "short", "leading_zero", "constant", "alternating",
+    ],
+)
+def test_minimal_recurrence_matches_rational_berlekamp_massey_on_edge_cases(seq):
+    _assert_matches_rational_berlekamp_massey(seq)
+
+
+@pytest.mark.parametrize("n", range(3, 65))
+def test_minimal_recurrence_of_counts_matches_rational_berlekamp_massey(n):
+    _assert_matches_rational_berlekamp_massey(count_sequence(n, 2 * n + 8))
+
+
 def _recurrence_polynomial(r: Recurrence) -> tuple[int, ...]:
     """t^d - c_1 t^{d-1} - ... - c_d, ascending coefficients."""
     return tuple(-c for c in reversed(r.coefficients)) + (1,)
@@ -325,8 +478,6 @@ def _recurrence_polynomial(r: Recurrence) -> tuple[int, ...]:
 
 def _poly_divides(divisor: tuple[int, ...], dividend: tuple[int, ...]) -> bool:
     """Exact division check for integer polynomials, ascending coefficients."""
-    from fractions import Fraction
-
     rem = [Fraction(c) for c in dividend]
     d = len(divisor) - 1
     while len(rem) - 1 >= d and any(rem):
