@@ -13,15 +13,14 @@ import argparse
 import functools
 import json
 import math
-import os
 import random
 import sys
 from decimal import Decimal
 
 from . import __version__
-from .classify import TrivialityClass, classify_word
+from .classify import TrivialityClass, classify_word, enumerate_nontrivial
 from .counting import (
-    DEFAULT_ENUMERATION_CAP,
+    _check_enumeration_cap,
     brute_force_count,
     count_sequence,
     count_total,
@@ -49,15 +48,12 @@ from .recurrence import (
 from .words import CompositionWord
 
 MAX_COUNTING_N = 64
-DEFAULT_MAX_SYMBOLIC_N = 12
+MAX_SYMBOLIC_N = 12
 # bits of f(k) that count admits; the slowest admitted is n = 63, k = 2^17 - 5
 MAX_COUNT_BITS = 2**17
 # bits of f(1) + ... + f(k_max) that sequence admits, about k_max^2 / 2;
 # n = 3 at k_max = 30 000 needs 450 045 000, and n = 64 is admitted to 32 761
 MAX_SEQUENCE_BITS = 2**29
-
-ENUM_CAP_ENV = "NABLACHAINS_ENUM_CAP"
-SYMBOLIC_N_ENV = "NABLACHAINS_MAX_SYMBOLIC_N"
 
 
 class UsageError(Exception):
@@ -81,25 +77,14 @@ def _int_option(text: str) -> int:
         ) from None
 
 
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if not raw:
-        return default
-    try:
-        return _ascii_int(raw)
-    except ValueError:
-        raise UsageError(f"{name} must be an integer, got {raw!r}") from None
-
-
 def _check_counting_n(n: int) -> None:
     if not 3 <= n <= MAX_COUNTING_N:
         raise ValueError(f"n must be in 3..{MAX_COUNTING_N}")
 
 
 def _check_symbolic_n(n: int) -> None:
-    cap = _env_int(SYMBOLIC_N_ENV, DEFAULT_MAX_SYMBOLIC_N)
-    if not 3 <= n <= cap:
-        raise ValueError(f"n must be in 3..{cap} for symbolic computation")
+    if not 3 <= n <= MAX_SYMBOLIC_N:
+        raise ValueError(f"n must be in 3..{MAX_SYMBOLIC_N} for symbolic computation")
 
 
 def _decimal(count: int) -> str:
@@ -208,9 +193,12 @@ def cmd_enumerate(args) -> int:
     _check_counting_n(args.n)
     if args.length < 1:
         raise ValueError("length must be >= 1")
-    words = enumerate_words(args.n, args.length, cap=_env_int(ENUM_CAP_ENV, DEFAULT_ENUMERATION_CAP))
     if args.nontrivial:
-        words = [w for w in words if classify_word(w) is TrivialityClass.NONTRIVIAL]
+        # the same refusal as enumerate_words, then the closed-form families
+        _check_enumeration_cap(args.n, args.length)
+        words = enumerate_nontrivial(args.n, args.length)
+    else:
+        words = enumerate_words(args.n, args.length)
     entries = [_word_entry(w) for w in words]
     if args.format == "json":
         print(

@@ -124,6 +124,15 @@ def count_sequence(n: int, k_max: int) -> CountSequence:
     return CountSequence(n, tuple(sum(v) for v in _walk(n, k_max)))
 
 
+def _check_enumeration_cap(n: int, k: int, cap: int = DEFAULT_ENUMERATION_CAP) -> None:
+    """Raise EnumerationCapError if f(k) > cap.  Totals never decrease (every
+    operator has a predecessor), so the first one above the cap rules k out
+    before f(k) itself is computed."""
+    for v in _walk(n, k):
+        if (total := sum(v)) > cap:
+            raise EnumerationCapError(total, cap)
+
+
 def enumerate_words(
     n: int, k: int, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> list[CompositionWord]:
@@ -131,11 +140,7 @@ def enumerate_words(
     n = as_dim(n)
     if k < 1:
         raise ValueError(f"length k must be >= 1, got {k}")
-    # Totals never decrease (every operator has a predecessor), so the first
-    # one above the cap rules k out before f(k) itself is computed.
-    for v in _walk(n, k):
-        if (total := sum(v)) > cap:
-            raise EnumerationCapError(total, cap)
+    _check_enumeration_cap(n, k, cap)
     succ = {i: successors(i, n) for i in range(1, n + 1)}
     out: list[CompositionWord] = []
     stack: list[int] = []

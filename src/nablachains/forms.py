@@ -94,15 +94,6 @@ class DifferentialForm:
     def coefficient(self, s: Subset) -> Polynomial:
         return self.components.get(tuple(s), Polynomial.zero(self.n))
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, DifferentialForm):
-            return NotImplemented
-        return (
-            self.n == other.n
-            and self.degree == other.degree
-            and dict(self.components) == dict(other.components)
-        )
-
 
 @dataclass(frozen=True)
 class ComponentVector:

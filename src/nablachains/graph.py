@@ -11,16 +11,16 @@ from __future__ import annotations
 
 
 def as_dim(n: int) -> int:
-    """Validate a dimension argument (n >= 3)."""
-    if n < 3:
-        raise ValueError(f"dimension must be >= 3, got {n}")
-    return int(n)
+    """Validate a dimension argument: an int n >= 3."""
+    if not isinstance(n, int) or n < 3:
+        raise ValueError(f"dimension must be an int >= 3, got {n!r}")
+    return n
 
 
 def check_index(i: int, n: int) -> None:
-    """Reject an operator index outside 1..n."""
-    if not 1 <= i <= n:
-        raise ValueError(f"operator index {i} out of range 1..{n}")
+    """Reject an operator index that is not an int in 1..n."""
+    if not isinstance(i, int) or not 1 <= i <= n:
+        raise ValueError(f"operator index {i!r} out of range 1..{n}")
 
 
 def _composable(i: int, j: int, n: int) -> bool:

@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import pathlib
@@ -6,14 +7,19 @@ import sys
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import nablachains
 from nablachains import (
     EnumerationCapError,
     LevelMismatchError,
     NotComposableError,
+    TrivialityClass,
+    classify_word,
     cli,
     count_total,
+    enumerate_words,
 )
 from nablachains.cli import UsageError, main
 
@@ -34,11 +40,20 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+@functools.cache
+def schema_validator():
+    # jsonschema.validate checks the schema itself on every call; do it once
+    schema = json.loads(SCHEMA_PATH.read_text())
+    validator = jsonschema.validators.validator_for(schema)
+    validator.check_schema(schema)
+    return validator(schema)
+
+
 def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv)
     payload = json.loads(out)
     if jsonschema is not None:
-        jsonschema.validate(payload, json.loads(SCHEMA_PATH.read_text()))
+        schema_validator().validate(payload)
     return code, payload, err
 
 
@@ -155,6 +170,25 @@ def test_sequence_csv_beyond_str_digit_limit():
     assert last.decode() == f"30000,{_digits(count_total(3, 30000))}\n"
 
 
+@settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(n=st.integers(3, 64), k_max=st.integers(1, 60))
+def test_sequence_json_agrees_with_count(capsys, n, k_max):
+    code, payload, _ = run_json(
+        capsys, "sequence", "--n", str(n), "--k-max", str(k_max), "--format", "json"
+    )
+    assert code == 0
+    counts = []
+    for k in range(1, k_max + 1):
+        code, single, _ = run_json(
+            capsys, "count", "--n", str(n), "--k", str(k), "--format", "json"
+        )
+        assert (code, single["n"], single["k"]) == (0, n, k)
+        counts.append(single["count"])
+    assert payload == {"n": n, "k_max": k_max, "values": counts}
+
+
 def test_sequence_plain(capsys):
     code, out, _ = run(capsys, "sequence", "--n", "3", "--k-max", "5")
     assert code == 0
@@ -219,11 +253,41 @@ def test_enumerate_n3_length2(capsys):
     assert len(payload["words"]) == 5
 
 
-def test_enumerate_cap_env(capsys, monkeypatch):
-    monkeypatch.setenv("NABLACHAINS_ENUM_CAP", "4")
-    code, out, err = run(capsys, "enumerate", "--n", "3", "--length", "2")
-    assert code == 1
-    assert "cap" in err
+@pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
+def test_enumerate_nontrivial_matches_classified_enumeration(capsys, monkeypatch, fmt):
+    # the closed-form families print exactly what filtering every word does
+    cases = [(str(n), str(length)) for n in range(3, 9) for length in range(1, 7)]
+    argvs = [("enumerate", "--n", n, "--length", length, "--nontrivial", "--format", fmt)
+             for n, length in cases]
+    fast = [run(capsys, *argv) for argv in argvs]
+    monkeypatch.setattr(
+        cli,
+        "enumerate_nontrivial",
+        lambda n, length: [
+            w for w in enumerate_words(n, length)
+            if classify_word(w) is TrivialityClass.NONTRIVIAL
+        ],
+    )
+    assert fast == [run(capsys, *argv) for argv in argvs]
+    assert all(code == 0 and out for code, out, _ in fast)
+
+
+def test_enumerate_nontrivial_at_the_cap_is_quick():
+    # f(27) = 832 040 is admitted: three words, without listing the rest
+    argv = [sys.executable, "-m", "nablachains.cli", "enumerate", "--n", "3", "--nontrivial"]
+    proc = subprocess.run(
+        [*argv, "--length", "27"], capture_output=True, text=True, env=CHILD_ENV, timeout=10
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    words = [w["applied"] for w in json.loads(proc.stdout)["words"]]
+    assert words == [[k if t % 2 == 0 else 4 - k for t in range(27)] for k in (1, 2, 3)]
+    proc = subprocess.run(
+        [*argv, "--length", "28"], capture_output=True, text=True, env=CHILD_ENV, timeout=10
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == (
+        "error: enumeration of at least 1346269 words exceeds the cap of 1000000\n"
+    )
 
 
 @pytest.mark.parametrize("length", ["25000", "10000000"])
@@ -319,37 +383,6 @@ def test_non_ascii_integer_arguments_are_usage_errors(capsys, argv, named):
     assert "non-ASCII character in integer" in err
 
 
-@pytest.mark.parametrize(
-    "name, argv",
-    [
-        ("NABLACHAINS_ENUM_CAP", ("enumerate", "--n", "3", "--length", "2")),
-        ("NABLACHAINS_MAX_SYMBOLIC_N", ("apply", "--n", "3", "--word", "1", "--input", "[x1]")),
-    ],
-)
-def test_non_ascii_env_integers_are_usage_errors(capsys, monkeypatch, name, argv):
-    monkeypatch.setenv(name, "\u0665")
-    code, out, err = run(capsys, *argv)
-    assert code == 2
-    assert out == ""
-    assert err == f"error: {name} must be an integer, got '\u0665'\n"
-
-
-def test_enumerate_malformed_cap_env_is_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv("NABLACHAINS_ENUM_CAP", "abc")
-    code, out, err = run(capsys, "enumerate", "--n", "3", "--length", "2")
-    assert code == 2
-    assert out == ""
-    assert "NABLACHAINS_ENUM_CAP" in err
-
-
-def test_apply_malformed_symbolic_cap_env_is_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv("NABLACHAINS_MAX_SYMBOLIC_N", "x")
-    code, out, err = run(capsys, "apply", "--n", "3", "--word", "1", "--input", "[x1]")
-    assert code == 2
-    assert out == ""
-    assert "NABLACHAINS_MAX_SYMBOLIC_N" in err
-
-
 def test_apply_oversized_exponent_is_usage_error(capsys):
     # parsing user input keeps int()'s digit limit, reported in our own words
     code, out, err = run(
@@ -383,10 +416,15 @@ def test_apply_output_over_the_digit_limit_is_refused(capsys, fmt):
 
 
 def test_apply_symbolic_cap_env(capsys, monkeypatch):
+    # the cap is fixed; the variable that once moved it is ignored
     monkeypatch.setenv("NABLACHAINS_MAX_SYMBOLIC_N", "4")
-    code, out, err = run(capsys, "apply", "--n", "5", "--word", "1", "--input", "[x1]")
-    assert code == 1
-    assert "3..4" in err
+    code, out, err = run(capsys, "apply", "--n", "13", "--word", "1", "--input", "[x1]")
+    assert (code, out) == (1, "")
+    assert err == "error: n must be in 3..12 for symbolic computation\n"
+    code, out, _ = run(
+        capsys, "apply", "--n", "5", "--word", "1", "--input", "[x1]", "--format", "plain"
+    )
+    assert (code, out) == (0, "[1, 0, 0, 0, 0]\n")
 
 
 def test_parser_is_built_once_and_keeps_no_state(capsys):

@@ -5,7 +5,9 @@ from nablachains import (
     CompositionWord,
     build_adjacency,
     classify_pair,
+    count_total,
     is_composable,
+    is_zero_operator,
     nabla,
     successors,
 )
@@ -29,6 +31,18 @@ def test_dimension_rejects_small_n():
 )
 def test_is_composable(i, j, n, expected):
     assert is_composable(i, j, n) is expected
+
+
+def test_dimensions_and_indices_must_be_ints():
+    # a float was once truncated (n) or only compared (indices)
+    with pytest.raises(ValueError, match="dimension must be an int"):
+        count_total(3.9, 5)
+    with pytest.raises(ValueError, match="dimension must be an int"):
+        build_adjacency(3.5)
+    with pytest.raises(ValueError, match="dimension must be an int"):
+        is_zero_operator((1, 2), 3.5)
+    with pytest.raises(ValueError, match="operator index 1.5"):
+        CompositionWord(3, (1.5, 2.5))
 
 
 def test_index_out_of_range():
