@@ -15,12 +15,15 @@ import json
 import math
 import random
 import sys
+import time
 from decimal import Decimal
+from typing import Iterable
 
 from . import __version__
 from .classify import TrivialityClass, classify_word, enumerate_nontrivial
 from .counting import (
     _check_enumeration_cap,
+    _iter_words,
     brute_force_count,
     count_sequence,
     count_total,
@@ -96,6 +99,17 @@ def _decimal(count: int) -> str:
     return str(Decimal(count))
 
 
+def _write_joined(sep: str, pieces: Iterable[str]) -> None:
+    """Write sep.join(pieces) to stdout a piece at a time.  With sep ", ",
+    the separator json.dumps puts between list items, a JSON list can be
+    spliced into the json.dumps text of the rest of its payload."""
+    write = sys.stdout.write
+    for i, piece in enumerate(pieces):
+        if i:
+            write(sep)
+        write(piece)
+
+
 def _word_entry(w: CompositionWord) -> dict:
     entry = {
         "applied": list(w.indices),
@@ -142,22 +156,19 @@ def cmd_sequence(args) -> int:
             f"over the budget of {MAX_SEQUENCE_BITS} bits"
         )
     values = count_sequence(args.n, k_max).values
+    # each value's digits are written as they are made, not held all at once
+    write = sys.stdout.write
     if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "n": args.n,
-                    "k_max": args.k_max,
-                    "values": [_decimal(v) for v in values],
-                }
-            )
-        )
+        write(json.dumps({"n": args.n, "k_max": k_max})[:-1] + ', "values": [')
+        _write_joined(", ", (f'"{_decimal(v)}"' for v in values))
+        write("]}\n")
     elif args.format == "csv":
-        print("k,f_k")
+        write("k,f_k\n")
         for k, v in enumerate(values, start=1):
-            print(f"{k},{_decimal(v)}")
+            write(f"{k},{_decimal(v)}\n")
     else:
-        print(",".join(map(_decimal, values)))
+        _write_joined(",", map(_decimal, values))
+        write("\n")
     return 0
 
 
@@ -193,33 +204,37 @@ def cmd_enumerate(args) -> int:
     _check_counting_n(args.n)
     if args.length < 1:
         raise ValueError("length must be >= 1")
+    # the refusal enumerate_words makes, before any output
+    _check_enumeration_cap(args.n, args.length)
     if args.nontrivial:
-        # the same refusal as enumerate_words, then the closed-form families
-        _check_enumeration_cap(args.n, args.length)
+        # the closed-form families
         words = enumerate_nontrivial(args.n, args.length)
+        count = len(words)
     else:
-        words = enumerate_words(args.n, args.length)
-    entries = [_word_entry(w) for w in words]
+        # each word is written as it is made, so the count comes first
+        words = _iter_words(args.n, args.length)
+        count = count_total(args.n, args.length)
+    write = sys.stdout.write
     if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "n": args.n,
-                    "length": args.length,
-                    "nontrivial_only": bool(args.nontrivial),
-                    "count": str(len(entries)),
-                    "words": entries,
-                }
-            )
-        )
+        head = {
+            "n": args.n,
+            "length": args.length,
+            "nontrivial_only": bool(args.nontrivial),
+            "count": str(count),
+        }
+        write(json.dumps(head)[:-1] + ', "words": [')
+        _write_joined(", ", (json.dumps(_word_entry(w)) for w in words))
+        write("]}\n")
     elif args.format == "csv":
-        print("applied,composition,class")
-        for e in entries:
+        write("applied,composition,class\n")
+        for w in words:
+            e = _word_entry(w)
             applied = " ".join(str(i) for i in e["applied"])
-            print(f"{applied},{e['composition']},{e['class']}")
+            write(f"{applied},{e['composition']},{e['class']}\n")
     else:
-        for e in entries:
-            print(f"{tuple(e['applied'])}  {e['composition']}  [{e['class']}]")
+        for w in words:
+            e = _word_entry(w)
+            write(f"{tuple(e['applied'])}  {e['composition']}  [{e['class']}]\n")
     return 0
 
 
@@ -392,8 +407,8 @@ def _div_identity() -> str:
 
 
 def _triviality_concordance() -> str:
-    for n in (3, 4):
-        for length in (2, 3):
+    for n in range(3, 7):
+        for length in range(1, 5):
             for w in enumerate_words(n, length):
                 symbolic_zero = is_zero_operator(w, n)
                 combinatorial_zero = classify_word(w) is TrivialityClass.ZERO
@@ -418,7 +433,7 @@ SUITES = {
         ("grad identity (n=3)", _grad_identity),
         ("curl identity (n=3)", _curl_identity),
         ("div identity (n=3)", _div_identity),
-        ("triviality concordance (n=3..4, length<=3)", _triviality_concordance),
+        ("triviality concordance (n=3..6, length=1..4)", _triviality_concordance),
     ],
 }
 
@@ -426,8 +441,13 @@ SUITES = {
 def cmd_verify(args) -> int:
     scope = args.scope
     scopes = list(SUITES) if scope == "all" else [scope]
-    checks = [(name, check()) for s in scopes for name, check in SUITES[s]]
-    passed = not any(detail for _, detail in checks)
+    checks = []  # (name, detail, seconds)
+    for s in scopes:
+        for name, check in SUITES[s]:
+            start = time.perf_counter()
+            detail = check()
+            checks.append((name, detail, time.perf_counter() - start))
+    passed = not any(detail for _, detail, _ in checks)
     if args.format == "json":
         print(
             json.dumps(
@@ -435,14 +455,14 @@ def cmd_verify(args) -> int:
                     "scope": scope,
                     "passed": passed,
                     "checks": [
-                        {"name": name, "passed": not d, **({"detail": d} if d else {})}
-                        for name, d in checks
+                        {"name": name, "passed": not d, **({"detail": d} if d else {}), "elapsed_s": t}
+                        for name, d, t in checks
                     ],
                 }
             )
         )
     else:
-        for name, detail in checks:
+        for name, detail, _ in checks:
             line = f"{'FAIL' if detail else 'PASS'}  {name}"
             if detail:
                 line += f"  ({detail})"

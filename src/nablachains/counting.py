@@ -141,22 +141,28 @@ def enumerate_words(
     if k < 1:
         raise ValueError(f"length k must be >= 1, got {k}")
     _check_enumeration_cap(n, k, cap)
+    return list(_iter_words(n, k))
+
+
+def _iter_words(n: int, k: int):
+    """Yield the meaningful length-k words of enumerate_words one at a time,
+    depth first; levels[d] runs over the candidates for position d."""
     succ = {i: successors(i, n) for i in range(1, n + 1)}
-    out: list[CompositionWord] = []
-    stack: list[int] = []
-
-    def extend(i: int) -> None:
-        stack.append(i)
-        if len(stack) == k:
-            out.append(CompositionWord(n, tuple(stack)))
+    path: list[int] = []
+    levels = [iter(range(1, n + 1))]
+    while levels:
+        for i in levels[-1]:
+            path.append(i)
+            if len(path) == k:
+                yield CompositionWord(n, tuple(path))
+                path.pop()
+            else:
+                levels.append(iter(succ[i]))
+                break
         else:
-            for j in succ[i]:
-                extend(j)
-        stack.pop()
-
-    for i in range(1, n + 1):
-        extend(i)
-    return out
+            levels.pop()
+            if path:
+                path.pop()
 
 
 def brute_force_count(n: int, k: int) -> int:

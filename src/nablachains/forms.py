@@ -154,7 +154,8 @@ def exterior_derivative(form: DifferentialForm) -> DifferentialForm:
             sign = -1 if before % 2 else 1
             key = tuple(sorted(s + (t,)))
             contrib = dg.scale(sign)
-            out[key] = out.get(key, Polynomial.zero(n)) + contrib
+            old = out.get(key)
+            out[key] = contrib if old is None else old + contrib
     return DifferentialForm(n, form.degree + 1, out)
 
 

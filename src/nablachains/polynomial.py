@@ -14,6 +14,8 @@ import re
 import sys
 from decimal import Decimal
 from fractions import Fraction
+from itertools import chain
+from operator import itemgetter
 from typing import Iterable, Mapping, Union
 
 Exponents = tuple[int, ...]
@@ -31,16 +33,32 @@ class Polynomial:
         if n_vars < 1:
             raise ValueError("need at least one variable")
         self.n_vars = n_vars
-        canon: dict[Exponents, Fraction] = {}
-        for exps, coeff in (terms or {}).items():
-            key = tuple(exps)
-            if len(key) != n_vars or not all(isinstance(e, int) and e >= 0 for e in key):
-                raise ValueError(f"bad exponent tuple {key} for {n_vars} variables")
-            if key in canon:
-                raise ValueError(f"exponent tuple {key} given twice")
+        if not terms:
+            self.terms = {}
+            return
+        # Every check runs over all keys at once.  If one fails, _canonical
+        # redoes them key by key: it raises at the first fault, or accepts
+        # what only the exact type test here refused (a bool exponent).
+        try:
+            if {tuple}.issuperset(map(type, terms)):
+                canon = dict(terms)
+            else:
+                canon = dict(zip(map(tuple, terms), terms.values()))
+            flat = [*chain.from_iterable(canon)]
+            valid = (
+                len(canon) == len(terms)
+                and {n_vars}.issuperset(map(len, canon))
+                and {int}.issuperset(map(type, flat))
+                and min(flat) >= 0
+            )
+        except (TypeError, AttributeError):
+            valid = False
+        if not valid:
+            canon = _canonical(n_vars, terms)
+        elif not {Fraction}.issuperset(map(type, canon.values())):
             # a Fraction is immutable, and Fraction() of one only copies it
-            canon[key] = coeff if type(coeff) is Fraction else _exact(coeff)
-        self.terms = {e: c for e, c in canon.items() if c}
+            canon = {e: c if type(c) is Fraction else _exact(c) for e, c in canon.items()}
+        self.terms = canon if all(canon.values()) else {e: c for e, c in canon.items() if c}
 
     # construction helpers
 
@@ -62,7 +80,8 @@ class Polynomial:
         self._check(other)
         terms = dict(self.terms)
         for e, c in other.terms.items():
-            terms[e] = terms.get(e, Fraction(0)) + c
+            old = terms.get(e)
+            terms[e] = c if old is None else old + c
         return Polynomial(self.n_vars, terms)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
@@ -72,7 +91,12 @@ class Polynomial:
         return Polynomial(self.n_vars, {e: -c for e, c in self.terms.items()})
 
     def scale(self, c: Scalar) -> "Polynomial":
+        # polynomials are never mutated, so scaling by 1 may return self
         c = _exact(c)
+        if c == 1:
+            return self
+        if c == -1:
+            return -self
         return Polynomial(self.n_vars, {e: c * v for e, v in self.terms.items()})
 
     def diff(self, i: int) -> "Polynomial":
@@ -85,7 +109,7 @@ class Polynomial:
         for e, c in self.terms.items():
             p = e[i - 1]
             if p:
-                terms[e[: i - 1] + (p - 1,) + e[i:]] = c * p
+                terms[e[: i - 1] + (p - 1,) + e[i:]] = c * p if p > 1 else c
         return Polynomial(self.n_vars, terms)
 
     # predicates and comparison
@@ -143,6 +167,19 @@ class Polynomial:
         return f"Polynomial({self.n_vars}, {self})"
 
 
+def _canonical(n_vars: int, terms: Mapping[Exponents, Scalar]) -> dict[Exponents, Fraction]:
+    """The constructor's checks key by key, raising at the first fault."""
+    canon: dict[Exponents, Fraction] = {}
+    for exps, coeff in terms.items():
+        key = tuple(exps)
+        if len(key) != n_vars or not all(isinstance(e, int) and e >= 0 for e in key):
+            raise ValueError(f"bad exponent tuple {key} for {n_vars} variables")
+        if key in canon:
+            raise ValueError(f"exponent tuple {key} given twice")
+        canon[key] = coeff if type(coeff) is Fraction else _exact(coeff)
+    return canon
+
+
 def _exact(c: Scalar) -> Fraction:
     """c as a Fraction; Fraction() would also take a float at its binary
     value or parse a string, so anything but an int or Fraction raises."""
@@ -164,9 +201,24 @@ def join_signed(terms: Iterable[tuple[Scalar, str]]) -> str:
     return " ".join(parts) if parts else "0"
 
 
+# A token and the whitespace before it, as (num, var, op, bad), one group
+# non-empty; bad is a character no token starts with.
 _TOKEN = re.compile(
-    r"\s*(?:(?P<num>[0-9]+(?:/[0-9]+)?)|(?P<var>x[0-9]+)|(?P<op>[-+*^]))"
+    r"\s*(?:(?P<num>[0-9]+(?:/[0-9]+)?)|(?P<var>x[0-9]+)|(?P<op>[-+*^])|(?P<bad>\S))"
 )
+
+
+def _check_tokens(text: str, limit: int) -> None:
+    """Raise at the first token that cannot be read, in text order: a
+    character no token starts with, or a number over the digit limit."""
+    for m in _TOKEN.finditer(text):
+        if m.lastgroup == "bad":
+            raise ValueError(f"cannot parse polynomial near {text[m.start():]!r}")
+        tok = m.group(m.lastgroup)
+        if limit and len(tok) > limit:
+            digits = max(len(part) for part in tok.lstrip("x").split("/"))
+            if digits > limit:
+                raise ValueError(f"number too long: {digits} digits (limit {limit})")
 
 
 def parse_polynomial(text: str, n_vars: int) -> Polynomial:
@@ -174,83 +226,76 @@ def parse_polynomial(text: str, n_vars: int) -> Polynomial:
     # int() refuses digit strings over this limit (0: none; Python before
     # 3.10.7 has none) with advice that a CLI user cannot act on
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    tokens: list[str] = []
-    kinds: list[str] = []  # the _TOKEN group each token matched
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            if text[pos:].strip() == "":
-                break
-            raise ValueError(f"cannot parse polynomial near {text[pos:]!r}")
-        tok = m.group(m.lastgroup)
-        if limit and len(tok) > limit:
-            digits = max(len(part) for part in tok.lstrip("x").split("/"))
-            if digits > limit:
-                raise ValueError(f"number too long: {digits} digits (limit {limit})")
-        tokens.append(tok)
-        kinds.append(m.lastgroup)
-        pos = m.end()
+    # the tokens cover the text up to trailing whitespace
+    tokens = _TOKEN.findall(text)
+    if (limit and len(text) > limit) or any(map(itemgetter(3), tokens)):
+        _check_tokens(text, limit)
 
     idx = 0
     terms: dict[Exponents, Fraction] = {}
 
-    def parse_factor(sign_allowed: bool = False) -> tuple[Fraction, list[int]]:
-        """One factor as (coefficient, exponents)."""
+    def parse_factor(sign_allowed: bool = False) -> tuple[int, int, int, int]:
+        """One factor as (numerator, denominator, variable, power), the
+        variable 0 for a number."""
         nonlocal idx
         if idx >= len(tokens):
             raise ValueError("unexpected end of polynomial")
-        tok = tokens[idx]
-        if tok == "-" and sign_allowed:
-            idx += 1
-            c, exps = parse_factor()
-            return -c, exps
-        if tok == "+" and sign_allowed:
-            idx += 1
-            return parse_factor()
-        exps = [0] * n_vars
-        if kinds[idx] == "num":
-            idx += 1
-            try:
-                return Fraction(tok), exps
-            except ZeroDivisionError:
-                raise ValueError(f"zero denominator in {tok!r}") from None
-        if kinds[idx] == "var":
-            i = int(tok[1:])
+        num, var, op, _ = tokens[idx]
+        idx += 1
+        if num:
+            top, _, bottom = num.partition("/")
+            if not bottom:
+                return int(top), 1, 0, 0
+            if not int(bottom):
+                raise ValueError(f"zero denominator in {num!r}")
+            return int(top), int(bottom), 0, 0
+        if var:
+            i = int(var[1:])
             if not 1 <= i <= n_vars:
-                raise ValueError(f"variable {tok} out of range for n={n_vars}")
-            idx += 1
+                raise ValueError(f"variable {var} out of range for n={n_vars}")
             power = 1
-            if idx < len(tokens) and tokens[idx] == "^":
+            if idx < len(tokens) and tokens[idx][2] == "^":
                 idx += 1
-                if idx >= len(tokens) or kinds[idx] != "num" or "/" in tokens[idx]:
+                if idx >= len(tokens) or not tokens[idx][0] or "/" in tokens[idx][0]:
                     raise ValueError("expected integer exponent after '^'")
-                power = int(tokens[idx])
+                power = int(tokens[idx][0])
                 idx += 1
-            exps[i - 1] = power
-            return Fraction(1), exps
-        raise ValueError(f"unexpected token {tok!r}")
+            return 1, 1, i, power
+        if op == "-" and sign_allowed:
+            num, den, var, power = parse_factor()
+            return -num, den, var, power
+        if op == "+" and sign_allowed:
+            return parse_factor()
+        raise ValueError(f"unexpected token {op!r}")
 
     def add_term(sign: int) -> None:
-        # A term is a product of factors, so a single monomial; adding it to
-        # one dict keeps parsing linear in the number of terms.
+        # A term is a product of factors, so a single monomial: its numerator
+        # and denominator multiply as ints, and one Fraction is made per term.
+        # Adding it to one dict keeps parsing linear in the number of terms.
         nonlocal idx
-        c, exps = parse_factor(sign_allowed=True)
-        while idx < len(tokens) and tokens[idx] == "*":
+        num, den, var, power = parse_factor(sign_allowed=True)
+        exps = [0] * n_vars
+        if var:
+            exps[var - 1] = power
+        while idx < len(tokens) and tokens[idx][2] == "*":
             idx += 1
-            c2, exps2 = parse_factor()
-            c *= c2
-            exps = [a + b for a, b in zip(exps, exps2)]
+            num2, den2, var, power = parse_factor()
+            num *= num2
+            den *= den2
+            if var:
+                exps[var - 1] += power
         key = tuple(exps)
-        terms[key] = terms.get(key, 0) + sign * c
+        c = Fraction(sign * num, den)
+        old = terms.get(key)
+        terms[key] = c if old is None else old + c
 
     if not tokens:
         raise ValueError("empty polynomial")
     add_term(1)
     while idx < len(tokens):
-        op = tokens[idx]
-        if op not in "+-":
-            raise ValueError(f"expected '+' or '-', got {op!r}")
+        num, var, op, _ = tokens[idx]
+        if op not in ("+", "-"):
+            raise ValueError(f"expected '+' or '-', got {num or var or op!r}")
         idx += 1
         add_term(1 if op == "+" else -1)
     return Polynomial(n_vars, terms)

@@ -5,6 +5,7 @@ import pathlib
 import subprocess
 import sys
 import time
+import types
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -18,7 +19,9 @@ from nablachains import (
     TrivialityClass,
     classify_word,
     cli,
+    count_sequence,
     count_total,
+    enumerate_nontrivial,
     enumerate_words,
 )
 from nablachains.cli import UsageError, main
@@ -189,6 +192,21 @@ def test_sequence_json_agrees_with_count(capsys, n, k_max):
     assert payload == {"n": n, "k_max": k_max, "values": counts}
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
+def test_sequence_streams_what_was_built_whole(capsys, fmt):
+    # the oracle is the output as it was built before streaming: a joined or
+    # json.dumps copy of every value, printed at once
+    for n, k_max in [(3, 1), (3, 2), (5, 17), (64, 300)]:
+        values = [str(v) for v in count_sequence(n, k_max).values]
+        want = {
+            "json": json.dumps({"n": n, "k_max": k_max, "values": values}) + "\n",
+            "csv": "k,f_k\n" + "".join(f"{k},{v}\n" for k, v in enumerate(values, start=1)),
+            "plain": ",".join(values) + "\n",
+        }[fmt]
+        argv = ["sequence", "--n", str(n), "--k-max", str(k_max), "--format", fmt]
+        assert run(capsys, *argv) == (0, want, "")
+
+
 def test_sequence_plain(capsys):
     code, out, _ = run(capsys, "sequence", "--n", "3", "--k-max", "5")
     assert code == 0
@@ -270,6 +288,43 @@ def test_enumerate_nontrivial_matches_classified_enumeration(capsys, monkeypatch
     )
     assert fast == [run(capsys, *argv) for argv in argvs]
     assert all(code == 0 and out for code, out, _ in fast)
+
+
+def _enumerate_output_built_whole(n, length, nontrivial, fmt):
+    """enumerate's stdout as it was built before streaming: every entry in a
+    list, then one json.dumps or print per line.  The oracle for cmd_enumerate."""
+    words = enumerate_nontrivial(n, length) if nontrivial else enumerate_words(n, length)
+    entries = []
+    for w in words:
+        entry = {
+            "applied": list(w.indices),
+            "composition": w.composition_notation(),
+            "class": classify_word(w).value,
+        }
+        if w.named_notation() is not None:
+            entry["named"] = w.named_notation()
+        entries.append(entry)
+    if fmt == "json":
+        payload = {"n": n, "length": length, "nontrivial_only": nontrivial,
+                   "count": str(len(entries)), "words": entries}
+        return json.dumps(payload) + "\n"
+    if fmt == "csv":
+        lines = ["applied,composition,class"] + [
+            f"{' '.join(map(str, e['applied']))},{e['composition']},{e['class']}" for e in entries
+        ]
+    else:
+        lines = [f"{tuple(e['applied'])}  {e['composition']}  [{e['class']}]" for e in entries]
+    return "".join(line + "\n" for line in lines)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
+def test_enumerate_streams_what_was_built_whole(capsys, fmt):
+    cases = [(n, length) for n in range(3, 9) for length in range(1, 8)] + [(3, 14), (5, 9)]
+    for n, length in cases:
+        for nontrivial in (False, True):
+            argv = ["enumerate", "--n", str(n), "--length", str(length), "--format", fmt]
+            want = _enumerate_output_built_whole(n, length, nontrivial, fmt)
+            assert run(capsys, *argv, *["--nontrivial"] * nontrivial) == (0, want, "")
 
 
 def test_enumerate_nontrivial_at_the_cap_is_quick():
@@ -516,6 +571,9 @@ def test_verify_recurrence_scope_reports_table_disagreement(capsys):
 def test_verify_all_payload(capsys):
     code, payload, _ = run_json(capsys, "verify", "--scope", "all", "--format", "json")
     assert code == 1
+    # each check's own time, checked in test_verify_checks_report_elapsed_seconds
+    for check in payload["checks"]:
+        del check["elapsed_s"]
     table = "minimal recurrences match reference table n=3..10"
     assert payload == {
         "scope": "all",
@@ -544,10 +602,42 @@ def test_verify_all_payload(capsys):
                 "grad identity (n=3)",
                 "curl identity (n=3)",
                 "div identity (n=3)",
-                "triviality concordance (n=3..4, length<=3)",
+                "triviality concordance (n=3..6, length=1..4)",
             ]
         ],
     }
+
+
+def test_verify_checks_report_elapsed_seconds(capsys, monkeypatch):
+    jsonschema = pytest.importorskip("jsonschema")
+    clock = iter([1.0, 1.5, 4.0, 4.25])
+    monkeypatch.setattr(cli, "time", types.SimpleNamespace(perf_counter=lambda: next(clock)))
+    code, payload, _ = run_json(capsys, "verify", "--scope", "counting", "--format", "json")
+    assert code == 0
+    # each check's span is the difference of the clock read around it
+    assert [c["elapsed_s"] for c in payload["checks"]] == [0.5, 0.25]
+    monkeypatch.undo()
+    code, plain, _ = run(capsys, "verify", "--scope", "counting")
+    assert plain.splitlines() == [
+        "PASS  oracle equality n=3..6, k=1..10",
+        "PASS  n=3 counts are shifted Fibonacci, k=1..30",
+    ]
+    for bad in ({"name": "x", "passed": True}, {"name": "x", "passed": True, "elapsed_s": -1.0}):
+        with pytest.raises(jsonschema.ValidationError):
+            schema_validator().validate({"scope": "counting", "passed": True, "checks": [bad]})
+
+
+def test_verify_concordance_covers_n6_length4(capsys, monkeypatch):
+    # a classifier wrong only at n = 6, length 4 is caught
+    def classify(w):
+        if (w.n, len(w)) == (6, 4):
+            return TrivialityClass.UNDEFINED
+        return classify_word(w)
+
+    monkeypatch.setattr(cli, "classify_word", classify)
+    code, payload, _ = run_json(capsys, "verify", "--scope", "calculus", "--format", "json")
+    assert code == 1
+    assert payload["checks"][-1]["detail"] == "mismatch at n=6, word (1, 2, 3, 4)"
 
 
 def test_reproduce_script_cross_checks_pass():

@@ -1,3 +1,4 @@
+import re
 import sys
 from fractions import Fraction
 
@@ -207,3 +208,215 @@ def test_parse_agrees_with_polynomial_sum(terms):
         term = Polynomial.monomial(3, exps, c)
         expected = expected + term if sign == "+" else expected - term
     assert parse_polynomial(text, 3) == expected
+
+
+# ---------------------------------------------------------------- oracles
+# The fast paths in polynomial.py are checked against these slow ones.
+
+ORACLE_TOKEN = re.compile(
+    r"\s*(?:(?P<num>[0-9]+(?:/[0-9]+)?)|(?P<var>x[0-9]+)|(?P<op>[-+*^]))"
+)
+
+
+def fraction_per_factor_parse(text: str, n_vars: int) -> Polynomial:
+    """The parser as it was before terms were multiplied as ints: a
+    Fraction per factor, one token match per step.  The oracle for
+    parse_polynomial's values and messages."""
+    # int() refuses digit strings over this limit (0: none; Python before
+    # 3.10.7 has none) with advice that a CLI user cannot act on
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    tokens: list[str] = []
+    kinds: list[str] = []  # the ORACLE_TOKEN group each token matched
+    pos = 0
+    while pos < len(text):
+        m = ORACLE_TOKEN.match(text, pos)
+        if m is None:
+            if text[pos:].strip() == "":
+                break
+            raise ValueError(f"cannot parse polynomial near {text[pos:]!r}")
+        tok = m.group(m.lastgroup)
+        if limit and len(tok) > limit:
+            digits = max(len(part) for part in tok.lstrip("x").split("/"))
+            if digits > limit:
+                raise ValueError(f"number too long: {digits} digits (limit {limit})")
+        tokens.append(tok)
+        kinds.append(m.lastgroup)
+        pos = m.end()
+
+    idx = 0
+    terms = {}
+
+    def parse_factor(sign_allowed: bool = False) -> tuple[Fraction, list[int]]:
+        """One factor as (coefficient, exponents)."""
+        nonlocal idx
+        if idx >= len(tokens):
+            raise ValueError("unexpected end of polynomial")
+        tok = tokens[idx]
+        if tok == "-" and sign_allowed:
+            idx += 1
+            c, exps = parse_factor()
+            return -c, exps
+        if tok == "+" and sign_allowed:
+            idx += 1
+            return parse_factor()
+        exps = [0] * n_vars
+        if kinds[idx] == "num":
+            idx += 1
+            try:
+                return Fraction(tok), exps
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in {tok!r}") from None
+        if kinds[idx] == "var":
+            i = int(tok[1:])
+            if not 1 <= i <= n_vars:
+                raise ValueError(f"variable {tok} out of range for n={n_vars}")
+            idx += 1
+            power = 1
+            if idx < len(tokens) and tokens[idx] == "^":
+                idx += 1
+                if idx >= len(tokens) or kinds[idx] != "num" or "/" in tokens[idx]:
+                    raise ValueError("expected integer exponent after '^'")
+                power = int(tokens[idx])
+                idx += 1
+            exps[i - 1] = power
+            return Fraction(1), exps
+        raise ValueError(f"unexpected token {tok!r}")
+
+    def add_term(sign: int) -> None:
+        # A term is a product of factors, so a single monomial; adding it to
+        # one dict keeps parsing linear in the number of terms.
+        nonlocal idx
+        c, exps = parse_factor(sign_allowed=True)
+        while idx < len(tokens) and tokens[idx] == "*":
+            idx += 1
+            c2, exps2 = parse_factor()
+            c *= c2
+            exps = [a + b for a, b in zip(exps, exps2)]
+        key = tuple(exps)
+        terms[key] = terms.get(key, 0) + sign * c
+
+    if not tokens:
+        raise ValueError("empty polynomial")
+    add_term(1)
+    while idx < len(tokens):
+        op = tokens[idx]
+        if op not in "+-":
+            raise ValueError(f"expected '+' or '-', got {op!r}")
+        idx += 1
+        add_term(1 if op == "+" else -1)
+    return Polynomial(n_vars, terms)
+
+
+def canonical_key_by_key(n_vars, terms):
+    """The constructor as it was before its checks ran over all keys at once:
+    one key at a time, raising at the first fault.  The oracle for the
+    constructor's results and messages."""
+    canon = {}
+    for exps, coeff in (terms or {}).items():
+        key = tuple(exps)
+        if len(key) != n_vars or not all(isinstance(e, int) and e >= 0 for e in key):
+            raise ValueError(f"bad exponent tuple {key} for {n_vars} variables")
+        if key in canon:
+            raise ValueError(f"exponent tuple {key} given twice")
+        if not isinstance(coeff, (int, Fraction)):
+            raise ValueError(f"coefficient must be an int or Fraction, got {coeff!r}")
+        canon[key] = Fraction(coeff)
+    return {e: c for e, c in canon.items() if c}
+
+
+def outcome(fn, *args):
+    """fn's result, or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the message is what is compared
+        return type(exc).__name__, str(exc)
+
+
+@st.composite
+def rational_polynomials(draw):
+    n = draw(st.integers(1, 8))
+    exps = st.tuples(*[st.integers(0, 6) for _ in range(n)])
+    coeff = st.fractions(max_denominator=10**6) | st.integers(-(10**30), 10**30)
+    return Polynomial(n, draw(st.dictionaries(exps, coeff, max_size=12)))
+
+
+@given(rational_polynomials())
+@settings(max_examples=300)
+def test_parse_round_trips_and_agrees_with_the_oracle(p):
+    text = str(p)
+    assert parse_polynomial(text, p.n_vars) == p
+    assert fraction_per_factor_parse(text, p.n_vars) == p
+
+
+# pieces that make valid and invalid text: numbers, zero denominators,
+# variables in and out of range, stray operators, whitespace, a
+# non-ASCII digit and characters no token starts with
+PIECES = ["0", "7", "12", "3/4", "0/0", "5/00", "x1", "x2", "x4", "x0", "x", "^", "^2", "^1/2",
+          "*", "+", "-", " ", "\t", "\u0663", "y", "/", "."]
+
+
+@given(st.lists(st.sampled_from(PIECES), max_size=14), st.integers(1, 3))
+@settings(max_examples=600)
+def test_parse_values_and_messages_agree_with_the_oracle(pieces, n):
+    text = "".join(pieces)
+    assert outcome(parse_polynomial, text, n) == outcome(fraction_per_factor_parse, text, n)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["1" * 5000 + " ?", "x1 ? " + "2" * 5000, "1/" + "0" * 5000, " " * 5000 + "x1 + 2", "x1" + " " * 5000],
+)
+def test_long_text_messages_agree_with_the_oracle(text):
+    # texts longer than the digit limit take the token-by-token check
+    assert outcome(parse_polynomial, text, 2) == outcome(fraction_per_factor_parse, text, 2)
+
+
+KEYS = [(0, 0), (1, 0), (0, 1), range(1, -1, -1), (True, 0), (0.5, 0), (-1, 0), ("1", 0), (1,), (0, 0, 0), 5]
+COEFFS = [0, 1, -3, Fraction(2, 3), Fraction(0), True, 0.5, "1", None]
+
+
+@given(st.lists(st.tuples(st.sampled_from(KEYS), st.sampled_from(COEFFS)), max_size=5))
+@settings(max_examples=600)
+def test_constructor_agrees_with_the_key_by_key_oracle(items):
+    terms = dict(items)
+    got = outcome(lambda: Polynomial(2, terms).terms)
+    assert got == outcome(canonical_key_by_key, 2, terms)
+
+
+@pytest.mark.parametrize(
+    "terms, message",
+    [
+        # a bad key with a bad coefficient: the key is checked first
+        ({(0.5, 0): 0.1}, r"bad exponent tuple \(0.5, 0\) for 2 variables"),
+        # faults in two terms: the first term's wins
+        ({(1, 0): 0.1, (0.5, 0): 1}, "coefficient must be an int or Fraction, got 0.1"),
+        ({(0.5, 0): 1, (1, 0): 0.1}, r"bad exponent tuple \(0.5, 0\)"),
+        # a duplicate key with a bad key: whichever comes first
+        ({(1, 0): 1, range(1, -1, -1): 2, (0.5, 0): 1}, r"exponent tuple \(1, 0\) given twice"),
+        ({(0.5, 0): 1, (1, 0): 1, range(1, -1, -1): 2}, r"bad exponent tuple \(0.5, 0\)"),
+    ],
+)
+def test_first_fault_names_the_message(terms, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        Polynomial(2, terms)
+
+
+@given(rational_polynomials())
+def test_identity_scales_equal_general_arithmetic(p):
+    n = p.n_vars
+    assert p.scale(1) == Polynomial(n, {e: c * 1 for e, c in p.terms.items()}) == p
+    assert p.scale(Fraction(1)) == p
+    assert p.scale(-1) == Polynomial(n, {e: c * -1 for e, c in p.terms.items()}) == -p
+    assert p.scale(Fraction(-1)) == -p
+    assert p.scale(-1).scale(-1) == p
+
+
+@given(rational_polynomials(), st.integers(1, 8))
+def test_diff_equals_the_general_power_rule(p, i):
+    i = (i - 1) % p.n_vars + 1
+    power_rule = {
+        e[: i - 1] + (e[i - 1] - 1,) + e[i:]: c * e[i - 1]
+        for e, c in p.terms.items()
+        if e[i - 1]
+    }
+    assert p.diff(i) == Polynomial(p.n_vars, power_rule)
