@@ -41,12 +41,14 @@ def classify_word(w: WordLike, n: int | None = None) -> TrivialityClass:
         word = w
     else:
         word = as_word(w, n)
+    # A CompositionWord has checked n and every index, so each pair needs
+    # only classify_pair's rule, not its validation.
+    n = word.n
     saw_zero = False
     for a, b in zip(word.indices, word.indices[1:]):
-        cls = classify_pair(a, b, word.n)
-        if cls is TrivialityClass.UNDEFINED:
+        if not _composable(a, b, n):
             return TrivialityClass.UNDEFINED
-        if cls is TrivialityClass.ZERO:
+        if b == a + 1:
             saw_zero = True
     return TrivialityClass.ZERO if saw_zero else TrivialityClass.NONTRIVIAL
 

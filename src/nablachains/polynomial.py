@@ -1,11 +1,12 @@
 """Sparse multivariate polynomials over exact rationals.
 
 Variables are x1..xn; internally a term is an exponent tuple of length
-n_vars mapped to a nonzero Fraction.  Canonical form (no zero coefficients)
-makes structural equality decide polynomial equality, which is all the
-zero-operator decision procedure needs.  The operators are linear with
-constant coefficients, so polynomials support +, -, scaling and partial
-derivatives, and not products.
+n_vars mapped to a nonzero int or Fraction (3 == Fraction(3), with the same
+hash, so either may stand for an integer).  Canonical form (no zero
+coefficients) makes structural equality decide polynomial equality, which
+is all the zero-operator decision procedure needs.  The operators are
+linear with constant coefficients, so polynomials support +, -, scaling
+and partial derivatives, and not products.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import re
 import sys
 from decimal import Decimal
 from fractions import Fraction
-from itertools import chain
 from operator import itemgetter
 from typing import Iterable, Mapping, Union
 
@@ -33,31 +33,7 @@ class Polynomial:
         if n_vars < 1:
             raise ValueError("need at least one variable")
         self.n_vars = n_vars
-        if not terms:
-            self.terms = {}
-            return
-        # Every check runs over all keys at once.  If one fails, _canonical
-        # redoes them key by key: it raises at the first fault, or accepts
-        # what only the exact type test here refused (a bool exponent).
-        try:
-            if {tuple}.issuperset(map(type, terms)):
-                canon = dict(terms)
-            else:
-                canon = dict(zip(map(tuple, terms), terms.values()))
-            flat = [*chain.from_iterable(canon)]
-            valid = (
-                len(canon) == len(terms)
-                and {n_vars}.issuperset(map(len, canon))
-                and {int}.issuperset(map(type, flat))
-                and min(flat) >= 0
-            )
-        except (TypeError, AttributeError):
-            valid = False
-        if not valid:
-            canon = _canonical(n_vars, terms)
-        elif not {Fraction}.issuperset(map(type, canon.values())):
-            # a Fraction is immutable, and Fraction() of one only copies it
-            canon = {e: c if type(c) is Fraction else _exact(c) for e, c in canon.items()}
+        canon = _canonical(n_vars, terms) if terms else {}
         self.terms = canon if all(canon.values()) else {e: c for e, c in canon.items() if c}
 
     # construction helpers
@@ -81,14 +57,21 @@ class Polynomial:
         terms = dict(self.terms)
         for e, c in other.terms.items():
             old = terms.get(e)
-            terms[e] = c if old is None else old + c
-        return Polynomial(self.n_vars, terms)
+            if old is None:
+                terms[e] = c
+                continue
+            s = old + c
+            if s:
+                terms[e] = s
+            else:
+                del terms[e]  # the zero this sum made
+        return _built(self.n_vars, terms)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.n_vars, {e: -c for e, c in self.terms.items()})
+        return _built(self.n_vars, {e: -c for e, c in self.terms.items()})
 
     def scale(self, c: Scalar) -> "Polynomial":
         # polynomials are never mutated, so scaling by 1 may return self
@@ -97,7 +80,9 @@ class Polynomial:
             return self
         if c == -1:
             return -self
-        return Polynomial(self.n_vars, {e: c * v for e, v in self.terms.items()})
+        if not c:
+            return _built(self.n_vars, {})
+        return _built(self.n_vars, {e: c * v for e, v in self.terms.items()})
 
     def diff(self, i: int) -> "Polynomial":
         """Partial derivative with respect to x_i (1-based), exact power rule."""
@@ -105,12 +90,12 @@ class Polynomial:
             raise ValueError(f"variable index {i} out of range 1..{self.n_vars}")
         # Lowering the i-th exponent maps distinct exponents to distinct ones,
         # so each surviving term lands on its own key.
-        terms: dict[Exponents, Fraction] = {}
+        terms: dict[Exponents, Scalar] = {}
         for e, c in self.terms.items():
             p = e[i - 1]
             if p:
                 terms[e[: i - 1] + (p - 1,) + e[i:]] = c * p if p > 1 else c
-        return Polynomial(self.n_vars, terms)
+        return _built(self.n_vars, terms)
 
     # predicates and comparison
 
@@ -132,7 +117,7 @@ class Polynomial:
 
     def __str__(self) -> str:
         ordered = sorted(self.terms, key=lambda e: (-sum(e), tuple(-x for x in e)))
-        terms: list[tuple[Fraction, str]] = []
+        terms: list[tuple[Scalar, str]] = []
         try:
             for e in ordered:
                 c = self.terms[e]
@@ -167,25 +152,40 @@ class Polynomial:
         return f"Polynomial({self.n_vars}, {self})"
 
 
-def _canonical(n_vars: int, terms: Mapping[Exponents, Scalar]) -> dict[Exponents, Fraction]:
+def _canonical(n_vars: int, terms: Mapping[Exponents, Scalar]) -> dict[Exponents, Scalar]:
     """The constructor's checks key by key, raising at the first fault."""
-    canon: dict[Exponents, Fraction] = {}
+    canon: dict[Exponents, Scalar] = {}
     for exps, coeff in terms.items():
         key = tuple(exps)
         if len(key) != n_vars or not all(isinstance(e, int) and e >= 0 for e in key):
             raise ValueError(f"bad exponent tuple {key} for {n_vars} variables")
         if key in canon:
             raise ValueError(f"exponent tuple {key} given twice")
-        canon[key] = coeff if type(coeff) is Fraction else _exact(coeff)
+        canon[key] = _exact(coeff)
     return canon
 
 
-def _exact(c: Scalar) -> Fraction:
-    """c as a Fraction; Fraction() would also take a float at its binary
-    value or parse a string, so anything but an int or Fraction raises."""
-    if not isinstance(c, (int, Fraction)):
-        raise ValueError(f"coefficient must be an int or Fraction, got {c!r}")
-    return Fraction(c)
+def _built(n_vars: int, terms: dict[Exponents, Scalar]) -> Polynomial:
+    """A Polynomial of terms that are canonical by construction: valid,
+    distinct keys and nonzero int or Fraction coefficients.  diff, scale,
+    - and + build their results so, and nothing re-checks them."""
+    p = object.__new__(Polynomial)
+    p.n_vars = n_vars
+    p.terms = terms
+    return p
+
+
+def _exact(c: Scalar) -> Scalar:
+    """c as an int or Fraction, a bool or other int subclass as an int.
+    Fraction() would also take a float at its binary value or parse a
+    string, so anything else raises."""
+    if type(c) is int or type(c) is Fraction:
+        return c
+    if isinstance(c, int):
+        return int(c)
+    if isinstance(c, Fraction):
+        return Fraction(c)
+    raise ValueError(f"coefficient must be an int or Fraction, got {c!r}")
 
 
 def join_signed(terms: Iterable[tuple[Scalar, str]]) -> str:
@@ -232,7 +232,7 @@ def parse_polynomial(text: str, n_vars: int) -> Polynomial:
         _check_tokens(text, limit)
 
     idx = 0
-    terms: dict[Exponents, Fraction] = {}
+    terms: dict[Exponents, Scalar] = {}
 
     def parse_factor(sign_allowed: bool = False) -> tuple[int, int, int, int]:
         """One factor as (numerator, denominator, variable, power), the
@@ -270,7 +270,8 @@ def parse_polynomial(text: str, n_vars: int) -> Polynomial:
 
     def add_term(sign: int) -> None:
         # A term is a product of factors, so a single monomial: its numerator
-        # and denominator multiply as ints, and one Fraction is made per term.
+        # and denominator multiply as ints, and one Fraction is made per term
+        # whose denominator is not 1.
         # Adding it to one dict keeps parsing linear in the number of terms.
         nonlocal idx
         num, den, var, power = parse_factor(sign_allowed=True)
@@ -285,7 +286,7 @@ def parse_polynomial(text: str, n_vars: int) -> Polynomial:
             if var:
                 exps[var - 1] += power
         key = tuple(exps)
-        c = Fraction(sign * num, den)
+        c = sign * num if den == 1 else Fraction(sign * num, den)
         old = terms.get(key)
         terms[key] = c if old is None else old + c
 

@@ -76,6 +76,25 @@ def test_undefined_iff_not_meaningful():
                 assert undefined == (w.first_invalid_pair() is not None)
 
 
+def test_classify_word_agrees_with_classify_pair_per_pair():
+    # the per-pair oracle: UNDEFINED at the first non-composable pair, else
+    # ZERO if any pair is a d-squared step
+    import itertools
+
+    for n in range(3, 7):
+        for length in range(1, 5):
+            for indices in itertools.product(range(1, n + 1), repeat=length):
+                classes = [classify_pair(a, b, n) for a, b in zip(indices, indices[1:])]
+                if TrivialityClass.UNDEFINED in classes:
+                    expected = TrivialityClass.UNDEFINED
+                elif TrivialityClass.ZERO in classes:
+                    expected = TrivialityClass.ZERO
+                else:
+                    expected = TrivialityClass.NONTRIVIAL
+                assert classify_word(CompositionWord(n, indices)) is expected, indices
+                assert classify_word(indices, n) is expected
+
+
 def test_enumerate_nontrivial_n3():
     assert [w.indices for w in enumerate_nontrivial(3, 3)] == [
         (1, 3, 1),

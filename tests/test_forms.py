@@ -24,6 +24,8 @@ from nablachains import (
 )
 from nablachains import forms
 from nablachains.forms import complement_sign, domain_level, codomain_level, subsets
+from nablachains.graph import successors
+from nablachains.words import CompositionWord
 
 
 def rand_poly(rng: random.Random, n: int, terms: int = 3, max_exp: int = 2) -> Polynomial:
@@ -315,3 +317,72 @@ def test_is_zero_operator_probes_each_slot_once(monkeypatch):
                 assert calls[-1][1] is zero
                 if zero:
                     assert len(calls) == math.comb(n, level)
+
+
+# Small denominators and a few large primes, so coefficients are ints, small
+# Fractions and Fractions with large denominators side by side.
+DENOMINATORS = [1, 1, 2, 3, 4, 6, 9, 2**31 - 1, 2**61 - 1, 2**89 - 1]
+
+
+def as_fractions(v):
+    """v with every coefficient a Fraction, as before int coefficients."""
+    return ComponentVector(v.n, v.level, tuple(
+        Polynomial(p.n_vars, {e: Fraction(c) for e, c in p.terms.items()}) for p in v.entries
+    ))
+
+
+@st.composite
+def rational_chain_inputs(draw):
+    n = draw(st.integers(3, 8))
+    length = draw(st.integers(1, 3))
+    indices = [draw(st.integers(1, n))]
+    for _ in range(length - 1):
+        indices.append(draw(st.sampled_from(successors(indices[-1], n))))
+    level = domain_level(indices[0], n)
+    exps = st.tuples(*[st.integers(0, 3)] * n)
+    coeff = st.one_of(
+        st.integers(-50, 50),
+        st.builds(Fraction, st.integers(-50, 50), st.sampled_from(DENOMINATORS)),
+    )
+    entries = draw(
+        st.lists(st.dictionaries(exps, coeff, max_size=3),
+                 min_size=math.comb(n, level), max_size=math.comb(n, level))
+    )
+    return CompositionWord(n, tuple(indices)), ComponentVector(
+        n, level, tuple(Polynomial(n, d) for d in entries)
+    )
+
+
+@given(rational_chain_inputs())
+@settings(max_examples=150, deadline=None)
+def test_apply_word_equals_the_fraction_fold(case):
+    # the oracle folds nabla over the same vector with Fraction coefficients only
+    w, v = case
+    got = apply_word(w, v)
+    want = as_fractions(v)
+    for i in w.indices:
+        want = nabla(i, want)
+    assert got == want
+    for p in got.entries:
+        assert Polynomial(p.n_vars, p.terms).terms == p.terms
+        assert all(type(c) in (int, Fraction) for c in p.terms.values())
+
+
+def test_is_zero_operator_makes_no_fraction(monkeypatch):
+    made = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    for n in range(3, 7):
+        for length in range(1, 4):
+            for w in enumerate_words(n, length):
+                is_zero_operator(w, n)
+    assert made == []
+    # the counter sees the Fractions a rational input makes
+    v = ComponentVector(3, 0, (Polynomial(3, {(2, 0, 0): 1}).scale(Fraction(1, 3)),))
+    apply_word((1,), v)
+    assert made

@@ -308,9 +308,9 @@ def fraction_per_factor_parse(text: str, n_vars: int) -> Polynomial:
 
 
 def canonical_key_by_key(n_vars, terms):
-    """The constructor as it was before its checks ran over all keys at once:
-    one key at a time, raising at the first fault.  The oracle for the
-    constructor's results and messages."""
+    """The constructor's checks written out apart from it: one key at a
+    time, raising at the first fault.  The oracle for the constructor's
+    results and messages."""
     canon = {}
     for exps, coeff in (terms or {}).items():
         key = tuple(exps)
@@ -420,3 +420,48 @@ def test_diff_equals_the_general_power_rule(p, i):
         if e[i - 1]
     }
     assert p.diff(i) == Polynomial(p.n_vars, power_rule)
+
+
+@st.composite
+def polynomial_pairs(draw):
+    """Two polynomials over the same variables, with few keys and small
+    coefficients, so that sums often cancel."""
+    n = draw(st.integers(1, 4))
+    exps = st.tuples(*[st.integers(0, 2) for _ in range(n)])
+    coeff = st.integers(-3, 3) | st.fractions(-3, 3, max_denominator=3)
+    p, q = (Polynomial(n, draw(st.dictionaries(exps, coeff, max_size=6))) for _ in range(2))
+    return p, q
+
+
+def assert_canonical(r):
+    assert Polynomial(r.n_vars, r.terms).terms == r.terms
+    assert all(r.terms.values())
+    assert {type(c) for c in r.terms.values()} <= {int, Fraction}
+
+
+@given(polynomial_pairs(), st.integers(1, 4),
+       st.sampled_from([0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(0), Fraction(1)]))
+@settings(max_examples=300)
+def test_results_are_canonical_by_construction(pair, i, c):
+    # diff, scale, - and + skip the constructor's checks; what they build
+    # must be what the constructor would accept and keep unchanged
+    p, q = pair
+    i = (i - 1) % p.n_vars + 1
+    for r in (p.diff(i), p.scale(c), -p, p + q, p - q, p + (-p), p - p):
+        assert_canonical(r)
+    assert (p + q).terms == canonical_key_by_key(
+        p.n_vars, {e: p.terms.get(e, 0) + q.terms.get(e, 0) for e in {*p.terms, *q.terms}}
+    )
+    assert p.scale(c).terms == canonical_key_by_key(p.n_vars, {e: c * v for e, v in p.terms.items()})
+
+
+def test_integer_coefficients_stay_integers():
+    assert type(Polynomial(1, {(1,): True}).terms[(1,)]) is int
+    assert {type(c) for c in parse_polynomial("3*x1 - 2*x2 + 6 - x1^2*2", 2).terms.values()} == {int}
+    assert type(parse_polynomial("1/2*x1", 1).terms[(1,)]) is Fraction
+    p = Polynomial(2, {(3, 1): 2, (0, 2): -5})
+    for r in (p.diff(1), p.diff(2), p.scale(3), -p, p + p, p - p.scale(2)):
+        assert {type(c) for c in r.terms.values()} <= {int}
+    # equal to the Fraction form, with the same hash and rendering
+    q = Polynomial(2, {e: Fraction(c) for e, c in p.terms.items()})
+    assert p == q and hash(p) == hash(q) and str(p) == str(q)
