@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 
-from .graph import _composable, as_dim, check_index
+from .graph import _composable, as_dim
 from .words import CompositionWord, WordLike, as_word
 
 
@@ -25,12 +25,7 @@ class TrivialityClass(enum.Enum):
 
 def classify_pair(k: int, j: int, n: int) -> TrivialityClass:
     """Classify the second-order composition: nabla_j applied after nabla_k."""
-    n = as_dim(n)
-    check_index(k, n)
-    check_index(j, n)
-    if not _composable(k, j, n):
-        return TrivialityClass.UNDEFINED
-    return TrivialityClass.ZERO if j == k + 1 else TrivialityClass.NONTRIVIAL
+    return classify_word((k, j), n)
 
 
 def classify_word(w: WordLike, n: int | None = None) -> TrivialityClass:
@@ -42,7 +37,7 @@ def classify_word(w: WordLike, n: int | None = None) -> TrivialityClass:
     else:
         word = as_word(w, n)
     # A CompositionWord has checked n and every index, so each pair needs
-    # only classify_pair's rule, not its validation.
+    # only the rule.
     n = word.n
     saw_zero = False
     for a, b in zip(word.indices, word.indices[1:]):

@@ -15,6 +15,7 @@ zero-operator decision procedure live here too.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -92,7 +93,8 @@ class DifferentialForm:
         return not self.components
 
     def coefficient(self, s: Subset) -> Polynomial:
-        return self.components.get(tuple(s), Polynomial.zero(self.n))
+        p = self.components.get(tuple(s))
+        return Polynomial.zero(self.n) if p is None else p
 
 
 @dataclass(frozen=True)
@@ -150,10 +152,10 @@ def exterior_derivative(form: DifferentialForm) -> DifferentialForm:
             dg = g.diff(t)
             if dg.is_zero():
                 continue
-            before = sum(1 for x in s if x < t)
-            sign = -1 if before % 2 else 1
-            key = tuple(sorted(s + (t,)))
-            contrib = dg.scale(sign)
+            # dx_t moves past the pos elements of s below it
+            pos = bisect.bisect(s, t)
+            key = s[:pos] + (t,) + s[pos:]
+            contrib = dg.scale(-1 if pos % 2 else 1)
             old = out.get(key)
             out[key] = contrib if old is None else old + contrib
     return DifferentialForm(n, form.degree + 1, out)
@@ -161,11 +163,10 @@ def exterior_derivative(form: DifferentialForm) -> DifferentialForm:
 
 def iso_to_components(form: DifferentialForm) -> ComponentVector:
     """Push a form down to its coefficient vector."""
-    entries = []
-    for s, sign in _slots(form.n, form.degree):
-        p = form.coefficient(s)
-        entries.append(p.scale(sign) if sign < 0 else p)
-    return ComponentVector(form.n, _level(form.degree, form.n), tuple(entries))
+    n, get = form.n, form.components.get
+    zero = Polynomial.zero(n)  # every absent slot
+    entries = tuple(get(s, zero).scale(sign) for s, sign in _slots(n, form.degree))
+    return ComponentVector(n, _level(form.degree, n), entries)
 
 
 def iso_from_components(v: ComponentVector, target_degree: int) -> DifferentialForm:
@@ -175,9 +176,8 @@ def iso_from_components(v: ComponentVector, target_degree: int) -> DifferentialF
     """
     if _level(target_degree, v.n) != v.level:
         raise ValueError(f"target degree {target_degree} incompatible with level {v.level}")
-    comps = {}
-    for (s, sign), p in zip(_slots(v.n, target_degree), v.entries):
-        comps[s] = p.scale(sign) if sign < 0 else p
+    # a form's absent keys are zero, so only nonzero entries are lifted
+    comps = {s: p.scale(sign) for (s, sign), p in zip(_slots(v.n, target_degree), v.entries) if p}
     return DifferentialForm(v.n, target_degree, comps)
 
 
@@ -226,9 +226,11 @@ def is_zero_operator(w: WordLike, n: int) -> bool:
     word.require_meaningful()
     level = domain_level(word.indices[0], n)
     slots = math.comb(n, level)
+    zero = Polynomial.zero(n)
+    probe = Polynomial.monomial(n, (len(word),) * n)
     for slot in range(slots):
-        entries = [Polynomial.zero(n)] * slots
-        entries[slot] = Polynomial.monomial(n, (len(word),) * n)
+        entries = [zero] * slots
+        entries[slot] = probe
         if not apply_word(word, ComponentVector(n, level, tuple(entries))).is_zero():
             return False
     return True

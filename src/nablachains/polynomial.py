@@ -15,7 +15,6 @@ import re
 import sys
 from decimal import Decimal
 from fractions import Fraction
-from operator import itemgetter
 from typing import Iterable, Mapping, Union
 
 Exponents = tuple[int, ...]
@@ -116,7 +115,7 @@ class Polynomial:
     # rendering
 
     def __str__(self) -> str:
-        ordered = sorted(self.terms, key=lambda e: (-sum(e), tuple(-x for x in e)))
+        ordered = sorted(self.terms, key=lambda e: (sum(e), e), reverse=True)
         terms: list[tuple[Scalar, str]] = []
         try:
             for e in ordered:
@@ -202,15 +201,19 @@ def join_signed(terms: Iterable[tuple[Scalar, str]]) -> str:
 
 
 # A token and the whitespace before it, as (num, var, op, bad), one group
-# non-empty; bad is a character no token starts with.
+# non-empty; bad is a character no token starts with, so the tokens cover
+# the text up to trailing whitespace.
 _TOKEN = re.compile(
     r"\s*(?:(?P<num>[0-9]+(?:/[0-9]+)?)|(?P<var>x[0-9]+)|(?P<op>[-+*^])|(?P<bad>\S))"
 )
 
 
-def _check_tokens(text: str, limit: int) -> None:
+def _check_tokens(text: str) -> None:
     """Raise at the first token that cannot be read, in text order: a
     character no token starts with, or a number over the digit limit."""
+    # int() refuses digit strings over this limit (0: none; Python before
+    # 3.10.7 has none) with advice that a CLI user cannot act on
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     for m in _TOKEN.finditer(text):
         if m.lastgroup == "bad":
             raise ValueError(f"cannot parse polynomial near {text[m.start():]!r}")
@@ -223,80 +226,76 @@ def _check_tokens(text: str, limit: int) -> None:
 
 def parse_polynomial(text: str, n_vars: int) -> Polynomial:
     """Parse syntax like ``3/2*x1^2*x3 - x2 + 4``."""
-    # int() refuses digit strings over this limit (0: none; Python before
-    # 3.10.7 has none) with advice that a CLI user cannot act on
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    # the tokens cover the text up to trailing whitespace
-    tokens = _TOKEN.findall(text)
-    if (limit and len(text) > limit) or any(map(itemgetter(3), tokens)):
-        _check_tokens(text, limit)
+    try:
+        return _parse(_TOKEN.findall(text), n_vars)
+    except Exception:
+        # A parse that succeeds has converted every token, so only a failed
+        # one can have met a bad or over-long token.  The first of those in
+        # the text names the fault, whatever the parse raised where it
+        # stopped (a TypeError, for one, when n_vars is not an int).
+        _check_tokens(text)
+        raise
 
-    idx = 0
-    terms: dict[Exponents, Scalar] = {}
 
-    def parse_factor(sign_allowed: bool = False) -> tuple[int, int, int, int]:
-        """One factor as (numerator, denominator, variable, power), the
-        variable 0 for a number."""
-        nonlocal idx
-        if idx >= len(tokens):
-            raise ValueError("unexpected end of polynomial")
-        num, var, op, _ = tokens[idx]
-        idx += 1
-        if num:
-            top, _, bottom = num.partition("/")
-            if not bottom:
-                return int(top), 1, 0, 0
-            if not int(bottom):
-                raise ValueError(f"zero denominator in {num!r}")
-            return int(top), int(bottom), 0, 0
-        if var:
-            i = int(var[1:])
-            if not 1 <= i <= n_vars:
-                raise ValueError(f"variable {var} out of range for n={n_vars}")
-            power = 1
-            if idx < len(tokens) and tokens[idx][2] == "^":
-                idx += 1
-                if idx >= len(tokens) or not tokens[idx][0] or "/" in tokens[idx][0]:
-                    raise ValueError("expected integer exponent after '^'")
-                power = int(tokens[idx][0])
-                idx += 1
-            return 1, 1, i, power
-        if op == "-" and sign_allowed:
-            num, den, var, power = parse_factor()
-            return -num, den, var, power
-        if op == "+" and sign_allowed:
-            return parse_factor()
-        raise ValueError(f"unexpected token {op!r}")
-
-    def add_term(sign: int) -> None:
-        # A term is a product of factors, so a single monomial: its numerator
-        # and denominator multiply as ints, and one Fraction is made per term
-        # whose denominator is not 1.
-        # Adding it to one dict keeps parsing linear in the number of terms.
-        nonlocal idx
-        num, den, var, power = parse_factor(sign_allowed=True)
-        exps = [0] * n_vars
-        if var:
-            exps[var - 1] = power
-        while idx < len(tokens) and tokens[idx][2] == "*":
-            idx += 1
-            num2, den2, var, power = parse_factor()
-            num *= num2
-            den *= den2
-            if var:
-                exps[var - 1] += power
-        key = tuple(exps)
-        c = sign * num if den == 1 else Fraction(sign * num, den)
-        old = terms.get(key)
-        terms[key] = c if old is None else old + c
-
+def _parse(tokens: list[tuple[str, str, str, str]], n_vars: int) -> Polynomial:
+    """The polynomial that _TOKEN's tokens spell, read term by term."""
     if not tokens:
         raise ValueError("empty polynomial")
-    add_term(1)
-    while idx < len(tokens):
-        num, var, op, _ = tokens[idx]
+    terms: dict[Exponents, Scalar] = {}
+    idx, end, sign = 0, len(tokens), 1
+    while True:
+        # A term is an optional sign, then factors joined by '*': a single
+        # monomial, whose numerator and denominator multiply as ints, so one
+        # Fraction is made per term whose denominator is not 1.
+        if idx < end and tokens[idx][2] in ("+", "-"):
+            if tokens[idx][2] == "-":
+                sign = -sign
+            idx += 1
+        num = den = 1
+        exps = None
+        while True:
+            if idx == end:
+                raise ValueError("unexpected end of polynomial")
+            number, var, op, _ = tokens[idx]
+            idx += 1
+            i = 0
+            if number:
+                top, _, bottom = number.partition("/")
+                if bottom:
+                    d = int(bottom)
+                    if not d:
+                        raise ValueError(f"zero denominator in {number!r}")
+                    den *= d
+                num *= int(top)
+            elif var:
+                i = int(var[1:])
+                if not 1 <= i <= n_vars:
+                    raise ValueError(f"variable {var} out of range for n={n_vars}")
+                power = 1
+                if idx < end and tokens[idx][2] == "^":
+                    idx += 1
+                    if idx == end or not tokens[idx][0] or "/" in tokens[idx][0]:
+                        raise ValueError("expected integer exponent after '^'")
+                    power = int(tokens[idx][0])
+                    idx += 1
+            else:
+                raise ValueError(f"unexpected token {op!r}")
+            if exps is None:
+                exps = [0] * n_vars
+            if i:
+                exps[i - 1] += power
+            if idx == end or tokens[idx][2] != "*":
+                break
+            idx += 1
+        key = tuple(exps)
+        c = sign * num if den == 1 else Fraction(sign * num, den)
+        # adding to one dict keeps parsing linear in the number of terms
+        old = terms.get(key)
+        terms[key] = c if old is None else old + c
+        if idx == end:
+            return Polynomial(n_vars, terms)
+        number, var, op, _ = tokens[idx]
         if op not in ("+", "-"):
-            raise ValueError(f"expected '+' or '-', got {num or var or op!r}")
+            raise ValueError(f"expected '+' or '-', got {number or var or op!r}")
+        sign = 1 if op == "+" else -1
         idx += 1
-        add_term(1 if op == "+" else -1)
-    return Polynomial(n_vars, terms)

@@ -48,6 +48,22 @@ def test_classify_pair_rejects_bad_index():
         classify_pair(0, 1, 3)
 
 
+@pytest.mark.parametrize(
+    "k, j, n, message",
+    [
+        (1, 2, 2, "dimension must be an int >= 3, got 2"),
+        (1, 2, 3.0, "dimension must be an int >= 3, got 3.0"),
+        (0, 9, 3, "operator index 0 out of range 1..3"),
+        (1, 4, 3, "operator index 4 out of range 1..3"),
+    ],
+)
+def test_classify_pair_names_the_first_fault(k, j, n, message):
+    # n first, then k, then j, as classify_word checks them
+    with pytest.raises(ValueError) as info:
+        classify_pair(k, j, n)
+    assert str(info.value) == message
+
+
 def test_classify_word_examples():
     assert classify_word((1, 3, 1), 3) is TrivialityClass.NONTRIVIAL
     assert classify_word((1, 2, 2), 3) is TrivialityClass.ZERO

@@ -242,6 +242,21 @@ def test_recurrence_n8_reports_reference_mismatch(capsys):
     assert payload["matches_reference_table"] is False
 
 
+@pytest.mark.parametrize(
+    "n, lines",
+    [
+        (3, ["f(i+2)=f(i+1) + f(i)", "characteristic polynomial: t^3 - t^2 - t",
+             "matches_reference_table: true"]),
+        (6, ["f(i+2)=f(i+1) + f(i)", "characteristic polynomial: t^6 - 3*t^4 + t^2",
+             "matches_reference_table: false"]),
+    ],
+)
+def test_recurrence_plain(capsys, n, lines):
+    assert run(capsys, "recurrence", "--n", str(n), "--format", "plain") == (
+        0, "\n".join(lines) + "\n", ""
+    )
+
+
 def test_recurrence_n12_has_no_reference_entry(capsys):
     code, payload, _ = run_json(capsys, "recurrence", "--n", "12")
     assert code == 0
@@ -389,6 +404,21 @@ def test_apply_checks_the_word_before_the_vector(capsys):
     code, out, err = run(capsys, "apply", "--n", "3", "--word", "1,1", "--input", "[bad")
     assert (code, out) == (1, "")
     assert "not composable" in err
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (["apply", "--n", "3", "--word", "2", "--input", "x1, x2, x3"], 2,
+         "input vector must be bracketed, e.g. [x1*x2, 0, x3]"),
+        (["apply", "--n", "3", "--word", "2", "--input", "[x1, x2]"], 1,
+         "word starting with that operator needs 3 input components at level 1, got 2"),
+        (["sequence", "--n", "3", "--k-max", "0"], 1, "k-max must be >= 1"),
+        (["enumerate", "--n", "3", "--length", "0"], 1, "length must be >= 1"),
+    ],
+)
+def test_input_shape_errors(capsys, argv, code, message):
+    assert run(capsys, *argv) == (code, "", f"error: {message}\n")
 
 
 def test_apply_parse_error_is_usage(capsys):

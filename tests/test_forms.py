@@ -123,6 +123,30 @@ def test_iso_from_components_bad_degree():
         iso_from_components(v, 3)  # n - level = 2, level = 1; 3 fits neither
 
 
+P3 = Polynomial.monomial(3, (1, 0, 0))
+P4 = Polynomial.monomial(4, (1, 0, 0, 0))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: DifferentialForm(3, 4, {}), "degree 4 out of range 0..3"),
+        (lambda: DifferentialForm(3, 2, {(2, 1): P3}), "bad basis subset (2, 1) for degree 2"),
+        (lambda: DifferentialForm(3, 1, {(4,): P3}), "subset (4,) not within 1..3"),
+        (lambda: DifferentialForm(3, 1, {(1,): P4}), "component polynomial has wrong variable count"),
+        (lambda: ComponentVector(3, 2, (P3,) * 3), "level 2 out of range 0..1"),
+        (lambda: ComponentVector(3, 1, (P3,) * 2), "level 1 in dimension 3 needs 3 entries, got 2"),
+        (lambda: ComponentVector(3, 1, (P3, P3, P4)), "entry polynomial has wrong variable count"),
+        (lambda: ComponentVector.zero(3, 1) + ComponentVector.zero(3, 0),
+         "component vectors of different shape"),
+    ],
+)
+def test_form_and_vector_checks_name_the_fault(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("n", range(3, 7))
 def test_iso_round_trip_forms(n):
     rng = random.Random(200 + n)

@@ -3,7 +3,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from nablachains import Polynomial, parse_polynomial
@@ -367,8 +367,29 @@ def test_parse_values_and_messages_agree_with_the_oracle(pieces, n):
     ["1" * 5000 + " ?", "x1 ? " + "2" * 5000, "1/" + "0" * 5000, " " * 5000 + "x1 + 2", "x1" + " " * 5000],
 )
 def test_long_text_messages_agree_with_the_oracle(text):
-    # texts longer than the digit limit take the token-by-token check
+    # the first bad token or over-long number in the text names the fault,
+    # wherever the parse stopped, and long whitespace is no fault
     assert outcome(parse_polynomial, text, 2) == outcome(fraction_per_factor_parse, text, 2)
+
+
+@pytest.fixture
+def digit_limit_640():
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+# PIECES with numbers just over a 640-digit limit in each place a number
+# goes, and one at it
+LONG_PIECES = PIECES + ["9" * 641, "x" + "1" * 641, "^" + "2" * 641, "7" * 640]
+
+
+@given(st.lists(st.sampled_from(LONG_PIECES), max_size=14), st.integers(1, 3))
+@settings(max_examples=600, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_messages_under_the_digit_limit_agree_with_the_oracle(digit_limit_640, pieces, n):
+    text = "".join(pieces)
+    assert outcome(parse_polynomial, text, n) == outcome(fraction_per_factor_parse, text, n)
 
 
 KEYS = [(0, 0), (1, 0), (0, 1), range(1, -1, -1), (True, 0), (0.5, 0), (-1, 0), ("1", 0), (1,), (0, 0, 0), 5]
