@@ -10,7 +10,13 @@ by tests rather than assumed.  The identification is stated once, in
 _level and _slots; both iso maps and the level helpers read it from there.
 
 The operator chain machinery (nabla, apply_word) and the exact
-zero-operator decision procedure live here too.
+zero-operator decision procedure live here too.  Each nabla_i has constant
+integer coefficients, so a chain is linear over Z, and apply_word folds it
+over one shared denominator: a rational input v with D the lcm of its
+denominators runs as the integer vector D*v, and each output term is divided
+by D once at the end, which is exact.  Past a denominator of 512 bits the
+integer numerators cost more than Fraction arithmetic does, so such inputs,
+like integer ones, are folded as given.
 """
 
 from __future__ import annotations
@@ -19,11 +25,12 @@ import bisect
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Mapping
 
 from .errors import LevelMismatchError
 from .graph import as_dim, check_index
-from .polynomial import Polynomial
+from .polynomial import Polynomial, _built
 from .words import WordLike, as_word
 
 Subset = tuple[int, ...]
@@ -202,12 +209,48 @@ def nabla(i: int, v: ComponentVector) -> ComponentVector:
     return iso_to_components(exterior_derivative(form))
 
 
+# Largest bit length of the shared denominator D for which apply_word folds
+# nabla over integer numerators.  Those numerators grow with D, while a
+# Fraction fold reduces each term as it goes: at n = 3, word (1, 3, 1), with
+# 30 or 100 input terms, the integer fold stopped being the faster one
+# between 769 and 1 025 bits of D.
+_CLEARED_DENOMINATOR_BITS = 512
+
+
 def apply_word(w: WordLike, v: ComponentVector) -> ComponentVector:
-    """Fold nabla over the word in application order."""
+    """Fold nabla over the word in application order.
+
+    The chain is linear over Z, so it maps v = (D*v)/D to chain(D*v)/D.
+    When D, the lcm of v's denominators, is above 1 and has at most
+    _CLEARED_DENOMINATOR_BITS bits, the fold runs on the int vector D*v and
+    each output term is divided by D once at the end; otherwise it runs on
+    v as given.
+    """
     word = as_word(w, v.n)
     word.require_meaningful()
+    n = v.n
+    # empty slots are skipped before their values are read, as a zero-test
+    # probe fills one slot of many; the lcm stops growing past the cutoff,
+    # as the lcm of many long denominators alone can cost more than the fold
+    d = 1
+    for den in {c.denominator for p in v.entries if p.terms for c in p.terms.values()}:
+        d = math.lcm(d, den)
+        if d.bit_length() > _CLEARED_DENOMINATOR_BITS:
+            break
+    cleared = 1 < d and d.bit_length() <= _CLEARED_DENOMINATOR_BITS
+    # keys carry over and nonzero values stay nonzero, so both conversions
+    # build canonical polynomials directly
+    if cleared:
+        v = ComponentVector(n, v.level, tuple(
+            _built(n, {e: c.numerator * (d // c.denominator) for e, c in p.terms.items()})
+            for p in v.entries
+        ))
     for i in word.indices:
         v = nabla(i, v)
+    if cleared:
+        v = ComponentVector(n, v.level, tuple(
+            _built(n, {e: Fraction(c, d) for e, c in p.terms.items()}) for p in v.entries
+        ))
     return v
 
 

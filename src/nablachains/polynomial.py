@@ -116,23 +116,28 @@ class Polynomial:
 
     def __str__(self) -> str:
         ordered = sorted(self.terms, key=lambda e: (sum(e), e), reverse=True)
-        terms: list[tuple[Scalar, str]] = []
+        terms: list[tuple[int, str]] = []
         try:
             for e in ordered:
+                # an int is its own numerator over 1; reading both as ints
+                # makes no Fraction for abs() or a comparison
                 c = self.terms[e]
+                num, den = c.numerator, c.denominator
+                mag = str(abs(num))
+                if den != 1:
+                    mag = f"{mag}/{den}"
                 factors = [
                     f"x{i + 1}" if p == 1 else f"x{i + 1}^{p}"
                     for i, p in enumerate(e)
                     if p > 0
                 ]
-                mag = abs(c)
                 if not factors:
-                    body = str(mag)
-                elif mag == 1:
+                    body = mag
+                elif mag == "1":
                     body = "*".join(factors)
                 else:
-                    body = "*".join([str(mag)] + factors)
-                terms.append((c, body))
+                    body = "*".join([mag] + factors)
+                terms.append((num, body))
         except ValueError:
             # str() refused an int over the digit limit, with advice that a
             # CLI user cannot act on; Decimal() is not held to that limit
@@ -187,10 +192,11 @@ def _exact(c: Scalar) -> Scalar:
     raise ValueError(f"coefficient must be an int or Fraction, got {c!r}")
 
 
-def join_signed(terms: Iterable[tuple[Scalar, str]]) -> str:
-    """Render (coefficient, body) pairs as a signed sum, body being the
-    magnitude's rendering: the first term bare or with a leading '-', later
-    ones prefixed '+ ' or '- ', and the empty sum as '0'."""
+def join_signed(terms: Iterable[tuple[int, str]]) -> str:
+    """Render (sign, body) pairs as a signed sum, sign being a nonzero int
+    with the term's sign (its coefficient or that coefficient's numerator)
+    and body the magnitude's rendering: the first term bare or with a
+    leading '-', later ones prefixed '+ ' or '- ', and the empty sum as '0'."""
     parts: list[str] = []
     for c, body in terms:
         if not parts:
@@ -293,7 +299,13 @@ def _parse(tokens: list[tuple[str, str, str, str]], n_vars: int) -> Polynomial:
         old = terms.get(key)
         terms[key] = c if old is None else old + c
         if idx == end:
-            return Polynomial(n_vars, terms)
+            if n_vars < 1:
+                raise ValueError("need at least one variable")
+            # the keys are tuples of n_vars ints >= 0 and each sum an int or
+            # Fraction, so only the zeros that cancelling terms made are dropped
+            if not all(terms.values()):
+                terms = {e: c for e, c in terms.items() if c}
+            return _built(n_vars, terms)
         number, var, op, _ = tokens[idx]
         if op not in ("+", "-"):
             raise ValueError(f"expected '+' or '-', got {number or var or op!r}")

@@ -344,8 +344,10 @@ def test_is_zero_operator_probes_each_slot_once(monkeypatch):
 
 
 # Small denominators and a few large primes, so coefficients are ints, small
-# Fractions and Fractions with large denominators side by side.
-DENOMINATORS = [1, 1, 2, 3, 4, 6, 9, 2**31 - 1, 2**61 - 1, 2**89 - 1]
+# Fractions and Fractions with large denominators side by side.  The lcm of a
+# vector's denominators decides apply_word's fold: the Mersenne prime
+# 2^521 - 1 alone puts it past the cutoff of _CLEARED_DENOMINATOR_BITS.
+DENOMINATORS = [1, 1, 2, 3, 4, 6, 9, 2**31 - 1, 2**61 - 1, 2**89 - 1, 2**127 - 1, 2**521 - 1]
 
 
 def as_fractions(v):
@@ -392,7 +394,8 @@ def test_apply_word_equals_the_fraction_fold(case):
         assert all(type(c) in (int, Fraction) for c in p.terms.values())
 
 
-def test_is_zero_operator_makes_no_fraction(monkeypatch):
+def fraction_count(monkeypatch):
+    """A list that records each Fraction made from now on."""
     made = []
     new = Fraction.__new__
 
@@ -401,6 +404,11 @@ def test_is_zero_operator_makes_no_fraction(monkeypatch):
         return new(cls, *args, **kwargs)
 
     monkeypatch.setattr(Fraction, "__new__", counting_new)
+    return made
+
+
+def test_is_zero_operator_makes_no_fraction(monkeypatch):
+    made = fraction_count(monkeypatch)
     for n in range(3, 7):
         for length in range(1, 4):
             for w in enumerate_words(n, length):
@@ -410,3 +418,70 @@ def test_is_zero_operator_makes_no_fraction(monkeypatch):
     v = ComponentVector(3, 0, (Polynomial(3, {(2, 0, 0): 1}).scale(Fraction(1, 3)),))
     apply_word((1,), v)
     assert made
+
+
+def coefficient_types(monkeypatch):
+    """The coefficient types of each vector nabla is given from now on."""
+    seen = []
+
+    def spy(i, v):
+        seen.append({type(c) for p in v.entries for c in p.terms.values()})
+        return nabla(i, v)
+
+    monkeypatch.setattr(forms, "nabla", spy)
+    return seen
+
+
+def test_apply_word_folds_over_one_shared_denominator(monkeypatch):
+    assert (2**521 - 1).bit_length() > forms._CLEARED_DENOMINATOR_BITS >= (2**127 - 1).bit_length()
+    w = CompositionWord(3, (1, 3, 1))
+    exps = [(4, 1, 0), (2, 2, 2), (0, 3, 1), (1, 0, 5), (3, 3, 0)]
+
+    def vector(dens):
+        terms = {}
+        for k, e in enumerate(exps):
+            num, den = (-1) ** k * (7 * k + 5), dens[k % len(dens)]
+            terms[e] = num if den == 1 else Fraction(num, den)
+        return ComponentVector(3, 0, (Polynomial(3, terms),))
+
+    def oracle(v):
+        v = as_fractions(v)
+        for i in w.indices:
+            v = nabla(i, v)
+        return v
+
+    below, above, ints = vector([2, 9, 2**127 - 1]), vector([2, 9, 2**521 - 1]), vector([1])
+    want_below, want_above = oracle(below), oracle(above)
+    assert {type(c) for c in ints.entries[0].terms.values()} == {int}
+    made, seen = fraction_count(monkeypatch), coefficient_types(monkeypatch)
+    # below the cutoff: nabla sees ints only, and each output term is one
+    # Fraction, made when it is divided by the shared denominator
+    got = apply_word(w, below)
+    assert got == want_below
+    assert seen == [{int}] * 3
+    assert 0 < len(made) <= sum(len(p.terms) for p in got.entries)
+    # above it: the fold runs on the Fractions as given
+    seen.clear()
+    assert apply_word(w, above) == want_above
+    assert Fraction in seen[0]
+    # integer input stays integer, and makes no Fraction
+    made.clear()
+    seen.clear()
+    got = apply_word(w, ints)
+    assert made == [] and seen == [{int}] * 3
+    assert {type(c) for p in got.entries for c in p.terms.values()} == {int}
+
+
+def test_apply_word_stops_the_lcm_past_the_cutoff(monkeypatch):
+    # the lcm of many long denominators costs more than the Fraction fold it
+    # selects, so it stops at the first denominator that passes the cutoff
+    big = [2**521 - 1, 2**607 - 1, 2**1279 - 1]
+    v = ComponentVector(3, 0, (Polynomial(3, {(k + 2, 1, 0): Fraction(1, d) for k, d in enumerate(big)}),))
+    want = as_fractions(v)
+    for i in (1, 3):
+        want = nabla(i, want)
+    calls = []
+    lcm = math.lcm
+    monkeypatch.setattr(math, "lcm", lambda *args: calls.append(args) or lcm(*args))
+    assert apply_word((1, 3), v) == want
+    assert len(calls) == 1

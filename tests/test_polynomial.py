@@ -486,3 +486,34 @@ def test_integer_coefficients_stay_integers():
     # equal to the Fraction form, with the same hash and rendering
     q = Polynomial(2, {e: Fraction(c) for e, c in p.terms.items()})
     assert p == q and hash(p) == hash(q) and str(p) == str(q)
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(["+", "-"]),
+            st.sampled_from(["0", "1", "2", "1/2", "3/6", "4/2", "0/5"]),
+            st.tuples(*[st.integers(0, 2) for _ in range(3)]),
+        ),
+        min_size=1,
+        max_size=8,
+    )
+)
+def test_parsed_results_are_canonical(terms):
+    # the parser builds its result without the constructor's checks; repeated
+    # monomials with coefficients like 1/2 and 3/6 cancel or sum to integers
+    text = " ".join(f"{sign} {c}*x1^{a}*x2^{b}*x3^{e}" for sign, c, (a, b, e) in terms)
+    assert_canonical(parse_polynomial(text, 3))
+
+
+@pytest.mark.parametrize("text", ["x1 - x1", "1/2*x1 - 1/2*x1", "0", "2/4*x2 + 0 - 1/2*x2"])
+def test_parse_drops_the_zeros_that_terms_make(text):
+    p = parse_polynomial(text, 3)
+    assert p.terms == {} and p.is_zero() and str(p) == "0"
+
+
+@pytest.mark.parametrize("text", ["3", "1/2 - 1/2", "0"])
+@pytest.mark.parametrize("n_vars", [0, -1])
+def test_parse_needs_at_least_one_variable(text, n_vars):
+    with pytest.raises(ValueError, match="^need at least one variable$"):
+        parse_polynomial(text, n_vars)
