@@ -48,35 +48,29 @@ def classify_word(w: WordLike, n: int | None = None) -> TrivialityClass:
     return TrivialityClass.ZERO if saw_zero else TrivialityClass.NONTRIVIAL
 
 
-def _admissible_starts(n: int) -> list[int]:
-    # exclude 2k = n and 2j = n (j = n+1-k), i.e. k = n/2 and k = n/2 + 1
-    return [k for k in range(1, n + 1) if 2 * k != n and 2 * (n + 1 - k) != n]
+def _nontrivial_starts(n: int, length: int) -> list[int]:
+    # first indices k of the non-trivial chains of length >= 2: 2k != n keeps
+    # the pair (k, n+1-k) from being a d-squared step, and from length 3 on
+    # 2(n+1-k) != n does the same for the pair (n+1-k, k)
+    return [
+        k for k in range(1, n + 1)
+        if 2 * k != n and (length < 3 or 2 * (n + 1 - k) != n)
+    ]
 
 
 def enumerate_nontrivial(n: int, length: int) -> list[CompositionWord]:
-    """All non-trivial chains of the given length, ordered by starting index.
-
-    Non-trivial chains are the alternating words (k, n+1-k, k, ...).  At
-    length exactly 2 every pair with k + j = n + 1 that is not a d-squared
-    step survives; from length 3 on, a chain through the even-n boundary pair
-    (n/2 + 1, n/2) necessarily picks up a d-squared step, so both 2k != n and
-    2j != n must hold.  Length-1 words are all non-trivial.
-    """
+    """All non-trivial chains of the given length, ordered by starting index:
+    every word of length 1, and from length 2 on the alternating words
+    (k, n+1-k, k, ...) with no d-squared step."""
     n = as_dim(n)
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
     if length == 1:
         return [CompositionWord(n, (k,)) for k in range(1, n + 1)]
-    if length == 2:
-        starts = [k for k in range(1, n + 1) if 2 * k != n]
-    else:
-        starts = _admissible_starts(n)
-    out = []
-    for k in starts:
-        j = n + 1 - k
-        indices = tuple(k if t % 2 == 0 else j for t in range(length))
-        out.append(CompositionWord(n, indices))
-    return out
+    return [
+        CompositionWord(n, tuple(k if t % 2 == 0 else n + 1 - k for t in range(length)))
+        for k in _nontrivial_starts(n, length)
+    ]
 
 
 def count_nontrivial(n: int, length: int) -> int:
@@ -84,6 +78,4 @@ def count_nontrivial(n: int, length: int) -> int:
     n = as_dim(n)
     if length < 2:
         raise ValueError(f"length must be >= 2, got {length}")
-    if n % 2:
-        return n
-    return n - 1 if length == 2 else n - 2
+    return len(_nontrivial_starts(n, length))

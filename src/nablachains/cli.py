@@ -24,6 +24,7 @@ from .classify import TrivialityClass, classify_word, enumerate_nontrivial
 from .counting import (
     _check_enumeration_cap,
     _iter_words,
+    _walk,
     brute_force_count,
     count_sequence,
     count_total,
@@ -54,8 +55,9 @@ MAX_COUNTING_N = 64
 MAX_SYMBOLIC_N = 12
 # bits of f(k) that count admits; the slowest admitted is n = 63, k = 2^17 - 5
 MAX_COUNT_BITS = 2**17
-# bits of f(1) + ... + f(k_max) that sequence admits, about k_max^2 / 2;
-# n = 3 at k_max = 30 000 needs 450 045 000, and n = 64 is admitted to 32 761
+# bits of f(1) + ... + f(k_max) that sequence admits, about k_max^2 / 2: a
+# bound on the work, as only one step's counts are held at a time; n = 3 at
+# k_max = 30 000 needs 450 045 000, and n = 64 is admitted to 32 761
 MAX_SEQUENCE_BITS = 2**29
 
 
@@ -155,8 +157,8 @@ def cmd_sequence(args) -> int:
             f"f(1..k_max) may need up to {bits} bits in all, "
             f"over the budget of {MAX_SEQUENCE_BITS} bits"
         )
-    values = count_sequence(args.n, k_max).values
-    # each value's digits are written as they are made, not held all at once
+    # each value is written as it is made, and none is kept
+    values = (sum(v) for v in _walk(args.n, k_max))
     write = sys.stdout.write
     if args.format == "json":
         write(json.dumps({"n": args.n, "k_max": k_max})[:-1] + ', "values": [')
@@ -204,8 +206,8 @@ def cmd_enumerate(args) -> int:
     _check_counting_n(args.n)
     if args.length < 1:
         raise ValueError("length must be >= 1")
-    # the refusal enumerate_words makes, before any output
-    _check_enumeration_cap(args.n, args.length)
+    # the refusal enumerate_words makes, before any output; it returns f(length)
+    count = _check_enumeration_cap(args.n, args.length)
     if args.nontrivial:
         # the closed-form families
         words = enumerate_nontrivial(args.n, args.length)
@@ -213,7 +215,6 @@ def cmd_enumerate(args) -> int:
     else:
         # each word is written as it is made, so the count comes first
         words = _iter_words(args.n, args.length)
-        count = count_total(args.n, args.length)
     write = sys.stdout.write
     if args.format == "json":
         head = {
@@ -228,13 +229,11 @@ def cmd_enumerate(args) -> int:
     elif args.format == "csv":
         write("applied,composition,class\n")
         for w in words:
-            e = _word_entry(w)
-            applied = " ".join(str(i) for i in e["applied"])
-            write(f"{applied},{e['composition']},{e['class']}\n")
+            applied = " ".join(map(str, w.indices))
+            write(f"{applied},{w.composition_notation()},{classify_word(w).value}\n")
     else:
         for w in words:
-            e = _word_entry(w)
-            write(f"{tuple(e['applied'])}  {e['composition']}  [{e['class']}]\n")
+            write(f"{w.indices}  {w.composition_notation()}  [{classify_word(w).value}]\n")
     return 0
 
 

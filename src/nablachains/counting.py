@@ -124,13 +124,14 @@ def count_sequence(n: int, k_max: int) -> CountSequence:
     return CountSequence(n, tuple(sum(v) for v in _walk(n, k_max)))
 
 
-def _check_enumeration_cap(n: int, k: int, cap: int = DEFAULT_ENUMERATION_CAP) -> None:
-    """Raise EnumerationCapError if f(k) > cap.  Totals never decrease (every
-    operator has a predecessor), so the first one above the cap rules k out
-    before f(k) itself is computed."""
+def _check_enumeration_cap(n: int, k: int, cap: int = DEFAULT_ENUMERATION_CAP) -> int:
+    """Return f(k) for k >= 1, or raise EnumerationCapError if f(k) > cap.
+    Totals never decrease (every operator has a predecessor), so the first
+    one above the cap rules k out before f(k) itself is computed."""
     for v in _walk(n, k):
         if (total := sum(v)) > cap:
             raise EnumerationCapError(total, cap)
+    return total
 
 
 def enumerate_words(
@@ -145,24 +146,19 @@ def enumerate_words(
 
 
 def _iter_words(n: int, k: int):
-    """Yield the meaningful length-k words of enumerate_words one at a time,
-    depth first; levels[d] runs over the candidates for position d."""
+    """The meaningful length-k words of enumerate_words, made one at a time.
+
+    Each of k - 1 chained generators extends every word of the one before by
+    each successor of its last index, in ascending order, so the words come
+    in lexicographic order.  The chain nests k generators deep, and Python's
+    recursion limit stops it near k = 1 000; the enumeration cap keeps that
+    out of reach, as f(1 000) has at least 151 digits for every n in 3..64.
+    """
     succ = {i: successors(i, n) for i in range(1, n + 1)}
-    path: list[int] = []
-    levels = [iter(range(1, n + 1))]
-    while levels:
-        for i in levels[-1]:
-            path.append(i)
-            if len(path) == k:
-                yield CompositionWord(n, tuple(path))
-                path.pop()
-            else:
-                levels.append(iter(succ[i]))
-                break
-        else:
-            levels.pop()
-            if path:
-                path.pop()
+    words = ((i,) for i in range(1, n + 1))
+    for _ in range(k - 1):
+        words = (w + (j,) for w in words for j in succ[w[-1]])
+    return (CompositionWord(n, w) for w in words)
 
 
 def brute_force_count(n: int, k: int) -> int:

@@ -167,6 +167,14 @@ def test_count_nontrivial(n, length, expected):
     assert len(enumerate_nontrivial(n, length)) == expected
 
 
+@pytest.mark.parametrize("n", range(3, 10))
+@pytest.mark.parametrize("length", range(2, 7))
+def test_count_nontrivial_counts_the_classified_words(n, length):
+    words = enumerate_words(n, length)
+    want = sum(classify_word(w) is TrivialityClass.NONTRIVIAL for w in words)
+    assert count_nontrivial(n, length) == want
+
+
 def test_count_nontrivial_requires_length_2():
     with pytest.raises(ValueError):
         count_nontrivial(3, 1)

@@ -1,3 +1,4 @@
+import itertools
 import time
 
 import pytest
@@ -86,6 +87,27 @@ def test_enumerate_words_lexicographic_and_meaningful():
             assert len(set(words)) == len(words)
             for w in words:
                 assert all(is_composable(a, b, n) for a, b in zip(w, w[1:]))
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+@pytest.mark.parametrize("k", range(1, 7))
+def test_enumerate_words_is_the_composable_product(n, k):
+    # the oracle filters every index tuple by the predicate, in product
+    # order, and never asks for successors
+    want = [
+        t for t in itertools.product(range(1, n + 1), repeat=k)
+        if all(is_composable(a, b, n) for a, b in zip(t, t[1:]))
+    ]
+    assert [w.indices for w in enumerate_words(n, k)] == want
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_cap_walk_returns_the_total_it_reached(n):
+    for k in range(1, 21):
+        total = count_total(n, k)
+        assert counting._check_enumeration_cap(n, k, cap=total) == total
+        with pytest.raises(EnumerationCapError):
+            counting._check_enumeration_cap(n, k, cap=total - 1)
 
 
 def test_enumeration_cap():
