@@ -16,7 +16,16 @@ import math
 import random
 import sys
 import time
-from decimal import Decimal
+from decimal import (
+    MAX_EMAX,
+    MAX_PREC,
+    Context,
+    Decimal,
+    Inexact,
+    Overflow,
+    Rounded,
+    localcontext,
+)
 from typing import Iterable
 
 from . import __version__
@@ -157,20 +166,26 @@ def cmd_sequence(args) -> int:
             f"f(1..k_max) may need up to {bits} bits in all, "
             f"over the budget of {MAX_SEQUENCE_BITS} bits"
         )
-    # each value is written as it is made, and none is kept
-    values = (sum(v) for v in _walk(args.n, k_max))
+    # Each value is written as it is made, and none is kept.  The walk steps
+    # in Decimal, whose str() is linear in the digits where _decimal's
+    # conversion from int is quadratic.  It stays exact: the walk only adds
+    # integers, so a sum is exact unless it is rounded, and any rounding
+    # (Rounded, Inexact) or overflow traps instead of passing.
+    exact = Context(prec=MAX_PREC, Emax=MAX_EMAX, traps=[Inexact, Overflow, Rounded])
     write = sys.stdout.write
-    if args.format == "json":
-        write(json.dumps({"n": args.n, "k_max": k_max})[:-1] + ', "values": [')
-        _write_joined(", ", (f'"{_decimal(v)}"' for v in values))
-        write("]}\n")
-    elif args.format == "csv":
-        write("k,f_k\n")
-        for k, v in enumerate(values, start=1):
-            write(f"{k},{_decimal(v)}\n")
-    else:
-        _write_joined(",", map(_decimal, values))
-        write("\n")
+    with localcontext(exact):
+        values = (str(sum(v)) for v in _walk(args.n, k_max, Decimal(1)))
+        if args.format == "json":
+            write(json.dumps({"n": args.n, "k_max": k_max})[:-1] + ', "values": [')
+            _write_joined(", ", (f'"{v}"' for v in values))
+            write("]}\n")
+        elif args.format == "csv":
+            write("k,f_k\n")
+            for k, v in enumerate(values, start=1):
+                write(f"{k},{v}\n")
+        else:
+            _write_joined(",", values)
+            write("\n")
     return 0
 
 

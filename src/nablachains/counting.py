@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import islice
 
 from .errors import EnumerationCapError
-from .graph import as_dim, successors, total_count_polynomial
+from .graph import _successors, as_dim, successors, total_count_polynomial
 from .words import CompositionWord
 
 DEFAULT_ENUMERATION_CAP = 10**6
@@ -28,14 +28,15 @@ class CountSequence:
     values: tuple[int, ...]
 
 
-def _walk(n: int, k: int):
+def _walk(n: int, k: int, one=1):
     """Yield (f_1(t), ..., f_n(t)) for t = 1..k; a step sums, per operator, the
-    counts of its one or two successors.  Only the current vector is kept."""
+    counts of its one or two successors.  Only the current vector is kept.
+    The counts are sums of copies of one: ints by default."""
     # 0-based successor pairs; index n stands for a missing second successor
     # and reads the 0 appended to each padded copy of the vector
-    succ = [successors(i, n) for i in range(1, n + 1)]
+    succ = [_successors(i, n) for i in range(1, n + 1)]
     pairs = [(s[0] - 1, s[1] - 1 if len(s) == 2 else n) for s in succ]
-    v = [1] * n
+    v = [one] * n
     yield v
     for _ in range(k - 1):
         w = v + [0]
@@ -58,14 +59,17 @@ def _power_mod(e: int, g: tuple[int, ...]) -> list[int]:
     binary powering: per bit of e, square, then multiply by t if it is set.
     Each step costs O(d^2) products, so the whole O(d^2 log e)."""
     d = len(g) - 1
+    # the nonzero low coefficients; for even n about half of them are zero
+    low = [(i, c) for i, c in enumerate(g[:d]) if c]
 
     def reduce(p: list[int]) -> list[int]:
         # cancel the top coefficient with a multiple of g until degree < d
         while len(p) > d:
             c = p.pop()
             if c:
-                for i in range(d):
-                    p[len(p) - d + i] -= c * g[i]
+                base = len(p) - d
+                for i, gi in low:
+                    p[base + i] -= c * gi
         return p
 
     r = [1] + [0] * (d - 1)
@@ -86,17 +90,18 @@ def _power_mod(e: int, g: tuple[int, ...]) -> list[int]:
 def count_total(n: int, k: int) -> int:
     """f(k); f(0) = 1 by the empty-chain convention.
 
-    Steps the prefix f(1..n+d), d being the degree of g =
-    graph.total_count_polynomial(n), and checks that g annihilates it:
-    sum_i g_i f(s+i) = 0 for s = 1..n.  That certifies g on the whole
-    sequence.  With A the adjacency matrix, f(s) = 1^T A^(s-1) 1, so the
-    g-shifted sequence h(s) = sum_i g_i f(s+i) = 1^T A^(s-1) g(A) 1 is, like
-    f, annihilated by the characteristic polynomial of A (Cayley-Hamilton),
-    which is monic of degree n.  A monic recurrence of order n determines
-    each term from the n before it, so n zeros force h to be zero
-    everywhere.  Then f(k) = sum_i r_i f(i+1) with r = t^(k-1) mod g
-    (C. M. Fiduccia, SIAM J. Comput. 14(1), 1985).  For k <= n + d, or if
-    the check fails, the value is stepped instead.
+    With A the adjacency matrix, the walk vectors are v(s) = A^(s-1) 1 and
+    f(s) = 1^T v(s).  count_total steps only v(1..d+2), d being the degree
+    of g = graph.total_count_polynomial(n), and certifies g by two checks:
+    the vector sum_i g_i v(i+2) = A g(A) 1 is zero, and the scalar
+    h(1) = sum_i g_i f(i+1) = 1^T g(A) 1 is zero.  Then the g-shifted
+    sequence h(s) = sum_i g_i f(s+i) = 1^T A^(s-1) g(A) 1 is zero at s = 1,
+    and at every s >= 2 it is 1^T A^(s-2) (A g(A) 1) = 0, so g annihilates
+    f from f(1) on.  (g(A) 1 itself need not be zero: at n = 8, 16, 24, ...
+    it is a nonzero vector in the kernel of A.)
+    Then f(k) = sum_i r_i f(i+1) with r = t^(k-1) mod g (C. M. Fiduccia,
+    SIAM J. Comput. 14(1), 1985).  For k <= d + 2, or if a check fails,
+    the value is stepped instead.
     """
     n = as_dim(n)
     if k < 0:
@@ -106,10 +111,15 @@ def count_total(n: int, k: int) -> int:
     g = total_count_polynomial(n)
     d = len(g) - 1
     walk = _walk(n, k)
-    prefix = [sum(v) for v in islice(walk, n + d)]
-    if k <= n + d:
-        return prefix[k - 1]
-    if any(sum(c * f for c, f in zip(g, prefix[s:])) for s in range(n)):
+    vectors = list(islice(walk, d + 2))
+    if k <= d + 2:
+        return sum(vectors[k - 1])
+    prefix = [sum(v) for v in vectors]
+    shifted = [0] * n  # A g(A) 1
+    for c, v in zip(g, vectors[1:]):
+        if c:
+            shifted = [x + c * y for x, y in zip(shifted, v)]
+    if any(shifted) or sum(c * f for c, f in zip(g, prefix)):
         for v in walk:  # g is not certified: step on to f(k)
             pass
         return sum(v)

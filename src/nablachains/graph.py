@@ -3,6 +3,8 @@
 nabla_j can be applied after nabla_i exactly when j = i + 1 or i + j = n + 1.
 This module materializes it as an adjacency matrix and as successor lists;
 the rest of the package (counting, classification, symbolics) is driven by it.
+Both read the rule in closed form: the successors of i are i + 1 (for i < n)
+and n + 1 - i, one index when the two coincide (2i = n).
 
 Indices are 1-based throughout the public surface.
 """
@@ -36,23 +38,35 @@ def is_composable(i: int, j: int, n: int) -> bool:
     return _composable(i, j, n)
 
 
+def _successors(i: int, n: int) -> list[int]:
+    # {i + 1, n + 1 - i} within 1..n, ascending: n + 1 - i is always in
+    # range, i + 1 is when i < n, and the two coincide when 2i = n
+    j = n + 1 - i
+    if i == n or j == i + 1:
+        return [j]
+    return [i + 1, j] if i < j else [j, i + 1]
+
+
 def build_adjacency(n: int) -> list[list[int]]:
     """The n x n 0/1 matrix with entry (i, j) = is_composable(i, j, n).
 
     Rows/columns are returned 0-based (entry [i-1][j-1] for operators i, j).
     """
     n = as_dim(n)
-    return [
-        [1 if _composable(i, j, n) else 0 for j in range(1, n + 1)]
-        for i in range(1, n + 1)
-    ]
+    rows = []
+    for i in range(1, n + 1):
+        row = [0] * n
+        for j in _successors(i, n):
+            row[j - 1] = 1
+        rows.append(row)
+    return rows
 
 
 def successors(i: int, n: int) -> list[int]:
     """Ascending list of all j composable after i."""
     n = as_dim(n)
     check_index(i, n)
-    return [j for j in range(1, n + 1) if _composable(i, j, n)]
+    return _successors(i, n)
 
 
 def total_count_polynomial(n: int) -> tuple[int, ...]:

@@ -1,3 +1,4 @@
+import decimal
 import functools
 import json
 import os
@@ -210,6 +211,20 @@ def test_sequence_streams_what_was_built_whole(capsys, monkeypatch, fmt):
         }[fmt]
         argv = ["sequence", "--n", str(n), "--k-max", str(k_max), "--format", fmt]
         assert run(capsys, *argv) == (0, want, "")
+
+
+def test_sequence_walk_traps_any_rounding(capsys, monkeypatch):
+    # sequence steps its walk in Decimal, exact because a rounded result
+    # raises.  At one digit of precision, n = 6 gives f(2) = 10, which would
+    # print as the exact but rounded 1E+1, and n = 5 at k = 3 (f(3) = 16)
+    # makes sums such as 3 + 4 + 4 = 11 that one digit cannot hold
+    monkeypatch.setattr(cli, "MAX_PREC", 1)
+    assert run(capsys, "sequence", "--n", "6", "--k-max", "1") == (0, "6\n", "")
+    assert run(capsys, "sequence", "--n", "5", "--k-max", "2") == (0, "5,9\n", "")
+    with pytest.raises(decimal.Rounded):
+        main(["sequence", "--n", "6", "--k-max", "2"])
+    with pytest.raises(decimal.Inexact):
+        main(["sequence", "--n", "5", "--k-max", "3"])
 
 
 def test_sequence_plain(capsys):

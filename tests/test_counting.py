@@ -184,7 +184,8 @@ def test_jumps_agree_with_stepping(n, k):
 
 @pytest.mark.parametrize("n", range(3, 65))
 def test_jump_boundary(n):
-    # k <= n + d returns a stepped prefix value; k = n + d + 1 is the first jump
+    # k = n + d + 1 was the first jump when g was certified on n windows of
+    # f(1..n+d); the jump now starts at d + 3
     d = len(total_count_polynomial(n)) - 1
     for k in (n + d - 1, n + d, n + d + 1):
         assert count_total(n, k) == stepped_total(n, k)
@@ -206,3 +207,51 @@ def test_uncertified_polynomial_falls_back_to_stepping(monkeypatch, n, wrong_g):
     monkeypatch.setattr(counting, "total_count_polynomial", lambda n: wrong_g)
     for k in (n + d + 1, 3 * n + 40, 700):
         assert count_total(n, k) == stepped_total(n, k)
+
+
+def walk_counter(monkeypatch) -> list[int]:
+    """Patch counting._walk to count the vectors its callers take; the list
+    holds one count per call."""
+    taken, walk = [], counting._walk
+
+    def counted(*args):
+        taken.append(0)
+        for v in walk(*args):
+            taken[-1] += 1
+            yield v
+
+    monkeypatch.setattr(counting, "_walk", counted)
+    return taken
+
+
+@pytest.mark.parametrize("n", range(3, 65))
+def test_certificate_holds_on_d_plus_2_vectors(monkeypatch, n):
+    # k <= d + 2 returns a stepped vector's total and k = d + 3 is the first
+    # jump; the true g is certified at every n here, so no total steps on
+    d = len(total_count_polynomial(n)) - 1
+    ks = (d + 1, d + 2, d + 3, 3 * n + 40, 700)
+    want = [stepped_total(n, k) for k in ks]
+    taken = walk_counter(monkeypatch)
+    assert [count_total(n, k) for k in ks] == want
+    assert taken == [d + 1] + [d + 2] * 4
+
+
+@pytest.mark.parametrize("n", [3, 4, 8, 9, 16, 63, 64])
+def test_polynomial_passing_only_the_scalar_check_falls_back(monkeypatch, n):
+    # g + f(2) - f(1) t keeps h(1) = sum_i g_i f(i+1) at zero, but A g(A) 1,
+    # sum_i g_i v(i+2), is not zero, so the jump it would make is wrong
+    g = total_count_polynomial(n)
+    d = len(g) - 1
+    values = count_sequence(n, d + 2).values
+    wrong_g = (g[0] + values[1], g[1] - values[0]) + g[2:]
+    assert sum(c * f for c, f in zip(wrong_g, values)) == 0
+    vectors = [count_per_start(n, s) for s in range(2, d + 3)]
+    assert any(sum(c * v[j] for c, v in zip(wrong_g, vectors)) for j in range(n))
+    jump = sum(r * f for r, f in zip(counting._power_mod(699, wrong_g), values))
+    assert jump != stepped_total(n, 700)
+    ks = (d + 3, 3 * n + 40, 700)
+    want = [stepped_total(n, k) for k in ks]
+    monkeypatch.setattr(counting, "total_count_polynomial", lambda n: wrong_g)
+    taken = walk_counter(monkeypatch)
+    assert [count_total(n, k) for k in ks] == want
+    assert taken == list(ks)

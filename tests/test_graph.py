@@ -104,12 +104,15 @@ def test_row_sums_are_one_or_two(n):
         assert sum(row) in (1, 2)
 
 
-@pytest.mark.parametrize("n", range(3, 10))
+@pytest.mark.parametrize("n", range(3, 71))
 def test_adjacency_agrees_with_is_composable(n):
+    # both are read off the closed-form successors; the oracle asks the
+    # predicate of every pair
     a = build_adjacency(n)
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             assert a[i - 1][j - 1] == int(is_composable(i, j, n))
+        assert successors(i, n) == [j for j in range(1, n + 1) if is_composable(i, j, n)]
 
 
 @pytest.mark.parametrize(
