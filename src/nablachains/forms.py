@@ -229,9 +229,10 @@ def apply_word(w: WordLike, v: ComponentVector) -> ComponentVector:
     word = as_word(w, v.n)
     word.require_meaningful()
     n = v.n
-    # empty slots are skipped before their values are read, as a zero-test
-    # probe fills one slot of many; the lcm stops growing past the cutoff,
-    # as the lcm of many long denominators alone can cost more than the fold
+    # empty slots are skipped before their values are read, as the first
+    # zero-test probe fills one slot of many; the lcm stops growing past the
+    # cutoff, as the lcm of many long denominators alone can cost more than
+    # the fold
     d = 1
     for den in {c.denominator for p in v.entries if p.terms for c in p.terms.values()}:
         d = math.lcm(d, den)
@@ -259,21 +260,29 @@ def is_zero_operator(w: WordLike, n: int) -> bool:
 
     Each nabla_i = iso . d . iso is first order and homogeneous with constant
     coefficients, so a chain of length L is sum_{|a|=L} C_a d^a with constant
-    matrices C_a.  Put x^b, b = (L, ..., L), in slot s and zeros elsewhere:
-    d^a x^b = (b!/(b-a)!) x^(b-a) with a nonzero factor, and distinct a give
-    distinct monomials x^(b-a).  So the output is zero iff column s of every
-    C_a is zero, and one probe per slot decides the chain.
+    matrices C_a.  Let b_s = (L + (L+1)s, L, ..., L).  As b_s >= a, d^a x^(b_s)
+    = (b_s!/(b_s-a)!) x^(b_s-a) with a nonzero factor, and the first exponent
+    of b_s - a lies in [(L+1)s, (L+1)s + L]: these ranges are disjoint, so the
+    monomials x^(b_s-a) are distinct over all s and a, and nothing cancels.
+    Fed x^(b_s) in slot s for each s in a set S and zeros elsewhere, the
+    chain thus gives zero iff column s of every C_a is zero for every s in S.
+    Two probes decide it: S = {0} first, whose nonzero output ends most
+    nonzero chains after one fold, then S = every other slot.
     """
     n = as_dim(n)
     word = as_word(w, n)
     word.require_meaningful()
     level = domain_level(word.indices[0], n)
     slots = math.comb(n, level)
+    length = len(word)
+    rest = (length,) * (n - 1)
     zero = Polynomial.zero(n)
-    probe = Polynomial.monomial(n, (len(word),) * n)
-    for slot in range(slots):
-        entries = [zero] * slots
-        entries[slot] = probe
-        if not apply_word(word, ComponentVector(n, level, tuple(entries))).is_zero():
-            return False
-    return True
+    first = (Polynomial.monomial(n, (length,) + rest),) + (zero,) * (slots - 1)
+    if not apply_word(word, ComponentVector(n, level, first)).is_zero():
+        return False
+    if slots == 1:
+        return True
+    others = tuple(
+        Polynomial.monomial(n, (length + (length + 1) * s,) + rest) for s in range(1, slots)
+    )
+    return apply_word(word, ComponentVector(n, level, (zero,) + others)).is_zero()

@@ -14,9 +14,11 @@ from hypothesis import strategies as st
 
 import nablachains
 from nablachains import (
+    DifferentialForm,
     EnumerationCapError,
     LevelMismatchError,
     NotComposableError,
+    Polynomial,
     TrivialityClass,
     classify_word,
     cli,
@@ -24,6 +26,8 @@ from nablachains import (
     count_total,
     enumerate_nontrivial,
     enumerate_words,
+    exterior_derivative,
+    is_zero_operator,
 )
 from nablachains.cli import UsageError, main
 
@@ -685,6 +689,51 @@ def test_verify_concordance_covers_n6_length4(capsys, monkeypatch):
         return classify_word(w)
 
     monkeypatch.setattr(cli, "classify_word", classify)
+    code, payload, _ = run_json(capsys, "verify", "--scope", "calculus", "--format", "json")
+    assert code == 1
+    assert payload["checks"][-1]["detail"] == "mismatch at n=6, word (1, 2, 3, 4)"
+
+
+def test_verify_oracle_runs_every_pair(capsys, monkeypatch):
+    # a count_total wrong only at the last pair, n = 6, k = 10, is caught
+    monkeypatch.setattr(cli, "count_total", lambda n, k: count_total(n, k) + ((n, k) == (6, 10)))
+    code, payload, _ = run_json(capsys, "verify", "--scope", "counting", "--format", "json")
+    assert code == 1
+    assert payload["checks"][0]["detail"].startswith("n=6 k=10: count_total ")
+    assert payload["checks"][1]["passed"] is True
+
+
+def unsigned_d(form):
+    """d without the sign dx_t picks up moving past the subset: d∘d != 0."""
+    out = {}
+    for s, g in form.components.items():
+        for t in range(1, form.n + 1):
+            if t not in s:
+                key = tuple(sorted(s + (t,)))
+                out[key] = out.get(key, Polynomial.zero(form.n)) + g.diff(t)
+    return DifferentialForm(form.n, min(form.degree + 1, form.n), out)
+
+
+def test_verify_d_squared_runs_every_form_and_catches_a_wrong_d(capsys, monkeypatch):
+    def d_squared_detail(d):
+        monkeypatch.setattr(cli, "exterior_derivative", d)
+        _, payload, _ = run_json(capsys, "verify", "--scope", "calculus", "--format", "json")
+        (check,) = [c for c in payload["checks"] if c["name"] == "d^2 == 0 on random polynomial forms"]
+        return check.get("detail", "")
+
+    calls = []
+    assert d_squared_detail(lambda form: calls.append(form.n) or exterior_derivative(form)) == ""
+    # d twice on 10 forms of each degree 0..n, n = 3..6
+    assert len(calls) == 2 * 10 * sum(n + 1 for n in range(3, 7)) == 440
+    assert d_squared_detail(unsigned_d) == "d^2 != 0 at n=3 degree=0"
+
+
+def test_verify_concordance_catches_a_wrong_zero_test(capsys, monkeypatch):
+    # an is_zero_operator wrong only at n = 6, length 4 is caught at its first word
+    def zero_test(w, n):
+        return is_zero_operator(w, n) is not ((n, len(w)) == (6, 4))
+
+    monkeypatch.setattr(cli, "is_zero_operator", zero_test)
     code, payload, _ = run_json(capsys, "verify", "--scope", "calculus", "--format", "json")
     assert code == 1
     assert payload["checks"][-1]["detail"] == "mismatch at n=6, word (1, 2, 3, 4)"

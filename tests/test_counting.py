@@ -182,15 +182,6 @@ def test_jumps_agree_with_stepping(n, k):
     assert count_total(n, k) == stepped_total(n, k)
 
 
-@pytest.mark.parametrize("n", range(3, 65))
-def test_jump_boundary(n):
-    # k = n + d + 1 was the first jump when g was certified on n windows of
-    # f(1..n+d); the jump now starts at d + 3
-    d = len(total_count_polynomial(n)) - 1
-    for k in (n + d - 1, n + d, n + d + 1):
-        assert count_total(n, k) == stepped_total(n, k)
-
-
 @pytest.mark.parametrize(
     "n, wrong_g",
     [
@@ -225,15 +216,28 @@ def walk_counter(monkeypatch) -> list[int]:
 
 
 @pytest.mark.parametrize("n", range(3, 65))
-def test_certificate_holds_on_d_plus_2_vectors(monkeypatch, n):
+def test_jump_boundary(monkeypatch, n):
     # k <= d + 2 returns a stepped vector's total and k = d + 3 is the first
-    # jump; the true g is certified at every n here, so no total steps on
+    # jump, made after the d + 2 vectors that certify g
     d = len(total_count_polynomial(n)) - 1
-    ks = (d + 1, d + 2, d + 3, 3 * n + 40, 700)
+    ks = (d + 1, d + 2, d + 3)
     want = [stepped_total(n, k) for k in ks]
     taken = walk_counter(monkeypatch)
     assert [count_total(n, k) for k in ks] == want
-    assert taken == [d + 1] + [d + 2] * 4
+    assert taken == [d + 1, d + 2, d + 2]
+
+
+@pytest.mark.parametrize("n", range(3, 65))
+def test_certificate_holds_on_d_plus_2_vectors(monkeypatch, n):
+    # the true g is certified at every n here, so no total steps on past the
+    # d + 2 vectors of the certificate; n + d - 1..n + d + 1 straddled the
+    # first jump of an older certificate on n windows of f(1..n+d)
+    d = len(total_count_polynomial(n)) - 1
+    ks = (n + d - 1, n + d, n + d + 1, 3 * n + 40, 700)
+    want = [stepped_total(n, k) for k in ks]
+    taken = walk_counter(monkeypatch)
+    assert [count_total(n, k) for k in ks] == want
+    assert taken == [d + 2] * 5
 
 
 @pytest.mark.parametrize("n", [3, 4, 8, 9, 16, 63, 64])

@@ -13,7 +13,9 @@ from nablachains import (
     LevelMismatchError,
     NotComposableError,
     Polynomial,
+    TrivialityClass,
     apply_word,
+    classify_word,
     enumerate_words,
     exterior_derivative,
     is_zero_operator,
@@ -281,14 +283,20 @@ def test_apply_word_linearity(n, data):
     assert lhs == rhs
 
 
+def probe_exponents(n: int, length: int, slot: int) -> tuple[int, ...]:
+    """b_s = (L + (L+1)s, L, ..., L), the exponents is_zero_operator puts in slot s."""
+    return (length + (length + 1) * slot,) + (length,) * (n - 1)
+
+
 def test_probe_lemma_coefficients():
     # The argument behind is_zero_operator, checked coefficient by coefficient:
-    # a length-L chain is sum_{|a|=L} C_a d^a, so on x^b e_s with b = (L, ..., L)
-    # the coefficient of x^(b-a) is b!/((b-a)! a!) times the constant the chain
-    # gives on x^a e_s (= a! C_a e_s), and no other monomial appears.
+    # a length-L chain is sum_{|a|=L} C_a d^a, so on x^b e_s with b >= a the
+    # coefficient of x^(b-a) is prod C(b_i, a_i) times the constant the chain
+    # gives on x^a e_s (= a! C_a e_s), and no other monomial appears.  Checked
+    # for b = (L, ..., L) and for the shifted b_s in slot s; the b_s of the
+    # slots a probe fills give disjoint output monomials, so nothing cancels.
     for n in range(3, 6):
         for length in range(1, 4):
-            beta = (length,) * n
             alphas = [
                 tuple(v.count(t) for t in range(n))
                 for v in combinations_with_replacement(range(n), length)
@@ -302,22 +310,30 @@ def test_probe_lemma_coefficients():
                     entries[slot] = Polynomial.monomial(n, exps)
                     return apply_word(w, ComponentVector(n, level, tuple(entries))).entries
 
+                seen = [set() for _ in range(math.comb(n, codomain_level(w.indices[-1], n)))]
                 for slot in range(slots):
-                    probe = single(slot, beta)
-                    expected = [{} for _ in probe]
-                    for alpha in alphas:
-                        factor = math.prod(math.comb(length, a) for a in alpha)
-                        shifted = tuple(length - a for a in alpha)
-                        for r, c in enumerate(single(slot, alpha)):
-                            assert set(c.terms) <= {(0,) * n}
-                            if c:
-                                expected[r][shifted] = factor * c.terms[(0,) * n]
-                    assert [p.terms for p in probe] == expected, (n, w.indices, slot)
+                    # b_s last, so probe is its output below
+                    for beta in dict.fromkeys([(length,) * n, probe_exponents(n, length, slot)]):
+                        probe = single(slot, beta)
+                        expected = [{} for _ in probe]
+                        for alpha in alphas:
+                            factor = math.prod(math.comb(b, a) for b, a in zip(beta, alpha))
+                            shifted = tuple(b - a for b, a in zip(beta, alpha))
+                            for r, c in enumerate(single(slot, alpha)):
+                                assert set(c.terms) <= {(0,) * n}
+                                if c:
+                                    expected[r][shifted] = factor * c.terms[(0,) * n]
+                        assert [p.terms for p in probe] == expected, (n, w.indices, slot, beta)
+                    if slot:
+                        for r, p in enumerate(probe):
+                            assert seen[r].isdisjoint(p.terms), (n, w.indices, slot)
+                            seen[r] |= set(p.terms)
 
 
-def test_is_zero_operator_probes_each_slot_once(monkeypatch):
-    # is_zero_operator must feed exactly the probe the lemma above is about,
-    # x^(L, ..., L) in slot 0, 1, ... in turn, and stop at the first nonzero output
+def test_is_zero_operator_makes_at_most_two_probes(monkeypatch):
+    # is_zero_operator must feed exactly the probes the lemma above is about:
+    # x^(b_0) in slot 0 alone, and, only if that gives zero and there are
+    # other slots, x^(b_s) in every slot s >= 1 with slot 0 zero
     calls = []
 
     def spy(word, v):
@@ -332,15 +348,46 @@ def test_is_zero_operator_probes_each_slot_once(monkeypatch):
                 calls.clear()
                 zero = is_zero_operator(w, n)
                 level = domain_level(w.indices[0], n)
-                beta = Polynomial.monomial(n, (length,) * n)
-                assert [v.level for v, _ in calls] == [level] * len(calls)
-                for slot, (v, _) in enumerate(calls):
-                    assert v.entries[slot] == beta
-                    assert sum(1 for p in v.entries if p) == 1
-                assert [out_zero for _, out_zero in calls[:-1]] == [True] * (len(calls) - 1)
-                assert calls[-1][1] is zero
-                if zero:
-                    assert len(calls) == math.comb(n, level)
+                slots = math.comb(n, level)
+                b = [Polynomial.monomial(n, probe_exponents(n, length, s)) for s in range(slots)]
+                zero_poly = Polynomial.zero(n)
+                assert len(calls) == (2 if calls[0][1] and slots > 1 else 1)
+                assert all(v.level == level for v, _ in calls)
+                assert calls[0][0].entries == (b[0],) + (zero_poly,) * (slots - 1)
+                if len(calls) == 2:
+                    assert calls[1][0].entries == (zero_poly,) + tuple(b[1:])
+                assert calls[-1][1] is zero, (n, w.indices)
+
+
+def slow_is_zero_operator(w: CompositionWord) -> bool:
+    """The zero test with one probe per slot: x^(L, ..., L) in slot s alone."""
+    n = w.n
+    level = domain_level(w.indices[0], n)
+    slots = math.comb(n, level)
+    probe = Polynomial.monomial(n, (len(w),) * n)
+    for slot in range(slots):
+        entries = [Polynomial.zero(n)] * slots
+        entries[slot] = probe
+        if not apply_word(w, ComponentVector(n, level, tuple(entries))).is_zero():
+            return False
+    return True
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_is_zero_operator_agrees_with_one_probe_per_slot(n):
+    for length in range(1, 4):
+        for w in enumerate_words(n, length):
+            assert is_zero_operator(w, n) is slow_is_zero_operator(w), w.indices
+
+
+@pytest.mark.parametrize("indices", [(7, 8), (6, 7, 8), (7, 6, 7), (7, 6)])
+def test_is_zero_operator_on_the_largest_levels(indices):
+    # at n = 12, nabla_7 takes C(12, 6) = 924 slots and nabla_6 C(12, 5) = 792,
+    # all but one in the second probe; classify_word's d^2 rule is the
+    # independent answer
+    w = CompositionWord(12, indices)
+    assert math.comb(12, domain_level(indices[0], 12)) == (792 if indices[0] == 6 else 924)
+    assert is_zero_operator(w, 12) is (classify_word(w) is TrivialityClass.ZERO)
 
 
 # Small denominators and a few large primes, so coefficients are ints, small
