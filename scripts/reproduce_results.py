@@ -32,7 +32,7 @@ def show_n3_basics() -> None:
 
 def show_recurrences(n_max: int) -> None:
     reference = nc.reference_recurrences()
-    print(f"derived minimal recurrences (sequences of {2 * n_max + 8} terms):")
+    print("derived minimal recurrences (sequences of 2n + 8 terms):")
     for n in range(3, n_max + 1):
         seq = nc.count_sequence(n, 2 * n + 8)
         rec = nc.minimal_recurrence(seq)

@@ -5,6 +5,15 @@ Counts are emitted as decimal strings in JSON so arbitrary precision
 survives any downstream consumer.  Exit codes: 0 success, 1 domain or
 computation failure (any ValueError, the package's own errors included),
 2 usage/parse failure (UsageError).
+
+Input rules, each an exit 2 when broken:
+- integer: every integer flag and each index of a word is -?[0-9]+, ASCII
+  digits with an optional leading '-' and nothing around them, within
+  int()'s digit limit; a flag out of range (--k -1) is an exit 1;
+- word (--word): integers separated by ',', each with any whitespace
+  around it, first applied first;
+- vector (--input): '[' and ']' around polynomials separated by ',', each
+  with any whitespace around it, in polynomial.parse_polynomial's grammar.
 """
 
 from __future__ import annotations
@@ -14,6 +23,7 @@ import functools
 import json
 import math
 import random
+import re
 import sys
 import time
 from decimal import (
@@ -68,27 +78,23 @@ MAX_COUNT_BITS = 2**17
 # bound on the work, as only one step's counts are held at a time; n = 3 at
 # k_max = 30 000 needs 450 045 000, and n = 64 is admitted to 32 761
 MAX_SEQUENCE_BITS = 2**29
+_INTEGER = re.compile(r"-?[0-9]+")
 
 
 class UsageError(Exception):
     """Bad flags or unparseable input; maps to exit code 2."""
 
 
-def _ascii_int(text: str) -> int:
-    """int(text) for ASCII text only; int() alone also reads '٣' and '５'."""
-    if not text.isascii():
-        raise ValueError(f"non-ASCII character in integer {text!r}")
-    return int(text)
-
-
-def _int_option(text: str) -> int:
-    # argparse type; argparse prints an ArgumentTypeError's message as it is
-    try:
-        return _ascii_int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(
-            f"invalid int value: {text!r}" if text.isascii() else str(exc)
-        ) from None
+def _int(text: str) -> int:
+    """The integer rule: -?[0-9]+, within int()'s digit limit.  int() alone
+    also takes '+5', '5_000', ' 5' and '٣'.  An argparse type: argparse
+    prints an ArgumentTypeError's message as it is."""
+    if _INTEGER.fullmatch(text):
+        try:
+            return int(text)
+        except ValueError:  # more digits than int() reads
+            pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
 
 
 def _check_counting_n(n: int) -> None:
@@ -254,9 +260,9 @@ def cmd_enumerate(args) -> int:
 
 def _parse_word(text: str, n: int) -> CompositionWord:
     try:
-        indices = tuple(_ascii_int(part) for part in text.split(","))
+        indices = tuple(_int(part.strip()) for part in text.split(","))
         return CompositionWord(n, indices)
-    except ValueError as exc:
+    except (argparse.ArgumentTypeError, ValueError) as exc:
         raise UsageError(f"bad word {text!r}: {exc}") from exc
 
 
@@ -500,31 +506,31 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=choices, default=default)
 
     p = sub.add_parser("count", help="number of meaningful chains of order k")
-    p.add_argument("--n", type=_int_option, required=True)
-    p.add_argument("--k", type=_int_option, required=True)
+    p.add_argument("--n", type=_int, required=True)
+    p.add_argument("--k", type=_int, required=True)
     add_format(p, "plain", ("plain", "json"))
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("sequence", help="counts for k = 1..k_max")
-    p.add_argument("--n", type=_int_option, required=True)
-    p.add_argument("--k-max", dest="k_max", type=_int_option, required=True)
+    p.add_argument("--n", type=_int, required=True)
+    p.add_argument("--k-max", dest="k_max", type=_int, required=True)
     add_format(p, "plain")
     p.set_defaults(func=cmd_sequence)
 
     p = sub.add_parser("recurrence", help="minimal recurrence for the counts")
-    p.add_argument("--n", type=_int_option, required=True)
+    p.add_argument("--n", type=_int, required=True)
     add_format(p, "json", ("plain", "json"))
     p.set_defaults(func=cmd_recurrence)
 
     p = sub.add_parser("enumerate", help="list meaningful chains")
-    p.add_argument("--n", type=_int_option, required=True)
-    p.add_argument("--length", type=_int_option, required=True)
+    p.add_argument("--n", type=_int, required=True)
+    p.add_argument("--length", type=_int, required=True)
     p.add_argument("--nontrivial", action="store_true")
     add_format(p, "json")
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("apply", help="apply an operator chain to polynomial input")
-    p.add_argument("--n", type=_int_option, required=True)
+    p.add_argument("--n", type=_int, required=True)
     p.add_argument("--word", required=True, help="comma-separated indices, first applied first")
     p.add_argument("--input", required=True, help="bracketed polynomial components")
     add_format(p, "json", ("plain", "json"))

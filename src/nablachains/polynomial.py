@@ -231,7 +231,14 @@ def _check_tokens(text: str) -> None:
 
 
 def parse_polynomial(text: str, n_vars: int) -> Polynomial:
-    """Parse syntax like ``3/2*x1^2*x3 - x2 + 4``."""
+    """Parse syntax like ``3/2*x1^2*x3 - x2 + 4``, by this grammar (EBNF):
+
+        polynomial = {sign}, term, {sign, {sign}, term} ;   sign = "+" | "-" ;
+        term = factor, {"*", factor} ;   factor = number | "x", digits, ["^", digits] ;
+        number = digits, ["/", digits] ;   (* one token; whitespace only between tokens *)
+
+    digits are ASCII 0-9, and "x", digits is one token too.  A term's signs
+    multiply, so ``x1 - -x2`` is x1 + x2."""
     try:
         return _parse(_TOKEN.findall(text), n_vars)
     except Exception:
@@ -248,12 +255,13 @@ def _parse(tokens: list[tuple[str, str, str, str]], n_vars: int) -> Polynomial:
     if not tokens:
         raise ValueError("empty polynomial")
     terms: dict[Exponents, Scalar] = {}
-    idx, end, sign = 0, len(tokens), 1
+    idx, end = 0, len(tokens)
     while True:
-        # A term is an optional sign, then factors joined by '*': a single
+        # A term is a run of signs, then factors joined by '*': a single
         # monomial, whose numerator and denominator multiply as ints, so one
         # Fraction is made per term whose denominator is not 1.
-        if idx < end and tokens[idx][2] in ("+", "-"):
+        sign = 1
+        while idx < end and tokens[idx][2] in ("+", "-"):
             if tokens[idx][2] == "-":
                 sign = -sign
             idx += 1
@@ -306,8 +314,7 @@ def _parse(tokens: list[tuple[str, str, str, str]], n_vars: int) -> Polynomial:
             if not all(terms.values()):
                 terms = {e: c for e, c in terms.items() if c}
             return _built(n_vars, terms)
+        # the next term's signs separate it from this one
         number, var, op, _ = tokens[idx]
         if op not in ("+", "-"):
             raise ValueError(f"expected '+' or '-', got {number or var or op!r}")
-        sign = 1 if op == "+" else -1
-        idx += 1

@@ -16,10 +16,13 @@ import nablachains
 from nablachains import (
     DifferentialForm,
     EnumerationCapError,
+    IntegerPolynomial,
     LevelMismatchError,
     NotComposableError,
     Polynomial,
+    Recurrence,
     TrivialityClass,
+    characteristic_polynomial,
     classify_word,
     cli,
     count_sequence,
@@ -28,6 +31,10 @@ from nablachains import (
     enumerate_words,
     exterior_derivative,
     is_zero_operator,
+    minimal_recurrence,
+    nabla,
+    reference_recurrences,
+    verify_recurrence,
 )
 from nablachains.cli import UsageError, main
 
@@ -471,7 +478,8 @@ def test_apply_non_ascii_digits_are_usage_errors(capsys, poly):
     assert err.startswith("error: bad polynomial: cannot parse polynomial near ")
 
 
-# int() reads Arabic-Indic and fullwidth digits; the CLI takes ASCII only
+# int() reads Arabic-Indic and fullwidth digits, underscores, a '+' and
+# surrounding spaces; the CLI takes -?[0-9]+ only
 @pytest.mark.parametrize(
     "argv, named",
     [
@@ -482,6 +490,12 @@ def test_apply_non_ascii_digits_are_usage_errors(capsys, poly):
         (("enumerate", "--n", "3", "--length", "\u0662"), "argument --length"),
         (("apply", "--n", "3", "--word", "\u0663", "--input", "[x1, x2, x3]"), "bad word"),
         (("apply", "--n", "3", "--word", "1,\u0662", "--input", "[x1]"), "bad word"),
+        (("count", "--n", "3", "--k", "5_000"), "argument --k"),
+        (("count", "--n", "3", "--k", "+5"), "argument --k"),
+        (("count", "--n", "3", "--k", " 5"), "argument --k"),
+        (("apply", "--n", "3", "--word", "+1", "--input", "[x1]"), "bad word"),
+        (("apply", "--n", "3", "--word", "1_0", "--input", "[x1]"), "bad word"),
+        (("apply", "--n", "3", "--word", "1,", "--input", "[x1]"), "bad word"),
     ],
 )
 def test_non_ascii_integer_arguments_are_usage_errors(capsys, argv, named):
@@ -489,7 +503,13 @@ def test_non_ascii_integer_arguments_are_usage_errors(capsys, argv, named):
     assert code == 2
     assert out == ""
     assert named in err
-    assert "non-ASCII character in integer" in err
+    assert "invalid int value" in err
+
+
+@pytest.mark.parametrize("word", ["1,3", " 1 , 3 ", "1,\t3"])
+def test_word_items_ignore_the_whitespace_around_them(capsys, word):
+    argv = ["apply", "--n", "3", "--input", "[1/2*x1^2*x2 + 1/3*x3^3]", "--format", "plain"]
+    assert run(capsys, *argv, "--word", word) == (0, "[x2 + 2*x3]\n", "")
 
 
 def test_apply_oversized_exponent_is_usage_error(capsys):
@@ -555,6 +575,85 @@ def test_bad_flags_exit_2(capsys):
     assert run(capsys, "count", "--n", "3")[0] == 2
     assert run(capsys, "count", "--n", "x", "--k", "1")[0] == 2
     assert run(capsys, "nonsense")[0] == 2
+
+
+# argv drawn from the subcommands, their flags and edge values, at sizes that
+# run in milliseconds: --k <= 300, --length <= 6, words of at most three
+# operators (apply has no work budget), and no verify
+DEFAULT_FORMATS = {"count": "plain", "sequence": "plain", "recurrence": "json",
+                   "enumerate": "json", "apply": "json"}
+EDGE_INTEGERS = ["", "-0", "007", "+5", "5_000", " 5", "5 ", "\u0663", "0x10", "1e3", "1000000000",
+                 "9" * 5000]
+POLYNOMIALS = ["x1", "-x2^2", "1/2*x1*x3", "--x1", "0", "7*x2^3 - x3", "x1 - - x2", " 4 "]
+BAD_POLYNOMIALS = ["x9", "3/0", "x1 +", "x1^", "?", "", "x1*-x2"]
+
+
+def often(k):
+    """True k - 1 times in k; Hypothesis draws the first of a list most."""
+    return st.sampled_from([True] * (k - 1) + [False])
+
+
+@st.composite
+def integers(draw, lo, hi):
+    # an edge value one time in five
+    if draw(often(5)):
+        return str(draw(st.integers(lo, hi)))
+    return draw(st.sampled_from(EDGE_INTEGERS))
+
+
+@st.composite
+def words(draw):
+    items = draw(st.lists(integers(1, 6), min_size=1, max_size=draw(st.sampled_from([1, 3]))))
+    return draw(st.sampled_from([",", ", ", " ,"])).join(items)
+
+
+@st.composite
+def vectors(draw):
+    size = draw(st.sampled_from([1, 3, 4, 6]))
+    entries = draw(st.lists(st.sampled_from(POLYNOMIALS), min_size=size, max_size=size))
+    if not draw(often(4)):
+        entries[draw(st.integers(0, len(entries) - 1))] = draw(st.sampled_from(BAD_POLYNOMIALS))
+    return draw(st.sampled_from(["[{}]", " [ {} ] ", "{}", "[{}"])).format(", ".join(entries))
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from([*DEFAULT_FORMATS, "nonsense"]))
+    n = ("--n", integers(2, 65))
+    flags = {
+        "count": [n, ("--k", integers(-1, 300))],
+        "sequence": [n, ("--k-max", integers(-1, 300))],
+        "recurrence": [n],
+        "enumerate": [n, ("--length", integers(-1, 6))],
+        "apply": [("--n", integers(3, 6)), ("--word", words()), ("--input", vectors())],
+        "nonsense": [],
+    }[command]
+    # each flag is left out one time in ten
+    parts = [[flag, draw(values)] for flag, values in flags if draw(often(10))]
+    if draw(st.booleans()):
+        # json twice: it is the format whose output is checked further
+        parts.append(["--format", draw(st.sampled_from(["plain", "json", "json", "csv", "xml"]))])
+    if command == "enumerate" and draw(st.booleans()):
+        parts.append(["--nontrivial"])
+    if not draw(often(10)):
+        parts.append([draw(st.sampled_from(["--bogus", "extra", "--n"]))])
+    return [command, *(arg for part in draw(st.permutations(parts)) for arg in part)]
+
+
+@given(argvs())
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_main_exits_0_1_or_2_with_one_error_line_or_valid_json(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code in (0, 1, 2)
+    if code:
+        assert sum("error:" in line for line in err.splitlines()) == 1
+        return
+    assert err == ""
+    formats = [argv[i + 1] for i, arg in enumerate(argv) if arg == "--format"]
+    if (formats or [DEFAULT_FORMATS[argv[0]]])[-1] == "json":
+        payload = json.loads(out)
+        if jsonschema is not None:
+            schema_validator().validate(payload)
 
 
 @pytest.mark.parametrize(
@@ -739,6 +838,111 @@ def test_verify_concordance_catches_a_wrong_zero_test(capsys, monkeypatch):
     assert payload["checks"][-1]["detail"] == "mismatch at n=6, word (1, 2, 3, 4)"
 
 
+def run_one_check(capsys, monkeypatch, name):
+    """verify run on the named check alone, through main: (exit code, detail)."""
+    ((scope, check),) = [
+        (scope, check) for scope, checks in cli.SUITES.items() for n, check in checks if n == name
+    ]
+    with monkeypatch.context() as m:
+        m.setitem(cli.SUITES, scope, [(name, check)])
+        code, payload, _ = run_json(capsys, "verify", "--scope", scope, "--format", "json")
+    (entry,) = payload["checks"]
+    return code, entry.get("detail", "")
+
+
+def counted(monkeypatch, name, fn):
+    """Put fn in cli's namespace under name; return the list of its calls' arguments."""
+    calls = []
+    monkeypatch.setattr(cli, name, lambda *args: calls.append(args) or fn(*args))
+    return calls
+
+
+MINIMAL = "derived minimal recurrences annihilate and are minimal n=3..10"
+CHARACTERISTIC = "characteristic recurrence annihilates counts n=3..12"
+TABLE = "minimal recurrences match reference table n=3..10"
+
+
+def last_coefficient_plus_one(rec):
+    return Recurrence(rec.coefficients[:-1] + (rec.coefficients[-1] + 1,), rec.valid_from)
+
+
+def test_verify_fibonacci_runs_every_k_and_catches_a_wrong_count(capsys, monkeypatch):
+    # a count_total wrong only at (3, 30), the last k, is caught; the oracle
+    # pairs stop at k = 10, so that check still passes
+    calls = counted(monkeypatch, "count_total", lambda n, k: count_total(n, k) + ((n, k) == (3, 30)))
+    code, payload, _ = run_json(capsys, "verify", "--scope", "counting", "--format", "json")
+    assert code == 1
+    assert [c.get("detail", "") for c in payload["checks"]] == ["", "k=30: f(k) != Fib(k+3)"]
+    oracle = [(n, k) for n in range(3, 7) for k in range(1, 11)]
+    assert calls == oracle + [(3, k) for k in range(1, 31)]
+
+
+def test_verify_minimal_recurrences_runs_every_n_and_catches_faults(capsys, monkeypatch):
+    def at_10(make):
+        return lambda seq: make(minimal_recurrence(seq)) if seq.n == 10 else minimal_recurrence(seq)
+
+    calls = counted(monkeypatch, "minimal_recurrence", at_10(lambda rec: rec))
+    assert run_one_check(capsys, monkeypatch, MINIMAL) == (0, "")
+    assert [seq.n for (seq,) in calls] == list(range(3, 11))
+    # the reference row holds on the counts but has order 6; the counts at
+    # n = 10 satisfy a divisor of order 3
+    row = reference_recurrences()[10]
+    assert row.order == 6 and verify_recurrence(row, count_sequence(10, 60))
+    counted(monkeypatch, "minimal_recurrence", at_10(lambda rec: row))
+    assert run_one_check(capsys, monkeypatch, MINIMAL) == (1, "n=10: a shorter recurrence also fits")
+    counted(monkeypatch, "minimal_recurrence", at_10(last_coefficient_plus_one))
+    assert run_one_check(capsys, monkeypatch, MINIMAL) == (
+        1, "n=10: derived recurrence fails on longer sequence"
+    )
+
+
+def test_verify_characteristic_recurrences_runs_every_n_and_catches_a_wrong_charpoly(
+    capsys, monkeypatch
+):
+    def wrong_at_12(a):
+        p = characteristic_polynomial(a)
+        if len(a) != 12:
+            return p
+        return IntegerPolynomial(p.coefficients[:1] + (p.coefficients[1] + 1,) + p.coefficients[2:])
+
+    calls = counted(monkeypatch, "characteristic_polynomial", characteristic_polynomial)
+    assert run_one_check(capsys, monkeypatch, CHARACTERISTIC) == (0, "")
+    assert [len(a) for (a,) in calls] == list(range(3, 13))
+    counted(monkeypatch, "characteristic_polynomial", wrong_at_12)
+    assert run_one_check(capsys, monkeypatch, CHARACTERISTIC) == (
+        1, "n=12: characteristic recurrence fails"
+    )
+    # the minimal-recurrence check's Hankel matrices are at most 5 x 5
+    code, payload, _ = run_json(capsys, "verify", "--scope", "recurrence", "--format", "json")
+    assert {c["name"]: c.get("detail", "") for c in payload["checks"]}[MINIMAL] == ""
+
+
+def test_verify_reference_table_compares_every_row(capsys, monkeypatch):
+    derived = {n: minimal_recurrence(count_sequence(n, 2 * n + 8)) for n in range(3, 11)}
+    monkeypatch.setattr(cli, "reference_recurrences", lambda: dict(derived))
+    assert run_one_check(capsys, monkeypatch, TABLE) == (0, "")
+    derived[3] = last_coefficient_plus_one(derived[3])
+    assert run_one_check(capsys, monkeypatch, TABLE) == (
+        1, "7/8 rows match; derived minimal recurrences disagree with the reference table at n=[3]"
+    )
+
+
+@pytest.mark.parametrize(
+    "i, name, detail",
+    [
+        (1, "grad identity (n=3)", "first-operator output disagrees with componentwise gradient"),
+        (2, "curl identity (n=3)", "second-operator output disagrees with the curl formula"),
+        (3, "div identity (n=3)", "third-operator output disagrees with the divergence formula"),
+    ],
+)
+def test_verify_identities_catch_a_wrong_nabla(capsys, monkeypatch, i, name, detail):
+    # a nabla wrong only for index i fails exactly the check for i
+    monkeypatch.setattr(cli, "nabla", lambda j, v: nabla(j, v).scale(2 if j == i else 1))
+    code, payload, _ = run_json(capsys, "verify", "--scope", "calculus", "--format", "json")
+    assert code == 1
+    assert {c["name"]: c["detail"] for c in payload["checks"] if not c["passed"]} == {name: detail}
+
+
 def test_reproduce_script_cross_checks_pass():
     proc = subprocess.run(
         [sys.executable, str(REPO / "scripts" / "reproduce_results.py")],
@@ -748,6 +952,8 @@ def test_reproduce_script_cross_checks_pass():
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+    # row n is fitted to f(1..2n + 8), 14 terms at n = 3
+    assert "\nderived minimal recurrences (sequences of 2n + 8 terms):\n" in proc.stdout
     checks = proc.stdout.split("cross-checks:\n", 1)[1].splitlines()
     assert len(checks) == 7
     assert all(line.startswith("PASS  ") for line in checks)

@@ -7,6 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from nablachains import Polynomial, parse_polynomial
+from nablachains.cli import main
 
 
 def poly_strategy(n_vars=3, max_degree=3, max_terms=4):
@@ -220,8 +221,9 @@ ORACLE_TOKEN = re.compile(
 
 def fraction_per_factor_parse(text: str, n_vars: int) -> Polynomial:
     """The parser as it was before terms were multiplied as ints: a
-    Fraction per factor, one token match per step.  The oracle for
-    parse_polynomial's values and messages."""
+    Fraction per factor, one token match per step, and a run of signs
+    before a term's first factor.  The oracle for parse_polynomial's
+    values and messages."""
     # int() refuses digit strings over this limit (0: none; Python before
     # 3.10.7 has none) with advice that a CLI user cannot act on
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
@@ -254,11 +256,11 @@ def fraction_per_factor_parse(text: str, n_vars: int) -> Polynomial:
         tok = tokens[idx]
         if tok == "-" and sign_allowed:
             idx += 1
-            c, exps = parse_factor()
+            c, exps = parse_factor(sign_allowed=True)
             return -c, exps
         if tok == "+" and sign_allowed:
             idx += 1
-            return parse_factor()
+            return parse_factor(sign_allowed=True)
         exps = [0] * n_vars
         if kinds[idx] == "num":
             idx += 1
@@ -517,3 +519,79 @@ def test_parse_drops_the_zeros_that_terms_make(text):
 def test_parse_needs_at_least_one_variable(text, n_vars):
     with pytest.raises(ValueError, match="^need at least one variable$"):
         parse_polynomial(text, n_vars)
+
+
+# ------------------------------------------------------------ the grammar
+# Text drawn from the grammar in parse_polynomial's docstring, with
+# whitespace between tokens, runs of signs and leading zeros, and the
+# polynomial that the drawn structure spells.
+
+def digits(draw, value):
+    return "0" * draw(st.integers(0, 2)) + str(value)
+
+
+@st.composite
+def grammar_texts(draw, n):
+    tokens, expected = [], Polynomial.zero(n)
+    for t in range(draw(st.integers(1, 5))):
+        signs = draw(st.text("+-", min_size=0 if t == 0 else 1, max_size=3))
+        tokens += signs
+        coeff, exps = Fraction((-1) ** signs.count("-")), [0] * n
+        for f in range(draw(st.integers(1, 3))):
+            if f:
+                tokens.append("*")
+            if draw(st.booleans()):
+                num, den = draw(st.integers(0, 12)), draw(st.none() | st.integers(1, 9))
+                tokens.append(digits(draw, num) + ("" if den is None else "/" + digits(draw, den)))
+                coeff *= Fraction(num, den or 1)
+            else:
+                i, power = draw(st.integers(1, n)), draw(st.none() | st.integers(0, 4))
+                tokens.append("x" + digits(draw, i))
+                if power is not None:
+                    tokens += ["^", digits(draw, power)]
+                exps[i - 1] += 1 if power is None else power
+        expected = expected + Polynomial.monomial(n, exps, coeff)
+    space = st.text(" \t\n", max_size=2)
+    text = draw(space) + "".join(tok + draw(space) for tok in tokens)
+    return n, text, expected
+
+
+@given(st.integers(1, 4).flatmap(grammar_texts))
+@settings(max_examples=200)
+def test_grammar_texts_parse_to_what_they_spell(case):
+    n, text, expected = case
+    p = parse_polynomial(text, n)
+    assert p == expected
+    assert parse_polynomial(str(p), n) == p
+
+
+# every message the parser raises on text within the digit limit
+PARSER_MESSAGES = re.compile(
+    r"empty polynomial|unexpected end of polynomial|zero denominator in '[0-9]+/[0-9]+'"
+    r"|variable x[0-9]+ out of range for n=[0-9]+|expected integer exponent after '\^'"
+    r"|unexpected token '[-+*^]'|expected '\+' or '-', got '[^']+'"
+    r"|cannot parse polynomial near '.*'",
+    re.DOTALL,
+)
+
+
+@given(st.integers(3, 5).flatmap(grammar_texts), st.data())
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_one_changed_character_parses_or_is_refused_as_a_usage_error(capsys, case, data):
+    # the vector syntax around a polynomial takes ',', '[' and ']', so the
+    # change draws none of them
+    n, text, _ = case
+    pos = data.draw(st.integers(0, len(text) - 1))
+    text = text[:pos] + data.draw(st.sampled_from("0123456789x+-*/^ \t" + "y?._(٣")) + text[pos + 1:]
+    got = outcome(parse_polynomial, text, n)
+    if not isinstance(got, Polynomial):
+        assert got[0] == "ValueError" and PARSER_MESSAGES.fullmatch(got[1])
+    # as the only component of apply's input, whose items are stripped
+    code = main(["apply", "--n", str(n), "--word", "1", "--input", f"[{text}]", "--format", "plain"])
+    out, err = capsys.readouterr()
+    got = outcome(parse_polynomial, text.strip(), n)
+    if isinstance(got, Polynomial):
+        grad = ", ".join(str(got.diff(i)) for i in range(1, n + 1))
+        assert (code, out, err) == (0, f"[{grad}]\n", "")
+    else:
+        assert (code, out, err) == (2, "", f"error: bad polynomial: {got[1]}\n")
