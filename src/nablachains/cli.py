@@ -13,7 +13,9 @@ Input rules, each an exit 2 when broken:
 - word (--word): integers separated by ',', each with any whitespace
   around it, first applied first;
 - vector (--input): '[' and ']' around polynomials separated by ',', each
-  with any whitespace around it, in polynomial.parse_polynomial's grammar.
+  with any whitespace around it, in polynomial.parse_polynomial's grammar;
+- a --word or --input value that starts with a single '-' is that flag's
+  value (--word -1,2 reads as --word=-1,2), so it meets the rules above.
 """
 
 from __future__ import annotations
@@ -544,10 +546,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Flags whose value may start with '-': a word (-1,2) or a vector (-x1).
+_DASH_VALUE_FLAGS = ("--word", "--input")
+
+
+def _join_dash_values(argv: Iterable[str]) -> list[str]:
+    """argv with each single-dash value of a _DASH_VALUE_FLAGS flag, or of
+    an abbreviation argparse takes for one, joined to it as --flag=value.
+    argparse reads a value that starts with '-' and is not a plain negative
+    number as an option, and then refuses the flag with 'expected one
+    argument'; a value that starts with '--' stays an option, so a missing
+    value is still a usage error."""
+    joined: list[str] = []
+    for arg in argv:
+        flag = joined[-1] if joined else ""
+        if (len(flag) > 2 and any(f.startswith(flag) for f in _DASH_VALUE_FLAGS)
+                and arg[:1] == "-" and arg[:2] != "--"):
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
+    return joined
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_dash_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
     try:

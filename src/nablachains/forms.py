@@ -9,6 +9,14 @@ operators come out as the classical grad, curl and div, and it is pinned
 by tests rather than assumed.  The identification is stated once, in
 _level and _slots; both iso maps and the level helpers read it from there.
 
+The combinatorics of the nabla route depend only on n and a subset, so
+each is built once and cached, bounded by the (n, subset) pairs seen: the
+subsets of a size, the low side of _slots, complement_sign per subset, and
+per subset s the (t, key of dx_t ^ dx_s, sign) entries exterior_derivative
+reads.  _slots itself is not cached whole: its high side calls
+complement_sign once per slot on every iso call, so a traced run that
+follows an untraced one still enters complement_sign.
+
 The operator chain machinery (nabla, apply_word) and the exact
 zero-operator decision procedure live here too.  Each nabla_i has constant
 integer coefficients, so a chain is linear over Z, and apply_word folds it
@@ -21,9 +29,10 @@ like integer ones, are folded as given.
 
 from __future__ import annotations
 
-import bisect
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
@@ -36,9 +45,14 @@ from .words import WordLike, as_word
 Subset = tuple[int, ...]
 
 
+@functools.cache
+def _subsets(n: int, size: int) -> tuple[Subset, ...]:
+    return tuple(itertools.combinations(range(1, n + 1), size))
+
+
 def subsets(n: int, size: int) -> list[Subset]:
     """Ascending subsets of {1..n} of the given size, in lexicographic order."""
-    return list(itertools.combinations(range(1, n + 1), size))
+    return list(_subsets(n, size))
 
 
 def complement_sign(s: Subset, n: int) -> tuple[Subset, int]:
@@ -47,6 +61,11 @@ def complement_sign(s: Subset, n: int) -> tuple[Subset, int]:
     The k-th smallest s_k exceeds s_k - k elements of T, so (S, T) has
     sum(S) - |S|(|S|+1)/2 inversions.
     """
+    return _complement_sign(tuple(s), n)
+
+
+@functools.cache
+def _complement_sign(s: Subset, n: int) -> tuple[Subset, int]:
     t = tuple(x for x in range(1, n + 1) if x not in s)
     return t, -1 if (sum(s) - len(s) * (len(s) + 1) // 2) % 2 else 1
 
@@ -64,8 +83,27 @@ def _slots(n: int, degree: int) -> list[tuple[Subset, int]]:
     """
     level = _level(degree, n)
     if degree <= n // 2:
-        return [(s, 1) for s in subsets(n, level)]
-    return [complement_sign(s, n) for s in subsets(n, level)]
+        return list(_low_slots(n, level))
+    return [complement_sign(s, n) for s in _subsets(n, level)]
+
+
+@functools.cache
+def _low_slots(n: int, level: int) -> tuple[tuple[Subset, int], ...]:
+    return tuple((s, 1) for s in _subsets(n, level))
+
+
+@functools.cache
+def _wedges(s: Subset, n: int) -> tuple[tuple[int, Subset, int], ...]:
+    """(t, key of dx_t ^ dx_s, sign) for each t in 1..n not in s; the sign is
+    (-1)^pos, as dx_t moves past the pos elements of s below it."""
+    out = []
+    pos = 0
+    for t in range(1, n + 1):
+        if t in s:
+            pos += 1
+        else:
+            out.append((t, s[:pos] + (t,) + s[pos:], -1 if pos % 2 else 1))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -83,16 +121,17 @@ class DifferentialForm:
         as_dim(self.n)
         if not 0 <= self.degree <= self.n:
             raise ValueError(f"degree {self.degree} out of range 0..{self.n}")
+        n, degree = self.n, self.degree
         canon: dict[Subset, Polynomial] = {}
         for key, poly in self.components.items():
             key = tuple(key)
-            if len(key) != self.degree or list(key) != sorted(set(key)):
-                raise ValueError(f"bad basis subset {key} for degree {self.degree}")
-            if key and not (1 <= key[0] and key[-1] <= self.n):
-                raise ValueError(f"subset {key} not within 1..{self.n}")
-            if poly.n_vars != self.n:
+            if len(key) != degree or not all(map(operator.lt, key, key[1:])):
+                raise ValueError(f"bad basis subset {key} for degree {degree}")
+            if key and not (1 <= key[0] and key[-1] <= n):
+                raise ValueError(f"subset {key} not within 1..{n}")
+            if poly.n_vars != n:
                 raise ValueError("component polynomial has wrong variable count")
-            if not poly.is_zero():
+            if poly.terms:
                 canon[key] = poly
         object.__setattr__(self, "components", canon)
 
@@ -153,16 +192,11 @@ def exterior_derivative(form: DifferentialForm) -> DifferentialForm:
         return DifferentialForm(n, n, {})
     out: dict[Subset, Polynomial] = {}
     for s, g in form.components.items():
-        for t in range(1, n + 1):
-            if t in s:
-                continue
+        for t, key, sign in _wedges(s, n):
             dg = g.diff(t)
-            if dg.is_zero():
+            if not dg.terms:
                 continue
-            # dx_t moves past the pos elements of s below it
-            pos = bisect.bisect(s, t)
-            key = s[:pos] + (t,) + s[pos:]
-            contrib = dg.scale(-1 if pos % 2 else 1)
+            contrib = dg.scale(sign)
             old = out.get(key)
             out[key] = contrib if old is None else old + contrib
     return DifferentialForm(n, form.degree + 1, out)

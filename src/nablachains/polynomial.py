@@ -89,11 +89,14 @@ class Polynomial:
             raise ValueError(f"variable index {i} out of range 1..{self.n_vars}")
         # Lowering the i-th exponent maps distinct exponents to distinct ones,
         # so each surviving term lands on its own key.
+        j = i - 1
         terms: dict[Exponents, Scalar] = {}
         for e, c in self.terms.items():
-            p = e[i - 1]
+            p = e[j]
             if p:
-                terms[e[: i - 1] + (p - 1,) + e[i:]] = c * p if p > 1 else c
+                lowered = list(e)
+                lowered[j] = p - 1
+                terms[tuple(lowered)] = c * p if p > 1 else c
         return _built(self.n_vars, terms)
 
     # predicates and comparison

@@ -99,11 +99,12 @@ def characteristic_polynomial(a: list[list[int]]) -> IntegerPolynomial:
     A^(k+1) = A A^k combines those ints over the nonzero entries of A's
     rows: one or two bigint additions a row for the composability graph.
     With R the largest absolute row sum of A, the infinity norm is
-    submultiplicative, so |(A^k)[r][s]| <= R^k <= R^n < 2^(w-2) for k <= n
-    when w = bit_length(R^n) + 2.  Adding 2^(w-1) to every w-bit digit
-    then leaves each digit in [0, 2^w), so the diagonal entry is read off
-    without a borrow from the digits below.  Raises ValueError if the matrix
-    is not square.
+    submultiplicative, so |(A^k)[r][s]| <= R^k <= R^n < 2^(w-1) for k <= n
+    already when w = bit_length(R^n) + 1.  Adding 2^(w-1) to every w-bit
+    digit then leaves each digit in [0, 2^w), so the diagonal entry is read
+    off without a borrow from the digits below.  The + 2 below keeps one
+    spare bit: cutting w by one bit is an equivalent mutant, which no test
+    can tell apart.  Raises ValueError if the matrix is not square.
     """
     n = len(a)
     for r, row in enumerate(a):

@@ -512,6 +512,59 @@ def test_word_items_ignore_the_whitespace_around_them(capsys, word):
     assert run(capsys, *argv, "--word", word) == (0, "[x2 + 2*x3]\n", "")
 
 
+BAD_WORD = "bad word '-1,2': operator index -1 out of range 1..3"
+UNBRACKETED = "input vector must be bracketed, e.g. [x1*x2, 0, x3]"
+
+
+# argparse reads a value that starts with '-' and is not a plain negative
+# number as an option; a --word or --input value reaches its own check
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--word", "-1,2", "--input", "[x1]"), BAD_WORD),
+        (("--word=-1,2", "--input", "[x1]"), BAD_WORD),
+        (("--input", "[x1]", "--word", "-1,2"), BAD_WORD),
+        (("--wor", "-1,2", "--inp", "[x1]"), BAD_WORD),
+        (("--word", "-1", "--input", "[x1]"), "bad word '-1': operator index -1 out of range 1..3"),
+        (("--word", "-h", "--input", "[x1]"), "bad word '-h': invalid int value: '-h'"),
+        (("--word", "1", "--input", "-x1"), UNBRACKETED),
+        (("--word", "1", "--i", "-x1"), UNBRACKETED),
+        (("--word", "1", "--input=-x1"), UNBRACKETED),
+        (("--word", "1", "--input", "-[x1]", "--format", "plain"), UNBRACKETED),
+    ],
+)
+def test_dash_led_word_and_input_reach_their_own_checks(capsys, argv, message):
+    assert run(capsys, "apply", "--n", "3", *argv) == (2, "", f"error: {message}\n")
+
+
+def test_dash_led_word_from_the_command_line():
+    proc = subprocess.run(
+        [sys.executable, "-m", "nablachains.cli", "apply", "--n", "3", "--word", "-1,2",
+         "--input", "[x1]"],
+        capture_output=True,
+        text=True,
+        env=CHILD_ENV,
+        timeout=30,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {BAD_WORD}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("--word", "1", "--input", "--format", "json"), "--input"),
+        (("--input", "[x1]", "--word", "--format", "json"), "--word"),
+        (("--input", "[x1]", "--word", "--n", "3"), "--word"),
+        (("--word", "1", "--input"), "--input"),
+        (("--word", "1", "--inp", "--format", "json"), "--input"),
+    ],
+)
+def test_a_missing_word_or_input_value_is_still_a_usage_error(capsys, argv, flag):
+    code, out, err = run(capsys, "apply", "--n", "3", *argv)
+    assert (code, out) == (2, "")
+    assert err.endswith(f"error: argument {flag}: expected one argument\n")
+
+
 def test_apply_oversized_exponent_is_usage_error(capsys):
     # parsing user input keeps int()'s digit limit, reported in our own words
     code, out, err = run(

@@ -1,7 +1,8 @@
+import bisect
 import math
 import random
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 from hypothesis import given, settings
@@ -88,6 +89,9 @@ def test_complement_sign_n3():
     assert complement_sign((2,), 3) == ((1, 3), -1)
     assert complement_sign((3,), 3) == ((1, 2), 1)
     assert complement_sign((), 3) == ((1, 2, 3), 1)
+    # the memo is keyed on tuple(S), so a list is still an S
+    assert complement_sign([2], 3) == complement_sign((2,), 3)
+    assert complement_sign([1, 3], 4) == ((2, 4), -1)
 
 
 @pytest.mark.parametrize("n", range(1, 11))
@@ -147,6 +151,106 @@ def test_form_and_vector_checks_name_the_fault(build, message):
     with pytest.raises(ValueError) as info:
         build()
     assert str(info.value) == message
+
+
+def bisect_wedges(s, n):
+    """The wedge entries as exterior_derivative once derived them per call."""
+    out = []
+    for t in range(1, n + 1):
+        if t in s:
+            continue
+        pos = bisect.bisect(s, t)
+        out.append((t, s[:pos] + (t,) + s[pos:], -1 if pos % 2 else 1))
+    return tuple(out)
+
+
+def inversion_slots(n, degree):
+    """_slots from its definition: (s, 1) up to n // 2, and above it the
+    complement of s with the sign of (s, complement) by counting inversions."""
+    level = min(degree, n - degree)
+    slots = []
+    for s in combinations(range(1, n + 1), level):
+        if degree <= n // 2:
+            slots.append((s, 1))
+            continue
+        t = tuple(x for x in range(1, n + 1) if x not in s)
+        seq = s + t
+        inversions = sum(seq[a] > seq[b] for a, b in combinations(range(n), 2))
+        slots.append((t, (-1) ** inversions))
+    return slots
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_cached_tables_equal_their_derivations(n):
+    for size in range(n + 1):
+        for s in subsets(n, size):
+            assert forms._wedges(s, n) == bisect_wedges(s, n)
+    for degree in range(n + 1):
+        slots = forms._slots(n, degree)
+        assert slots == inversion_slots(n, degree)
+        # each call returns a fresh list, so a caller cannot edit the cache
+        slots.append(None)
+        subsets(n, degree).append(None)
+        assert forms._slots(n, degree) == inversion_slots(n, degree)
+        assert subsets(n, degree) == list(combinations(range(1, n + 1), degree))
+
+
+class Pairs:
+    """A components argument whose keys need not be hashable, such as lists:
+    the form constructor reads components.items() only."""
+
+    def __init__(self, pairs):
+        self.pairs = pairs
+
+    def items(self):
+        return iter(self.pairs)
+
+
+def keywise_form_check(n, degree, components):
+    """DifferentialForm's component checks as they were made key by key,
+    with sorted(set(key)); returns the canonical components."""
+    canon = {}
+    for key, poly in components.items():
+        key = tuple(key)
+        if len(key) != degree or list(key) != sorted(set(key)):
+            raise ValueError(f"bad basis subset {key} for degree {degree}")
+        if key and not (1 <= key[0] and key[-1] <= n):
+            raise ValueError(f"subset {key} not within 1..{n}")
+        if poly.n_vars != n:
+            raise ValueError("component polynomial has wrong variable count")
+        if not poly.is_zero():
+            canon[key] = poly
+    return canon
+
+
+def outcome(build):
+    try:
+        return build()
+    except Exception as exc:  # the exception's class and message are compared
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("n, longest", [(3, 4), (4, 3)])
+def test_form_checks_agree_with_the_keywise_check(n, longest):
+    # every key of length 0..longest over 0..n+1 (duplicates, descending, out
+    # of range and wrong length among them), as a tuple and as a list, with a
+    # zero or nonzero polynomial of the right or wrong variable count, alone
+    # and after a valid key
+    polys = [Polynomial.monomial(n, (1,) + (0,) * (n - 1)), Polynomial.zero(n),
+             Polynomial.monomial(n + 1, (1,) * (n + 1))]
+    keys = [k for length in range(longest + 1) for k in product(range(n + 2), repeat=length)]
+    faults = 0
+    for degree in range(n + 1):
+        valid = tuple(range(1, degree + 1))
+        for key, poly, as_list, after_valid in product(keys, polys, (False, True), (False, True)):
+            pairs = [(list(key) if as_list else key, poly)]
+            if after_valid:
+                pairs.insert(0, (valid, polys[0]))
+            want = outcome(lambda: keywise_form_check(n, degree, Pairs(pairs)))
+            got = outcome(lambda: DifferentialForm(n, degree, Pairs(pairs)).components)
+            assert got == want, (degree, pairs)
+            faults += isinstance(want, tuple)
+    assert faults > len(keys)  # the oracle refused many of them
 
 
 @pytest.mark.parametrize("n", range(3, 7))
