@@ -3,9 +3,8 @@
 
 Prints the composability table and count tree values for n=3, the count
 sequences and derived minimal recurrences for n=3..10 (with the shipped
-reference table alongside: each row is the characteristic recurrence with
-its zero roots removed, and where it differs from the derived one the total
-sequence satisfies a shorter divisor of it), and the non-trivial chain
+reference table alongside, whose rows the total sequence needs in full only
+at n = 3, 4, 5, 7 and 9; see reference_recurrences), and the non-trivial chain
 families, then runs the counting and calculus suites of `nablachains verify`
 (counts against the brute-force oracle, vector-calculus identities, and the
 chain classification against the symbolic engine).  The recurrence suite is
@@ -19,6 +18,8 @@ import sys
 import nablachains as nc
 from nablachains.cli import main as nablachains_main
 
+N_RANGE = range(3, 11)  # the n shown for recurrences and non-trivial chains
+
 
 def show_n3_basics() -> None:
     print("composability matrix, n=3 (rows: first applied):")
@@ -30,10 +31,10 @@ def show_n3_basics() -> None:
     print()
 
 
-def show_recurrences(n_max: int) -> None:
+def show_recurrences() -> None:
     reference = nc.reference_recurrences()
     print("derived minimal recurrences (sequences of 2n + 8 terms):")
-    for n in range(3, n_max + 1):
+    for n in N_RANGE:
         seq = nc.count_sequence(n, 2 * n + 8)
         rec = nc.minimal_recurrence(seq)
         line = f"  n={n:2d}: {rec.relation_string()}"
@@ -53,9 +54,9 @@ def show_recurrences(n_max: int) -> None:
     print()
 
 
-def show_nontrivial(n_max: int) -> None:
+def show_nontrivial() -> None:
     print("non-trivial chains of length 4:")
-    for n in range(3, n_max + 1):
+    for n in N_RANGE:
         words = nc.enumerate_nontrivial(n, 4)
         rendered = ", ".join(str(w.indices) for w in words)
         print(f"  n={n:2d}: {rendered}")
@@ -63,13 +64,10 @@ def show_nontrivial(n_max: int) -> None:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--n-max", type=int, default=10)
-    args = parser.parse_args()
-
+    argparse.ArgumentParser(description=__doc__).parse_args()
     show_n3_basics()
-    show_recurrences(args.n_max)
-    show_nontrivial(args.n_max)
+    show_recurrences()
+    show_nontrivial()
     print("cross-checks:")
     codes = [nablachains_main(["verify", "--scope", s]) for s in ("counting", "calculus")]
     return max(codes)

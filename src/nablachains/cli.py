@@ -323,12 +323,11 @@ def _oracle_equality() -> str:
 
 
 def _shifted_fibonacci() -> str:
-    fib = [1, 1]
-    while len(fib) < 40:
-        fib.append(fib[-1] + fib[-2])
+    fib, next_fib = 3, 5  # Fib(k+3) and Fib(k+4), from k = 1
     for k in range(1, 31):
-        if count_total(3, k) != fib[k + 2]:
+        if count_total(3, k) != fib:
             return f"k={k}: f(k) != Fib(k+3)"
+        fib, next_fib = next_fib, fib + next_fib
     return ""
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import re
 import sys
-from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
@@ -143,20 +142,23 @@ class Polynomial:
                 terms.append((num, body))
         except ValueError:
             # str() refused an int over the digit limit, with advice that a
-            # CLI user cannot act on; Decimal() is not held to that limit
-            digits = max(
-                Decimal(part).adjusted() + 1
-                for c in self.terms.values()
-                for part in (abs(c.numerator), c.denominator)
-            )
+            # CLI user cannot act on; the longest part is named instead
+            longest = max(max(abs(c.numerator), c.denominator) for c in self.terms.values())
             limit = sys.get_int_max_str_digits()
             raise ValueError(
-                f"coefficient too long to print: {digits} digits (limit {limit})"
+                f"coefficient too long to print: {_decimal_digits(longest)} digits (limit {limit})"
             ) from None
         return join_signed(terms)
 
     def __repr__(self) -> str:
         return f"Polynomial({self.n_vars}, {self})"
+
+
+def _decimal_digits(m: int) -> int:
+    """Decimal digits of an int m >= 1, without its text: r, (bits - 1/2) *
+    log10(2) rounded, is within 0.66 of log10(m), so m has r or r + 1 digits."""
+    r = ((2 * m.bit_length() - 1) * 30102999566398 + 10**14) // (2 * 10**14)
+    return r + (m >= 10**r)
 
 
 def _canonical(n_vars: int, terms: Mapping[Exponents, Scalar]) -> dict[Exponents, Scalar]:

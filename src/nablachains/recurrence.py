@@ -7,11 +7,8 @@ each row packed into one int, and the minimal recurrence of the computed
 sequence itself, found by fraction-free Berlekamp-Massey: the shortest
 relation that holds from the first term, with a nonzero last coefficient.
 Both work on Python ints only.
-A reference table for n = 3..10 is shipped for regression comparison: each
-row is the recurrence of the characteristic polynomial with its zero roots
-removed, p(t)/t^e.  Every walk count obeys that relation; the minimal
-recurrence of the total-count sequence divides it, and is a proper divisor
-at n = 6, 8 and 10.
+A reference table for n = 3..10 is shipped for regression comparison;
+reference_recurrences states how its rows relate to the counts.
 """
 
 from __future__ import annotations
@@ -216,11 +213,15 @@ def verify_recurrence(r: Recurrence, seq: CountSequence) -> bool:
 def reference_recurrences() -> dict[int, Recurrence]:
     """Reference recurrences for n = 3..10 (regression data).
 
-    Row n is the recurrence of det(tI - A) / t^e for A = build_adjacency(n),
-    where t^e is the factor of zero roots.  The minimal recurrence of the
-    total-count sequence divides the row's polynomial; it equals the row at
-    n = 3, 4, 5, 7 and 9 and is a proper divisor at n = 6, 8 and 10, where
-    the all-ones start vector lies in a smaller A-invariant subspace.
+    Row n is the recurrence of p(t)/t^e, p(t) = det(tI - A) the characteristic
+    polynomial of A = build_adjacency(n) and t^e its factor of zero roots;
+    every walk count obeys it.  The total count f(k) starts from the all-ones
+    vector, which at n = 6, 8 and 10 lies in a smaller A-invariant subspace:
+    there the recurrence minimal_recurrence fits to the total counts is a
+    proper divisor of the row (t^2 - t - 1, t^2 - 3, t^3 - t^2 - 2t + 1), and
+    at n = 3, 4, 5, 7 and 9 it is the row.  Rows 7 and 8 were once shipped
+    with slips that annihilate nothing: (0, 1, 3, -2, -1), an extra leading
+    zero, and (4, 0, 0, -3), the first two coefficients swapped.
     """
     table = {
         3: (1, 1),

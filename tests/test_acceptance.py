@@ -3,34 +3,30 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 report.
 
-Criterion 3 checks the reference recurrence table for n = 3..10.  Each row is
-the recurrence of p(t)/t^e, where p(t) = det(tI - A) is the characteristic
-polynomial of the adjacency matrix and t^e its factor of zero roots; every
-walk count obeys it.  The total count f(k) starts from the all-ones vector,
-which for n = 6, 8 and 10 lies in a smaller A-invariant subspace, so the
-minimal recurrence of the total-count sequence is a proper divisor of the
-row there and equals it only at n = 3, 4, 5, 7 and 9.  Two rows were once
-shipped with one-symbol slips and annihilated nothing: row 7 as
-(0, 1, 3, -2, -1), the true (1, 3, -2, -1) with an extra leading zero, and
-row 8 as (4, 0, 0, -3), the true (0, 4, 0, -3) with its first two
-coefficients swapped; see tests/test_recurrence.py.
+Criteria 1, 2, 4 and 6 each take their verdict from one check of
+`nablachains verify`, defined once in cli.SUITES.  Criterion 3 checks the
+reference table for n = 3..10, which the total-count sequence needs in full
+only at n = 3, 4, 5, 7 and 9, as reference_recurrences' docstring states.
 """
 
+import contextlib
+import io
+import json
 import math
 import random
 import time
 from fractions import Fraction
 
+import pytest
+
 from nablachains import (
     ComponentVector,
     IntegerPolynomial,
     Polynomial,
-    TrivialityClass,
     apply_word,
-    brute_force_count,
     build_adjacency,
     characteristic_polynomial,
-    classify_word,
+    cli,
     count_sequence,
     count_total,
     enumerate_nontrivial,
@@ -54,11 +50,17 @@ def _report(number: int, name: str, ok: bool, detail: str = "") -> None:
     print(line)
 
 
-def _fib(k: int) -> int:
-    a, b = 1, 1
-    for _ in range(k - 1):
-        a, b = b, a + b
-    return a
+def _verdict(number, title, scope, check, bound=math.inf, failure=""):
+    """Report and assert criterion `number`: failure if given, else the named
+    check of `nablachains verify --scope <scope> --format json`, within bound
+    seconds.  Its exit code is unread; the recurrence scope fails by design."""
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        cli.main(["verify", "--scope", scope, "--format", "json"])
+    (entry,) = [c for c in json.loads(out.getvalue())["checks"] if c["name"] == check]
+    elapsed = entry["elapsed_s"]
+    failure = failure or entry.get("detail") or (f"over {bound}s" if elapsed >= bound else "")
+    _report(number, title, not failure, "; ".join(filter(None, (failure, f"{elapsed:.3f}s"))))
+    assert not failure, failure
 
 
 def _rand_poly(rng, n, terms=3, max_exp=2):
@@ -70,27 +72,15 @@ def _rand_poly(rng, n, terms=3, max_exp=2):
 
 
 def test_criterion_1_fibonacci_counts():
-    start = time.monotonic()
-    ok = count_sequence(3, 5).values == (3, 5, 8, 13, 21)
-    ok = ok and all(count_total(3, k) == _fib(k + 3) for k in range(1, 31))
-    elapsed = time.monotonic() - start
-    ok = ok and elapsed < 1.0
-    _report(1, "Fibonacci counts n=3", ok, f"{elapsed:.3f}s")
-    assert ok
+    first = count_sequence(3, 5).values
+    failure = "" if first == (3, 5, 8, 13, 21) else f"count_sequence(3, 5) is {first}"
+    _verdict(1, "Fibonacci counts n=3", "counting",
+             "n=3 counts are shifted Fibonacci, k=1..30", 1.0, failure)
 
 
 def test_criterion_2_counting_oracle():
-    start = time.monotonic()
-    mismatches = [
-        (n, k)
-        for n in range(3, 7)
-        for k in range(1, 11)
-        if count_total(n, k) != brute_force_count(n, k)
-    ]
-    elapsed = time.monotonic() - start
-    ok = not mismatches and elapsed < 10.0
-    _report(2, "matrix counts equal brute force", ok, f"{elapsed:.3f}s")
-    assert ok, mismatches
+    _verdict(2, "matrix counts equal brute force", "counting",
+             "oracle equality n=3..6, k=1..10", 10.0)
 
 
 # n at which the total-count sequence needs the whole reference row; at the
@@ -151,24 +141,12 @@ def test_criterion_3_recurrence_table():
     detail = f"{8 - len(mismatches)}/8 rows reproduced in {elapsed:.3f}s"
     detail += "".join(f"; n={n}: {why}" for n, why in mismatches.items())
     _report(3, "reference table is the characteristic recurrence", ok, detail)
-    assert ok, (
-        f"the reference table disagrees with the verified counts at "
-        f"n={sorted(mismatches)} (or took {elapsed:.3f}s): {detail}"
-    )
+    assert ok, detail
 
 
 def test_criterion_4_characteristic_recurrence():
-    ok, detail = True, ""
-    for n in range(3, 13):
-        p = characteristic_polynomial(build_adjacency(n))
-        rec = recurrence_from_polynomial(p)
-        seq = count_sequence(n, n + 20)
-        # zero residual at every k in (n+1)..(n+20), checked exactly
-        if rec.valid_from != n + 1 or not verify_recurrence(rec, seq):
-            ok, detail = False, f"failure at n={n}"
-            break
-    _report(4, "characteristic recurrence annihilates counts", ok, detail)
-    assert ok, detail
+    _verdict(4, "characteristic recurrence annihilates counts", "recurrence",
+             "characteristic recurrence annihilates counts n=3..12")
 
 
 def test_criterion_5_vector_calculus_identities():
@@ -203,19 +181,8 @@ def test_criterion_5_vector_calculus_identities():
 
 
 def test_criterion_6_triviality_concordance():
-    start = time.monotonic()
-    mismatches = []
-    for n in range(3, 6):
-        for length in range(1, 5):
-            for w in enumerate_words(n, length):
-                symbolic = is_zero_operator(w, n)
-                combinatorial = classify_word(w) is TrivialityClass.ZERO
-                if symbolic != combinatorial:
-                    mismatches.append((n, w.indices))
-    elapsed = time.monotonic() - start
-    ok = not mismatches and elapsed < 60.0
-    _report(6, "symbolic/combinatorial triviality concordance", ok, f"{elapsed:.1f}s")
-    assert ok, mismatches
+    _verdict(6, "symbolic/combinatorial triviality concordance", "calculus",
+             "triviality concordance (n=3..6, length=1..4)", 60.0)
 
 
 def test_criterion_7_alternating_families_n3():
@@ -262,3 +229,35 @@ def test_criterion_8_round_trip_and_linearity():
 
     _report(8, "iso round-trips and chain linearity, 1000 cases", ok)
     assert ok
+
+
+@pytest.mark.parametrize("name, fault, number, detail", [
+    ("count_total", lambda n, k: count_total(n, k) + ((n, k) == (3, 30)), 1,
+     "k=30: f(k) != Fib(k+3)"),
+    ("count_total", lambda n, k: count_total(n, k) + ((n, k) == (6, 10)), 2,
+     f"n=6 k=10: count_total {count_total(6, 10) + 1} != brute force {count_total(6, 10)}"),
+    ("characteristic_polynomial", lambda a: IntegerPolynomial(tuple(
+        c + ((i, len(a)) == (1, 12)) for i, c in enumerate(characteristic_polynomial(a).coefficients)
+    )), 4, "n=12: characteristic recurrence fails"),
+    ("is_zero_operator", lambda w, n: is_zero_operator(w, n) is not ((n, len(w)) == (6, 4)), 6,
+     "mismatch at n=6, word (1, 2, 3, 4)"),
+])
+def test_a_fault_planted_in_cli_fails_only_its_criterion(
+    capsys, monkeypatch, name, fault, number, detail
+):
+    """Each fault fails only the criterion that reads its check; criteria 3, 5,
+    7 and 8 call the library directly, where a fault in cli cannot reach."""
+    monkeypatch.setattr(cli, name, fault)
+    criteria = {
+        1: test_criterion_1_fibonacci_counts, 2: test_criterion_2_counting_oracle,
+        4: test_criterion_4_characteristic_recurrence, 6: test_criterion_6_triviality_concordance,
+    }
+    failures = {}
+    for k, criterion in criteria.items():
+        try:
+            criterion()
+        except AssertionError as exc:
+            failures[k] = str(exc).splitlines()[0]
+    assert failures == {number: detail}
+    lines = capsys.readouterr().out.splitlines()
+    assert [f": FAIL - {detail}; " in line for line in lines] == [k == number for k in criteria]

@@ -1,5 +1,7 @@
 import re
 import sys
+import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from nablachains import Polynomial, parse_polynomial
+from nablachains.polynomial import _decimal_digits
 from nablachains.cli import main
 
 
@@ -134,6 +137,29 @@ def test_str_refuses_coefficients_over_the_digit_limit(coeff, digits):
         ValueError, match=f"^coefficient too long to print: {digits} digits \\(limit {limit}\\)$"
     ):
         str(p)
+
+
+@pytest.mark.parametrize("k", [sys.get_int_max_str_digits(), 299_999])
+@pytest.mark.parametrize("delta", [-1, 0], ids=["10^k-1", "10^k"])
+def test_decimal_digits_agree_with_the_decimal_count(k, delta):
+    # the oracle is the count str() made before: through Decimal, which is not
+    # held to the digit limit, at a cost quadratic in the digits
+    m = 10**k + delta
+    assert _decimal_digits(m) == Decimal(m).adjusted() + 1
+
+
+@pytest.mark.parametrize(
+    "terms, digits",
+    [({(i,): 10**20_000 - 1 - i for i in range(200)}, 20_000),
+     ({(1,): Fraction(-1, 10**300_000 - 7)}, 300_000)],
+    ids=["200 coefficients of 20 000 digits", "one of 300 000 digits"],
+)
+def test_str_refuses_long_coefficients_at_once(terms, digits):
+    p = Polynomial(1, terms)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"^coefficient too long to print: {digits} digits "):
+        str(p)
+    assert time.perf_counter() - start < 0.2
 
 
 @pytest.mark.parametrize("text", ["1/0", "1/00", "x1 + 2/0*x2"])

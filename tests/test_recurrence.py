@@ -1,17 +1,9 @@
 """Recurrence derivation tests.
 
-Each row of the reference table in reference_recurrences() is the recurrence
-of p(t)/t^e, where p(t) = det(tI - A) is the characteristic polynomial of the
-adjacency matrix and t^e its factor of zero roots.  Every walk count obeys
-that relation.  The total count f(k) starts from the all-ones vector, and the
-minimal recurrence of the total-count sequence divides the row's polynomial:
-at n = 3, 4, 5, 7 and 9 it is the row itself; at n = 6, 8 and 10 the
-all-ones vector lies in a smaller A-invariant subspace and the sequence
-satisfies a proper divisor.
-
-Rows 7 and 8 were once shipped with one-symbol slips, kept below in
-MISTRANSCRIBED_ROWS: row 7 carried an extra leading zero and row 8 had its
-first two coefficients swapped.  Neither annihilates the true counts.
+The total-count sequence needs the reference table's row in full only at
+n = 3, 4, 5, 7 and 9, and rows 7 and 8 were once shipped with slips (kept
+below in MISTRANSCRIBED_ROWS); reference_recurrences' docstring states the
+finding in full.
 """
 
 import math
