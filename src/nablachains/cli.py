@@ -28,6 +28,7 @@ import random
 import re
 import sys
 import time
+from collections.abc import Iterable
 from decimal import (
     MAX_EMAX,
     MAX_PREC,
@@ -38,7 +39,6 @@ from decimal import (
     Rounded,
     localcontext,
 )
-from typing import Iterable
 
 from . import __version__
 from .classify import TrivialityClass, classify_word, enumerate_nontrivial

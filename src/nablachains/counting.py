@@ -10,9 +10,10 @@ arithmetic is on Python ints, so counts are exact at any size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable
 from itertools import islice
 
+from ._record import Record
 from .errors import EnumerationCapError
 from .graph import _successors, as_dim, successors, total_count_polynomial
 from .words import CompositionWord
@@ -20,12 +21,14 @@ from .words import CompositionWord
 DEFAULT_ENUMERATION_CAP = 10**6
 
 
-@dataclass(frozen=True)
-class CountSequence:
+class CountSequence(Record):
     """Totals f(1), ..., f(k_max); values[k-1] is f(k)."""
 
-    n: int
-    values: tuple[int, ...]
+    __match_args__ = ("n", "values")
+
+    def __init__(self, n: int, values: Iterable[int]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "values", tuple(values))
 
 
 def _walk(n: int, k: int, one=1):
@@ -131,7 +134,7 @@ def count_sequence(n: int, k_max: int) -> CountSequence:
     n = as_dim(n)
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
-    return CountSequence(n, tuple(sum(v) for v in _walk(n, k_max)))
+    return CountSequence(n, (sum(v) for v in _walk(n, k_max)))
 
 
 def _check_enumeration_cap(n: int, k: int, cap: int = DEFAULT_ENUMERATION_CAP) -> int:

@@ -32,10 +32,10 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from typing import Mapping
 
+from ._record import Record
 from .errors import LevelMismatchError
 from .graph import as_dim, check_index
 from .polynomial import Polynomial, _built
@@ -105,18 +105,18 @@ def _wedges(s: Subset, n: int) -> tuple[tuple[int, Subset, int], ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class DifferentialForm:
+class DifferentialForm(Record):
     """Polynomial differential form; components keyed by ascending subsets.
 
     Absent keys are zero.  Zero components are dropped at construction.
     """
 
-    n: int
-    degree: int
-    components: Mapping[Subset, Polynomial]
+    __match_args__ = ("n", "degree", "components")
 
-    def __post_init__(self):
+    def __init__(self, n: int, degree: int, components: Mapping[Subset, Polynomial]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "components", components)
         as_dim(self.n)
         if not 0 <= self.degree <= self.n:
             raise ValueError(f"degree {self.degree} out of range 0..{self.n}")
@@ -142,16 +142,16 @@ class DifferentialForm:
         return Polynomial.zero(self.n) if p is None else p
 
 
-@dataclass(frozen=True)
-class ComponentVector:
+class ComponentVector(Record):
     """Element of the coefficient space at a level: C(n, level) polynomials
     in lexicographic slot order."""
 
-    n: int
-    level: int
-    entries: tuple[Polynomial, ...]
+    __match_args__ = ("n", "level", "entries")
 
-    def __post_init__(self):
+    def __init__(self, n: int, level: int, entries: Iterable[Polynomial]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "entries", tuple(entries))
         as_dim(self.n)
         m = self.n // 2
         if not 0 <= self.level <= m:

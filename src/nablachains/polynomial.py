@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import re
 import sys
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
 
 Exponents = tuple[int, ...]
-Scalar = Union[int, Fraction]
+Scalar = int | Fraction
 
 
 class Polynomial:

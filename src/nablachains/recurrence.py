@@ -14,19 +14,23 @@ reference_recurrences states how its rows relate to the counts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Iterable
 
+from ._record import Record
 from .counting import CountSequence
 from .polynomial import join_signed
 
 
-@dataclass(frozen=True)
-class IntegerPolynomial:
-    """Dense integer polynomial; coefficients ascending by power."""
+class IntegerPolynomial(Record):
+    """Dense integer polynomial; coefficients ascending by power.  The zero
+    polynomial is (0,); an empty tuple is refused."""
 
-    coefficients: tuple[int, ...]
+    __match_args__ = ("coefficients",)
 
-    def __post_init__(self):
+    def __init__(self, coefficients: Iterable[int]):
+        object.__setattr__(self, "coefficients", tuple(coefficients))
+        if not self.coefficients:
+            raise ValueError("polynomial needs at least one coefficient")
         if len(self.coefficients) > 1 and self.coefficients[-1] == 0:
             raise ValueError("leading coefficient must be nonzero")
 
@@ -41,12 +45,14 @@ class IntegerPolynomial:
         return render_polynomial(self.coefficients)
 
 
-@dataclass(frozen=True)
-class Recurrence:
+class Recurrence(Record):
     """f(k) = c_1 f(k-1) + ... + c_d f(k-d), asserted for k >= valid_from."""
 
-    coefficients: tuple[int, ...]
-    valid_from: int
+    __match_args__ = ("coefficients", "valid_from")
+
+    def __init__(self, coefficients: Iterable[int], valid_from: int):
+        object.__setattr__(self, "coefficients", tuple(coefficients))
+        object.__setattr__(self, "valid_from", valid_from)
 
     @property
     def order(self) -> int:
@@ -133,7 +139,7 @@ def characteristic_polynomial(a: list[list[int]]) -> IntegerPolynomial:
         ck, rem = divmod(-sum(coefs[k - i] * traces[i] for i in range(1, k + 1)), k)
         assert rem == 0, "Newton's identities must divide exactly"
         coefs.append(ck)
-    return IntegerPolynomial(tuple(reversed(coefs)))
+    return IntegerPolynomial(reversed(coefs))
 
 
 def recurrence_from_polynomial(p: IntegerPolynomial) -> Recurrence:
@@ -191,7 +197,7 @@ def minimal_recurrence(seq: CountSequence) -> Recurrence:
         raise ValueError(
             f"no linear recurrence of order <= {n} fits the sequence for n={n}"
         )
-    return Recurrence(tuple(c // lead for c in coeffs), valid_from=order + 1)
+    return Recurrence((c // lead for c in coeffs), valid_from=order + 1)
 
 
 def verify_recurrence(r: Recurrence, seq: CountSequence) -> bool:

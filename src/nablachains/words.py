@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from collections.abc import Iterable, Sequence
 
+from ._record import Record
 from .errors import NotComposableError
 from .graph import _composable, as_dim, check_index
 
@@ -12,14 +12,14 @@ from .graph import _composable, as_dim, check_index
 _NAMED_N3 = {1: "grad", 2: "curl", 3: "div"}
 
 
-@dataclass(frozen=True)
-class CompositionWord:
+class CompositionWord(Record):
     """A nonempty chain (i_1, ..., i_k); i_1 is applied first."""
 
-    n: int
-    indices: tuple[int, ...]
+    __match_args__ = ("n", "indices")
 
-    def __post_init__(self):
+    def __init__(self, n: int, indices: Iterable[int]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "indices", tuple(indices))
         as_dim(self.n)
         if not self.indices:
             raise ValueError("composition word must be nonempty")
@@ -29,7 +29,7 @@ class CompositionWord:
     def __len__(self) -> int:
         return len(self.indices)
 
-    def first_invalid_pair(self) -> Optional[tuple[int, int]]:
+    def first_invalid_pair(self) -> tuple[int, int] | None:
         """First consecutive pair that is not composable, or None."""
         for a, b in zip(self.indices, self.indices[1:]):
             if not _composable(a, b, self.n):
@@ -45,14 +45,14 @@ class CompositionWord:
         """Render with the last-applied operator leftmost."""
         return " ∘ ".join(f"∇_{i}" for i in reversed(self.indices))
 
-    def named_notation(self) -> Optional[str]:
+    def named_notation(self) -> str | None:
         """grad/curl/div rendering, available only for n = 3."""
         if self.n != 3:
             return None
         return " ∘ ".join(_NAMED_N3[i] for i in reversed(self.indices))
 
 
-WordLike = Union[CompositionWord, Sequence[int]]
+WordLike = CompositionWord | Sequence[int]
 
 
 def as_word(w: WordLike, n: int) -> CompositionWord:
@@ -61,4 +61,4 @@ def as_word(w: WordLike, n: int) -> CompositionWord:
         if w.n != n:
             raise ValueError(f"word is for n={w.n}, expected n={n}")
         return w
-    return CompositionWord(n, tuple(w))
+    return CompositionWord(n, w)

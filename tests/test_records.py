@@ -1,0 +1,143 @@
+"""The six records behave as the frozen dataclasses they replace, and the
+package imports neither dataclasses nor typing."""
+
+import copy
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from nablachains import (
+    ComponentVector,
+    CompositionWord,
+    CountSequence,
+    DifferentialForm,
+    IntegerPolynomial,
+    Polynomial,
+    Recurrence,
+    recurrence_from_polynomial,
+)
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+P = Polynomial.monomial(3, (2, 0, 1), 3)
+# (record, its field names, its field values, its repr)
+RECORDS = [
+    (CountSequence(3, (3, 5, 8)), ("n", "values"), (3, (3, 5, 8)),
+     "CountSequence(n=3, values=(3, 5, 8))"),
+    (IntegerPolynomial((-1, -1, 1)), ("coefficients",), ((-1, -1, 1),),
+     "IntegerPolynomial(coefficients=(-1, -1, 1))"),
+    (Recurrence((1, 1), 3), ("coefficients", "valid_from"), ((1, 1), 3),
+     "Recurrence(coefficients=(1, 1), valid_from=3)"),
+    (CompositionWord(3, (1, 3)), ("n", "indices"), (3, (1, 3)),
+     "CompositionWord(n=3, indices=(1, 3))"),
+    (ComponentVector(3, 0, (P,)), ("n", "level", "entries"), (3, 0, (P,)),
+     "ComponentVector(n=3, level=0, entries=(Polynomial(3, 3*x1^2*x3),))"),
+    (DifferentialForm(3, 1, {(2,): P}), ("n", "degree", "components"), (3, 1, {(2,): P}),
+     "DifferentialForm(n=3, degree=1, components={(2,): Polynomial(3, 3*x1^2*x3)})"),
+]
+IDS = [type(r[0]).__name__ for r in RECORDS]
+
+
+@pytest.mark.parametrize("record, names, values, text", RECORDS, ids=IDS)
+def test_fields_and_repr(record, names, values, text):
+    assert type(record).__match_args__ == names
+    assert tuple(getattr(record, name) for name in names) == values
+    assert repr(record) == text
+
+
+@pytest.mark.parametrize("record, names, values, text", RECORDS, ids=IDS)
+def test_hash_is_the_hash_of_the_field_tuple(record, names, values, text):
+    if isinstance(record, DifferentialForm):
+        # its components are a dict, so neither it nor its field tuple hashes
+        for x in (record, values):
+            with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+                hash(x)
+    else:
+        assert hash(record) == hash(values)
+
+
+@pytest.mark.parametrize("record, names, values, text", RECORDS, ids=IDS)
+def test_equal_only_to_the_same_class_with_equal_fields(record, names, values, text):
+    assert record == type(record)(*values)
+    assert not record != type(record)(*values)
+    assert record != values
+    for other, *_ in RECORDS:
+        if type(other) is not type(record):
+            assert record != other
+
+
+def test_equality_reads_every_field():
+    assert CountSequence(3, (1, 3)) != CompositionWord(3, (1, 3))  # same field tuple
+    assert Recurrence((1, 1), 3) != Recurrence((1, 1), 4)
+    assert CompositionWord(4, (1, 4)) != CompositionWord(5, (1, 4))
+    assert ComponentVector(3, 0, (P,)) != ComponentVector(3, 0, (P.scale(2),))
+
+
+@pytest.mark.parametrize("record, names, values, text", RECORDS, ids=IDS)
+def test_assignment_and_deletion_raise(record, names, values, text):
+    for name in names:
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+            delattr(record, name)
+    with pytest.raises(AttributeError, match="cannot assign to field 'extra'"):
+        record.extra = 1
+    assert tuple(getattr(record, name) for name in names) == values
+
+
+@pytest.mark.parametrize("record, names, values, text", RECORDS, ids=IDS)
+def test_pickle_and_copy_round_trip(record, names, values, text):
+    for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(record, protocol))
+        assert type(back) is type(record) and back == record
+    for back in (copy.copy(record), copy.deepcopy(record)):
+        assert type(back) is type(record) and back == record
+        assert repr(back) == text
+
+
+def test_match_reads_fields_by_position():
+    match CompositionWord(3, (1, 3)):
+        case CompositionWord(n, (first, *_)):
+            assert (n, first) == (3, 1)
+        case _:
+            pytest.fail("the word did not match its class pattern")
+
+
+def test_sequence_fields_are_stored_as_tuples():
+    pairs = [
+        (CompositionWord(3, [1, 3]), CompositionWord(3, (1, 3))),
+        (Recurrence([1, 1], 3), Recurrence((1, 1), 3)),
+        (ComponentVector(3, 0, [P]), ComponentVector(3, 0, (P,))),
+        (CountSequence(3, [3, 5]), CountSequence(3, (3, 5))),
+        (IntegerPolynomial([0, 1]), IntegerPolynomial((0, 1))),
+    ]
+    for built, expected in pairs:
+        assert built == expected and hash(built) == hash(expected)
+        assert repr(built) == repr(expected)
+    indices = (1, 3)
+    assert CompositionWord(3, indices).indices is indices  # a tuple is not copied
+
+
+def test_empty_integer_polynomial_is_refused():
+    with pytest.raises(ValueError, match="at least one coefficient"):
+        IntegerPolynomial(())
+    zero = IntegerPolynomial((0,))
+    assert zero.degree == 0 and str(zero) == "0"
+    assert recurrence_from_polynomial(IntegerPolynomial((1,))) == Recurrence((), 1)
+
+
+@pytest.mark.parametrize("code", [
+    "import nablachains; print(nablachains.count_total(3, 1))",
+    "import nablachains.cli",
+])
+def test_import_footprint(code):
+    """-S keeps site hooks, which belong to the machine, out of the child."""
+    heavy = ("dataclasses", "typing", "inspect", "ast")
+    probe = (f"import sys; sys.path.insert(0, {str(SRC)!r}); {code}; "
+             f"print(sorted(m for m in {heavy!r} if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True,
+                         check=True, timeout=60).stdout
+    assert out.splitlines()[-1] == "[]"
