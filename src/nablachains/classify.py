@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 
-from .graph import _composable, as_dim
+from .graph import as_dim
 from .words import CompositionWord, WordLike, as_word
 
 
@@ -36,16 +36,11 @@ def classify_word(w: WordLike, n: int | None = None) -> TrivialityClass:
         word = w
     else:
         word = as_word(w, n)
-    # A CompositionWord has checked n and every index, so each pair needs
-    # only the rule.
-    n = word.n
-    saw_zero = False
-    for a, b in zip(word.indices, word.indices[1:]):
-        if not _composable(a, b, n):
-            return TrivialityClass.UNDEFINED
-        if b == a + 1:
-            saw_zero = True
-    return TrivialityClass.ZERO if saw_zero else TrivialityClass.NONTRIVIAL
+    if word.first_invalid_pair() is not None:
+        return TrivialityClass.UNDEFINED
+    if any(b == a + 1 for a, b in zip(word.indices, word.indices[1:])):
+        return TrivialityClass.ZERO
+    return TrivialityClass.NONTRIVIAL
 
 
 def _nontrivial_starts(n: int, length: int) -> list[int]:

@@ -70,7 +70,7 @@ from .recurrence import (
     reference_recurrences,
     verify_recurrence,
 )
-from .words import CompositionWord
+from .words import CompositionWord, notation
 
 MAX_COUNTING_N = 64
 MAX_SYMBOLIC_N = 12
@@ -127,18 +127,6 @@ def _write_joined(sep: str, pieces: Iterable[str]) -> None:
         if i:
             write(sep)
         write(piece)
-
-
-def _word_entry(w: CompositionWord) -> dict:
-    entry = {
-        "applied": list(w.indices),
-        "composition": w.composition_notation(),
-        "class": classify_word(w).value,
-    }
-    named = w.named_notation()
-    if named is not None:
-        entry["named"] = named
-    return entry
 
 
 # subcommand implementations
@@ -235,9 +223,11 @@ def cmd_enumerate(args) -> int:
         # the closed-form families
         words = enumerate_nontrivial(args.n, args.length)
         count = len(words)
+        rows = ((w.indices, False) for w in words)
     else:
-        # each word is written as it is made, so the count comes first
-        words = _iter_words(args.n, args.length)
+        # each row (indices, zero) is written as it is made, so the count comes first
+        rows = _iter_words(args.n, args.length)
+    label = {True: TrivialityClass.ZERO.value, False: TrivialityClass.NONTRIVIAL.value}
     write = sys.stdout.write
     if args.format == "json":
         head = {
@@ -246,17 +236,23 @@ def cmd_enumerate(args) -> int:
             "nontrivial_only": bool(args.nontrivial),
             "count": str(count),
         }
+
+        def entry(w: tuple[int, ...], zero: bool) -> str:
+            e = {"applied": list(w), "composition": notation(w), "class": label[zero]}
+            if args.n == 3:
+                e["named"] = CompositionWord(3, w).named_notation()
+            return json.dumps(e)
+
         write(json.dumps(head)[:-1] + ', "words": [')
-        _write_joined(", ", (json.dumps(_word_entry(w)) for w in words))
+        _write_joined(", ", (entry(w, zero) for w, zero in rows))
         write("]}\n")
     elif args.format == "csv":
         write("applied,composition,class\n")
-        for w in words:
-            applied = " ".join(map(str, w.indices))
-            write(f"{applied},{w.composition_notation()},{classify_word(w).value}\n")
+        for w, zero in rows:
+            write(f"{' '.join(map(str, w))},{notation(w)},{label[zero]}\n")
     else:
-        for w in words:
-            write(f"{w.indices}  {w.composition_notation()}  [{classify_word(w).value}]\n")
+        for w, zero in rows:
+            write(f"{w}  {notation(w)}  [{label[zero]}]\n")
     return 0
 
 

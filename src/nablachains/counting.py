@@ -155,23 +155,27 @@ def enumerate_words(
     if k < 1:
         raise ValueError(f"length k must be >= 1, got {k}")
     _check_enumeration_cap(n, k, cap)
-    return list(_iter_words(n, k))
+    return [CompositionWord(n, w) for w, _ in _iter_words(n, k)]
 
 
 def _iter_words(n: int, k: int):
-    """The meaningful length-k words of enumerate_words, made one at a time.
+    """The meaningful length-k words of enumerate_words, made one at a time
+    as rows (indices, zero).
 
     Each of k - 1 chained generators extends every word of the one before by
     each successor of its last index, in ascending order, so the words come
-    in lexicographic order.  The chain nests k generators deep, and Python's
+    in lexicographic order and each is meaningful by construction.  zero
+    tells whether a word has a d-squared step j = i + 1: its prefix's flag
+    or its last step's.  The chain nests k generators deep, and Python's
     recursion limit stops it near k = 1 000; the enumeration cap keeps that
     out of reach, as f(1 000) has at least 151 digits for every n in 3..64.
     """
-    succ = {i: successors(i, n) for i in range(1, n + 1)}
-    words = ((i,) for i in range(1, n + 1))
+    # per index, each successor as the 1-tuple a word gains, built once, and its d-squared flag
+    steps = {i: [((j,), j == i + 1) for j in successors(i, n)] for i in range(1, n + 1)}
+    rows = (((i,), False) for i in range(1, n + 1))
     for _ in range(k - 1):
-        words = (w + (j,) for w in words for j in succ[w[-1]])
-    return (CompositionWord(n, w) for w in words)
+        rows = ((w + step, zero or d2) for w, zero in rows for step, d2 in steps[w[-1]])
+    return rows
 
 
 def brute_force_count(n: int, k: int) -> int:

@@ -137,6 +137,10 @@ class DifferentialForm(Record):
     def is_zero(self) -> bool:
         return not self.components
 
+    def __hash__(self) -> int:
+        # components is a dict, so hash its items, as Polynomial hashes its terms
+        return hash((self.n, self.degree, frozenset(self.components.items())))
+
     def coefficient(self, s: Subset) -> Polynomial:
         p = self.components.get(tuple(s))
         return Polynomial.zero(self.n) if p is None else p

@@ -114,6 +114,10 @@ class Polynomial:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
+    def __reduce__(self):
+        # pickle and copy rebuild through the constructor; protocols 0 and 1 refuse bare __slots__
+        return (Polynomial, (self.n_vars, self.terms))
+
     # rendering
 
     def __str__(self) -> str:

@@ -12,6 +12,11 @@ from .graph import _composable, as_dim, check_index
 _NAMED_N3 = {1: "grad", 2: "curl", 3: "div"}
 
 
+def notation(indices: Sequence[int]) -> str:
+    """Render a chain with the last-applied operator leftmost."""
+    return " ∘ ".join(f"∇_{i}" for i in reversed(indices))
+
+
 class CompositionWord(Record):
     """A nonempty chain (i_1, ..., i_k); i_1 is applied first."""
 
@@ -42,8 +47,7 @@ class CompositionWord(Record):
             raise NotComposableError(bad[0], bad[1], self.n)
 
     def composition_notation(self) -> str:
-        """Render with the last-applied operator leftmost."""
-        return " ∘ ".join(f"∇_{i}" for i in reversed(self.indices))
+        return notation(self.indices)
 
     def named_notation(self) -> str | None:
         """grad/curl/div rendering, available only for n = 3."""

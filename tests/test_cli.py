@@ -365,12 +365,37 @@ def _enumerate_output_built_whole(n, length, nontrivial, fmt):
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
 def test_enumerate_streams_what_was_built_whole(capsys, fmt):
-    cases = [(n, length) for n in range(3, 9) for length in range(1, 8)] + [(3, 14), (5, 9)]
+    # (12, 5) and (64, 3) print two-digit indices, and n = 64 is the largest admitted
+    cases = [(n, length) for n in range(3, 9) for length in range(1, 8)]
+    cases += [(3, 14), (5, 9), (12, 5), (64, 3), (3, 16)]
     for n, length in cases:
         for nontrivial in (False, True):
             argv = ["enumerate", "--n", str(n), "--length", str(length), "--format", fmt]
             want = _enumerate_output_built_whole(n, length, nontrivial, fmt)
             assert run(capsys, *argv, *["--nontrivial"] * nontrivial) == (0, want, "")
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
+def test_enumerate_trusts_the_walk(capsys, monkeypatch, fmt):
+    # each row's word and class come from the walk that made it: no word is
+    # rebuilt as a CompositionWord, nor classified again
+    calls = {"CompositionWord": 0, "classify_word": 0}
+    init = nablachains.CompositionWord.__init__
+
+    def counted_init(self, *args):
+        calls["CompositionWord"] += 1
+        init(self, *args)
+
+    def counted_classify(*args):
+        calls["classify_word"] += 1
+        return classify_word(*args)
+
+    monkeypatch.setattr(nablachains.CompositionWord, "__init__", counted_init)
+    monkeypatch.setattr(cli, "classify_word", counted_classify)
+    monkeypatch.setattr(nablachains.classify, "classify_word", counted_classify)
+    code, out, _ = run(capsys, "enumerate", "--n", "4", "--length", "10", "--format", fmt)
+    assert code == 0 and "zero" in out and "non-trivial" in out
+    assert calls == {"CompositionWord": 0, "classify_word": 0}
 
 
 def test_enumerate_nontrivial_at_the_cap_is_quick():

@@ -6,13 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nablachains import (
+    CompositionWord,
     EnumerationCapError,
+    TrivialityClass,
     brute_force_count,
+    classify_word,
     count_per_start,
     count_sequence,
     count_total,
     enumerate_words,
     is_composable,
+    successors,
 )
 from nablachains import counting
 from nablachains.graph import total_count_polynomial
@@ -99,6 +103,32 @@ def test_enumerate_words_is_the_composable_product(n, k):
         if all(is_composable(a, b, n) for a, b in zip(t, t[1:]))
     ]
     assert [w.indices for w in enumerate_words(n, k)] == want
+
+
+def _searched_words(n, k):
+    """Every meaningful length-k word, in order, by plain depth-first search
+    over successors: the oracle for the walk's rows."""
+    found = []
+
+    def extend(word):
+        if len(word) == k:
+            found.append(word)
+            return
+        for j in successors(word[-1], n):
+            extend(word + (j,))
+
+    for i in range(1, n + 1):
+        extend((i,))
+    return found
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_walk_rows_are_the_searched_words_with_their_zero_flag(n):
+    for k in range(1, 8):
+        rows = list(counting._iter_words(n, k))
+        assert [w for w, _ in rows] == _searched_words(n, k)
+        for w, zero in rows:
+            assert zero == (classify_word(CompositionWord(n, w)) is TrivialityClass.ZERO)
 
 
 @pytest.mark.parametrize("n", range(3, 13))

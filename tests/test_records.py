@@ -5,6 +5,7 @@ import copy
 import pickle
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -51,12 +52,20 @@ def test_fields_and_repr(record, names, values, text):
 @pytest.mark.parametrize("record, names, values, text", RECORDS, ids=IDS)
 def test_hash_is_the_hash_of_the_field_tuple(record, names, values, text):
     if isinstance(record, DifferentialForm):
-        # its components are a dict, so neither it nor its field tuple hashes
-        for x in (record, values):
-            with pytest.raises(TypeError, match="unhashable type: 'dict'"):
-                hash(x)
+        # its components are a dict, so the form hashes their items instead
+        n, degree, components = values
+        assert hash(record) == hash((n, degree, frozenset(components.items())))
     else:
         assert hash(record) == hash(values)
+
+
+def test_equal_forms_hash_equal_and_work_as_set_members():
+    form = DifferentialForm(3, 1, {(2,): P, (3,): P.scale(2)})
+    same = DifferentialForm(3, 1, {(3,): P.scale(2), (2,): P, (1,): Polynomial.zero(3)})
+    assert form == same and hash(form) == hash(same)
+    other = DifferentialForm(3, 1, {(2,): P})
+    assert {form, same, other} == {form, other}
+    assert same in {form} and other not in {form}
 
 
 @pytest.mark.parametrize("record, names, values, text", RECORDS, ids=IDS)
@@ -90,12 +99,21 @@ def test_assignment_and_deletion_raise(record, names, values, text):
 
 @pytest.mark.parametrize("record, names, values, text", RECORDS, ids=IDS)
 def test_pickle_and_copy_round_trip(record, names, values, text):
-    for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+    for protocol in range(0, pickle.HIGHEST_PROTOCOL + 1):
         back = pickle.loads(pickle.dumps(record, protocol))
         assert type(back) is type(record) and back == record
     for back in (copy.copy(record), copy.deepcopy(record)):
         assert type(back) is type(record) and back == record
         assert repr(back) == text
+
+
+@pytest.mark.parametrize("poly", [P, Polynomial(2, {(1, 0): Fraction(-1, 3), (0, 0): 5}),
+                                  Polynomial.zero(4)])
+def test_polynomial_pickle_and_copy_round_trip(poly):
+    # a Polynomial has __slots__; it is rebuilt through its constructor
+    backs = [pickle.loads(pickle.dumps(poly, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for back in [*backs, copy.copy(poly), copy.deepcopy(poly)]:
+        assert type(back) is Polynomial and back == poly and str(back) == str(poly)
 
 
 def test_match_reads_fields_by_position():
