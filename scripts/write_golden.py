@@ -36,16 +36,6 @@ def mask(stdout: str) -> str:
     return _ELAPSED.sub(r'\1"*"', stdout)
 
 
-def _enumerate_calls() -> list[list[str]]:
-    calls = []
-    for n, length in ((3, 4), (4, 5), (7, 3), (64, 2)):
-        for fmt in ("json", "csv", "plain"):
-            for extra in ([], ["--nontrivial"]):
-                calls.append(["enumerate", "--n", str(n), "--length", str(length),
-                              "--format", fmt, *extra])
-    return calls
-
-
 def _apply(n: int, word: str, vector: str, *extra: str) -> list[str]:
     return ["apply", "--n", str(n), "--word", word, "--input", vector, *extra]
 
@@ -88,7 +78,11 @@ CALLS = {
         ["recurrence", "--n", "65"],
         ["recurrence", "--n", "-3"],
     ],
-    "enumerate": _enumerate_calls() + [
+    "enumerate": [
+        ["enumerate", "--n", str(n), "--length", str(length), "--format", fmt, *extra]
+        for n, length in ((3, 4), (4, 5), (7, 3), (64, 2))
+        for fmt in ("json", "csv", "plain") for extra in ([], ["--nontrivial"])
+    ] + [
         ["enumerate", "--n", "3", "--length", "28"],
         ["enumerate", "--n", "3", "--length", "0"],
         ["enumerate", "--n", "65", "--length", "2"],

@@ -70,7 +70,7 @@ from .recurrence import (
     reference_recurrences,
     verify_recurrence,
 )
-from .words import CompositionWord, notation
+from .words import N3_NAMES, CompositionWord, notation
 
 MAX_COUNTING_N = 64
 MAX_SYMBOLIC_N = 12
@@ -240,7 +240,7 @@ def cmd_enumerate(args) -> int:
         def entry(w: tuple[int, ...], zero: bool) -> str:
             e = {"applied": list(w), "composition": notation(w), "class": label[zero]}
             if args.n == 3:
-                e["named"] = CompositionWord(3, w).named_notation()
+                e["named"] = notation(w, N3_NAMES)
             return json.dumps(e)
 
         write(json.dumps(head)[:-1] + ', "words": [')

@@ -46,12 +46,9 @@ class Polynomial:
 
     # linear operations
 
-    def _check(self, other: "Polynomial") -> None:
+    def __add__(self, other: "Polynomial") -> "Polynomial":
         if self.n_vars != other.n_vars:
             raise ValueError("polynomials over different variable sets")
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        self._check(other)
         terms = dict(self.terms)
         for e, c in other.terms.items():
             old = terms.get(e)

@@ -42,7 +42,19 @@ class IntegerPolynomial(Record):
         return self.coefficients[-1] == 1
 
     def __str__(self) -> str:
-        return render_polynomial(self.coefficients)
+        terms = []
+        for p in range(self.degree, -1, -1):
+            c = self.coefficients[p]
+            if c == 0:
+                continue
+            mag = abs(c)
+            if p == 0:
+                body = str(mag)
+            else:
+                power = "t" if p == 1 else f"t^{p}"
+                body = power if mag == 1 else f"{mag}*{power}"
+            terms.append((c, body))
+        return join_signed(terms)
 
 
 class Recurrence(Record):
@@ -70,22 +82,6 @@ class Recurrence(Record):
             mag = abs(c)
             terms.append((c, term if mag == 1 else f"{mag} {term}"))
         return f"f(i+{d})={join_signed(terms)}"
-
-
-def render_polynomial(coefficients: tuple[int, ...]) -> str:
-    terms = []
-    for p in range(len(coefficients) - 1, -1, -1):
-        c = coefficients[p]
-        if c == 0:
-            continue
-        mag = abs(c)
-        if p == 0:
-            body = str(mag)
-        else:
-            power = "t" if p == 1 else f"t^{p}"
-            body = power if mag == 1 else f"{mag}*{power}"
-        terms.append((c, body))
-    return join_signed(terms)
 
 
 def characteristic_polynomial(a: list[list[int]]) -> IntegerPolynomial:

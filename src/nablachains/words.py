@@ -8,13 +8,22 @@ from ._record import Record
 from .errors import NotComposableError
 from .graph import _composable, as_dim, check_index
 
-# Operator names for n = 3, keyed by index.
-_NAMED_N3 = {1: "grad", 2: "curl", 3: "div"}
+
+class _NablaNames(dict):
+    def __missing__(self, i: int) -> str:
+        # made once per index, from its int value: True and 1 are both ∇_1
+        self[i] = name = f"∇_{i:d}"
+        return name
 
 
-def notation(indices: Sequence[int]) -> str:
-    """Render a chain with the last-applied operator leftmost."""
-    return " ∘ ".join(f"∇_{i}" for i in reversed(indices))
+# Operator names by index: ∇_i in any dimension, grad/curl/div at n = 3.
+NABLA_NAMES = _NablaNames()
+N3_NAMES = {1: "grad", 2: "curl", 3: "div"}
+
+
+def notation(indices: Sequence[int], names: dict[int, str] = NABLA_NAMES) -> str:
+    """Render a chain by its names, the last-applied operator leftmost."""
+    return " ∘ ".join([names[i] for i in reversed(indices)])
 
 
 class CompositionWord(Record):
@@ -51,9 +60,7 @@ class CompositionWord(Record):
 
     def named_notation(self) -> str | None:
         """grad/curl/div rendering, available only for n = 3."""
-        if self.n != 3:
-            return None
-        return " ∘ ".join(_NAMED_N3[i] for i in reversed(self.indices))
+        return notation(self.indices, N3_NAMES) if self.n == 3 else None
 
 
 WordLike = CompositionWord | Sequence[int]

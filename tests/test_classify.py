@@ -11,6 +11,7 @@ from nablachains import (
     is_composable,
     is_zero_operator,
 )
+from nablachains.words import N3_NAMES, NABLA_NAMES, notation
 
 
 @pytest.mark.parametrize(
@@ -193,3 +194,12 @@ def test_notation_rendering():
     assert w.composition_notation() == "∇_1 ∘ ∇_3 ∘ ∇_1"
     assert w.named_notation() == "grad ∘ div ∘ grad"
     assert CompositionWord(4, (1, 4)).named_notation() is None
+    # two-digit indices, and the largest n the CLI enumerates
+    w = CompositionWord(64, (10, 55, 64, 1))
+    assert w.composition_notation() == "∇_1 ∘ ∇_64 ∘ ∇_55 ∘ ∇_10"
+    assert notation((63, 64, 1)) == "∇_1 ∘ ∇_64 ∘ ∇_63"
+    # the named form from bare indices, as enumerate writes json's named field
+    assert notation((1, 3, 1), N3_NAMES) == "grad ∘ div ∘ grad"
+    assert notation((2,), N3_NAMES) == "curl"
+    # a table caches each name by index, and True == 1: True must not make "∇_True"
+    assert notation((1, True), type(NABLA_NAMES)()) == "∇_1 ∘ ∇_1"

@@ -378,7 +378,8 @@ def test_enumerate_streams_what_was_built_whole(capsys, fmt):
 @pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
 def test_enumerate_trusts_the_walk(capsys, monkeypatch, fmt):
     # each row's word and class come from the walk that made it: no word is
-    # rebuilt as a CompositionWord, nor classified again
+    # rebuilt as a CompositionWord, nor classified again; at n = 3 json's
+    # named field is written from the indices too
     calls = {"CompositionWord": 0, "classify_word": 0}
     init = nablachains.CompositionWord.__init__
 
@@ -393,9 +394,11 @@ def test_enumerate_trusts_the_walk(capsys, monkeypatch, fmt):
     monkeypatch.setattr(nablachains.CompositionWord, "__init__", counted_init)
     monkeypatch.setattr(cli, "classify_word", counted_classify)
     monkeypatch.setattr(nablachains.classify, "classify_word", counted_classify)
-    code, out, _ = run(capsys, "enumerate", "--n", "4", "--length", "10", "--format", fmt)
-    assert code == 0 and "zero" in out and "non-trivial" in out
-    assert calls == {"CompositionWord": 0, "classify_word": 0}
+    for n in (3, 4):
+        code, out, _ = run(capsys, "enumerate", "--n", str(n), "--length", "10", "--format", fmt)
+        assert code == 0 and "zero" in out and "non-trivial" in out
+        assert ('"named"' in out) == (n == 3 and fmt == "json")
+        assert calls == {"CompositionWord": 0, "classify_word": 0}
 
 
 def test_enumerate_nontrivial_at_the_cap_is_quick():
