@@ -1,0 +1,102 @@
+#!/usr/bin/env python3
+"""Plant each listed fault in a copy of the repository and check that its
+killing test fails.
+
+A mutant is (file, old text, new text, killing test).  All run in one
+temporary copy of the repository: the old text, which must occur exactly
+once in the file, is replaced, `pytest -x -q` runs on the killing test (a
+test file or a node id), and the file is restored.  A failing run kills the
+mutant.  Each killing test is first run once on the unchanged copy, since a
+test that fails anyway kills nothing.  Prints killed or survived per mutant
+and exits 1 if any survived, 2 if an edit or a baseline run is refused.
+
+    python3 scripts/mutants.py
+
+Standard library only; the tests need pytest and the test dependencies.
+"""
+
+import os
+import pathlib
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+MUTANTS = [
+    # the composability rule, stated once as the successors' closed form
+    ("src/nablachains/graph.py", "j = n + 1 - i", "j = n - i",
+     "tests/test_graph.py::test_adjacency_agrees_with_is_composable"),
+    # a bool is not an operator index
+    ("src/nablachains/graph.py", "isinstance(i, bool) or ", "",
+     "tests/test_graph.py::test_operator_index_message_is_shared"),
+    # a form's basis subsets are strictly ascending
+    ("src/nablachains/forms.py", "map(operator.lt, key, key[1:])", "map(operator.le, key, key[1:])",
+     "tests/test_forms.py"),
+    # a polynomial's exponent tuples are distinct
+    ("src/nablachains/polynomial.py", "if key in canon:", "if key is canon:",
+     "tests/test_polynomial.py"),
+    # verify_recurrence: the comparison, and each end of the applicable range
+    ("src/nablachains/recurrence.py", "values[k - 1] == sum(", "values[k - 1] >= sum(",
+     "tests/test_recurrence.py"),
+    ("src/nablachains/recurrence.py", "max(r.valid_from, d + 1)", "max(r.valid_from, d + 2)",
+     "tests/test_recurrence.py"),
+    ("src/nablachains/recurrence.py", "len(values) + 1)", "len(values))",
+     "tests/test_recurrence.py"),
+    # the CLI budgets, each at its edge
+    ("src/nablachains/cli.py", "if bits > MAX_COUNT_BITS:", "if bits >= MAX_COUNT_BITS:",
+     "tests/test_cli.py"),
+    ("src/nablachains/cli.py", "if bits > MAX_SEQUENCE_BITS:", "if bits >= MAX_SEQUENCE_BITS:",
+     "tests/test_cli.py"),
+    ("src/nablachains/counting.py", "if (total := sum(v)) > cap:", "if (total := sum(v)) >= cap:",
+     "tests/test_counting.py"),
+]
+
+
+def run_pytest(copy: pathlib.Path, target: str) -> tuple[bool, float]:
+    """(passed, seconds) of `pytest -x -q target` in the copy.  No bytecode
+    is written, so a mutant never runs from a cache of the file it changed."""
+    env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", target],
+        cwd=copy, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    return proc.returncode == 0, time.perf_counter() - start
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
+        copy = pathlib.Path(tmp) / "repo"
+        shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
+            ".git", "__pycache__", ".pytest_cache", ".hypothesis", "results"))
+        for path, old, _, _ in MUTANTS:
+            found = (copy / path).read_text(encoding="utf-8").count(old)
+            if found != 1:
+                print(f"refused: {old!r} occurs {found} times in {path}, not once")
+                return 2
+        for target in dict.fromkeys(t for *_, t in MUTANTS):
+            passed, seconds = run_pytest(copy, target)
+            print(f"baseline  {'passed' if passed else 'FAILED'}  {target}  ({seconds:.1f} s)")
+            if not passed:
+                return 2
+        survivors = 0
+        for path, old, new, target in MUTANTS:
+            source = copy / path
+            original = source.read_text(encoding="utf-8")
+            source.write_text(original.replace(old, new), encoding="utf-8")
+            try:
+                passed, seconds = run_pytest(copy, target)
+            finally:
+                source.write_text(original, encoding="utf-8")
+            survivors += passed
+            verdict = "SURVIVED" if passed else "killed"
+            print(f"{verdict:8}  {path}: {old!r} -> {new!r}  by {target}  ({seconds:.1f} s)")
+    print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} mutants killed")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

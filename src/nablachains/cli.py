@@ -200,16 +200,16 @@ def cmd_recurrence(args) -> int:
         "characteristic_polynomial": str(charpoly),
         "characteristic_coefficients": [str(c) for c in charpoly.coefficients],
     }
-    reference = reference_recurrences()
-    if n in reference:
-        payload["matches_reference_table"] = rec == reference[n]
+    row = reference_recurrences().get(n)
+    if row is not None:
+        payload["matches_reference_table"] = rec == row
     if args.format == "json":
         print(json.dumps(payload))
     else:
-        print(rec.relation_string())
-        print(f"characteristic polynomial: {charpoly}")
-        if "matches_reference_table" in payload:
-            print(f"matches_reference_table: {str(payload['matches_reference_table']).lower()}")
+        print(payload["relation"])
+        print(f"characteristic polynomial: {payload['characteristic_polynomial']}")
+        if row is not None:
+            print(f"matches_reference_table: {str(rec == row).lower()}")
     return 0
 
 
@@ -502,32 +502,30 @@ def build_parser() -> argparse.ArgumentParser:
     def add_format(p, default, choices=("plain", "json", "csv")):
         p.add_argument("--format", choices=choices, default=default)
 
-    p = sub.add_parser("count", help="number of meaningful chains of order k")
-    p.add_argument("--n", type=_int, required=True)
+    dim = argparse.ArgumentParser(add_help=False)
+    dim.add_argument("--n", type=_int, required=True)
+
+    p = sub.add_parser("count", parents=[dim], help="number of meaningful chains of order k")
     p.add_argument("--k", type=_int, required=True)
     add_format(p, "plain", ("plain", "json"))
     p.set_defaults(func=cmd_count)
 
-    p = sub.add_parser("sequence", help="counts for k = 1..k_max")
-    p.add_argument("--n", type=_int, required=True)
+    p = sub.add_parser("sequence", parents=[dim], help="counts for k = 1..k_max")
     p.add_argument("--k-max", dest="k_max", type=_int, required=True)
     add_format(p, "plain")
     p.set_defaults(func=cmd_sequence)
 
-    p = sub.add_parser("recurrence", help="minimal recurrence for the counts")
-    p.add_argument("--n", type=_int, required=True)
+    p = sub.add_parser("recurrence", parents=[dim], help="minimal recurrence for the counts")
     add_format(p, "json", ("plain", "json"))
     p.set_defaults(func=cmd_recurrence)
 
-    p = sub.add_parser("enumerate", help="list meaningful chains")
-    p.add_argument("--n", type=_int, required=True)
+    p = sub.add_parser("enumerate", parents=[dim], help="list meaningful chains")
     p.add_argument("--length", type=_int, required=True)
     p.add_argument("--nontrivial", action="store_true")
     add_format(p, "json")
     p.set_defaults(func=cmd_enumerate)
 
-    p = sub.add_parser("apply", help="apply an operator chain to polynomial input")
-    p.add_argument("--n", type=_int, required=True)
+    p = sub.add_parser("apply", parents=[dim], help="apply an operator chain to polynomial input")
     p.add_argument("--word", required=True, help="comma-separated indices, first applied first")
     p.add_argument("--input", required=True, help="bracketed polynomial components")
     add_format(p, "json", ("plain", "json"))

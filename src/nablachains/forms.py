@@ -114,15 +114,11 @@ class DifferentialForm(Record):
     __match_args__ = ("n", "degree", "components")
 
     def __init__(self, n: int, degree: int, components: Mapping[Subset, Polynomial]):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "components", components)
-        as_dim(self.n)
-        if not 0 <= self.degree <= self.n:
-            raise ValueError(f"degree {self.degree} out of range 0..{self.n}")
-        n, degree = self.n, self.degree
+        as_dim(n)
+        if not 0 <= degree <= n:
+            raise ValueError(f"degree {degree} out of range 0..{n}")
         canon: dict[Subset, Polynomial] = {}
-        for key, poly in self.components.items():
+        for key, poly in components.items():
             key = tuple(key)
             if len(key) != degree or not all(map(operator.lt, key, key[1:])):
                 raise ValueError(f"bad basis subset {key} for degree {degree}")
@@ -132,6 +128,8 @@ class DifferentialForm(Record):
                 raise ValueError("component polynomial has wrong variable count")
             if poly.terms:
                 canon[key] = poly
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "components", canon)
 
     def is_zero(self) -> bool:

@@ -1,10 +1,10 @@
 """Composability relation between the operators nabla_1..nabla_n on R^n.
 
 nabla_j can be applied after nabla_i exactly when j = i + 1 or i + j = n + 1.
-This module materializes it as an adjacency matrix and as successor lists;
-the rest of the package (counting, classification, symbolics) is driven by it.
-Both read the rule in closed form: the successors of i are i + 1 (for i < n)
-and n + 1 - i, one index when the two coincide (2i = n).
+It is stated once, by _successors in closed form: i + 1 (for i < n) and
+n + 1 - i, one index when the two coincide (2i = n).  The predicate is
+membership in that list.  The adjacency matrix, the counting walks and the
+word checks all read it, and the rest of the package is driven by them.
 
 Indices are 1-based throughout the public surface.
 """
@@ -20,14 +20,10 @@ def as_dim(n: int) -> int:
 
 
 def check_index(i: int, n: int) -> None:
-    """Reject an operator index that is not an int in 1..n."""
-    if not isinstance(i, int) or not 1 <= i <= n:
+    """Reject an operator index that is not an int in 1..n, or is a bool."""
+    # type() first: a plain int, the common case, costs no isinstance call
+    if type(i) is not int and (isinstance(i, bool) or not isinstance(i, int)) or not 1 <= i <= n:
         raise ValueError(f"operator index {i!r} out of range 1..{n}")
-
-
-def _composable(i: int, j: int, n: int) -> bool:
-    # The rule itself, for indices the caller has already validated.
-    return j == i + 1 or i + j == n + 1
 
 
 def is_composable(i: int, j: int, n: int) -> bool:
@@ -35,7 +31,7 @@ def is_composable(i: int, j: int, n: int) -> bool:
     n = as_dim(n)
     check_index(i, n)
     check_index(j, n)
-    return _composable(i, j, n)
+    return j in _successors(i, n)
 
 
 def _successors(i: int, n: int) -> list[int]:

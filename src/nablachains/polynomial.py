@@ -30,8 +30,16 @@ class Polynomial:
         ValueError, as a malformed key or an inexact coefficient does."""
         if n_vars < 1:
             raise ValueError("need at least one variable")
+        # key by key, raising at the first fault
+        canon: dict[Exponents, Scalar] = {}
+        for exps, coeff in (terms or {}).items():
+            key = tuple(exps)
+            if len(key) != n_vars or not all(isinstance(e, int) and e >= 0 for e in key):
+                raise ValueError(f"bad exponent tuple {key} for {n_vars} variables")
+            if key in canon:
+                raise ValueError(f"exponent tuple {key} given twice")
+            canon[key] = _exact(coeff)
         self.n_vars = n_vars
-        canon = _canonical(n_vars, terms) if terms else {}
         self.terms = canon if all(canon.values()) else {e: c for e, c in canon.items() if c}
 
     # construction helpers
@@ -160,19 +168,6 @@ def _decimal_digits(m: int) -> int:
     log10(2) rounded, is within 0.66 of log10(m), so m has r or r + 1 digits."""
     r = ((2 * m.bit_length() - 1) * 30102999566398 + 10**14) // (2 * 10**14)
     return r + (m >= 10**r)
-
-
-def _canonical(n_vars: int, terms: Mapping[Exponents, Scalar]) -> dict[Exponents, Scalar]:
-    """The constructor's checks key by key, raising at the first fault."""
-    canon: dict[Exponents, Scalar] = {}
-    for exps, coeff in terms.items():
-        key = tuple(exps)
-        if len(key) != n_vars or not all(isinstance(e, int) and e >= 0 for e in key):
-            raise ValueError(f"bad exponent tuple {key} for {n_vars} variables")
-        if key in canon:
-            raise ValueError(f"exponent tuple {key} given twice")
-        canon[key] = _exact(coeff)
-    return canon
 
 
 def _built(n_vars: int, terms: dict[Exponents, Scalar]) -> Polynomial:

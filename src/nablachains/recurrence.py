@@ -200,16 +200,13 @@ def verify_recurrence(r: Recurrence, seq: CountSequence) -> bool:
     """Exact check of r at every applicable index of seq (values are f(1)..)."""
     d = r.order
     values = seq.values
-    checked = False
-    for k in range(max(r.valid_from, d + 1), len(values) + 1):
-        checked = True
-        lhs = values[k - 1]
-        rhs = sum(r.coefficients[t - 1] * values[k - t - 1] for t in range(1, d + 1))
-        if lhs != rhs:
-            return False
-    if not checked:
+    applicable = range(max(r.valid_from, d + 1), len(values) + 1)
+    if not applicable:
         raise ValueError("sequence too short to test the recurrence")
-    return True
+    return all(
+        values[k - 1] == sum(r.coefficients[t - 1] * values[k - t - 1] for t in range(1, d + 1))
+        for k in applicable
+    )
 
 
 def reference_recurrences() -> dict[int, Recurrence]:

@@ -6,7 +6,7 @@ from collections.abc import Iterable, Sequence
 
 from ._record import Record
 from .errors import NotComposableError
-from .graph import _composable, as_dim, check_index
+from .graph import _successors, as_dim, check_index
 
 
 class _NablaNames(dict):
@@ -46,7 +46,7 @@ class CompositionWord(Record):
     def first_invalid_pair(self) -> tuple[int, int] | None:
         """First consecutive pair that is not composable, or None."""
         for a, b in zip(self.indices, self.indices[1:]):
-            if not _composable(a, b, self.n):
+            if b not in _successors(a, self.n):
                 return (a, b)
         return None
 

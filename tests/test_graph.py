@@ -3,6 +3,7 @@ import pytest
 from nablachains import (
     ComponentVector,
     CompositionWord,
+    apply_word,
     build_adjacency,
     classify_pair,
     count_total,
@@ -54,20 +55,27 @@ def test_index_out_of_range():
         successors(5, 4)
 
 
+# every entry point that takes an operator index, called with index i at n = 3
+INDEX_ENTRY_POINTS = {
+    "is_composable": lambda i: is_composable(1, i, 3),
+    "successors": lambda i: successors(i, 3),
+    "CompositionWord": lambda i: CompositionWord(3, (1, i)),
+    "classify_pair": lambda i: classify_pair(i, 1, 3),
+    "nabla": lambda i: nabla(i, ComponentVector.zero(3, 0)),
+    "apply_word": lambda i: apply_word((i,), ComponentVector.zero(3, 0)),
+    "is_zero_operator": lambda i: is_zero_operator((i,), 3),
+}
+
+
 @pytest.mark.parametrize(
-    "call",
-    [
-        lambda: is_composable(1, 4, 3),
-        lambda: successors(4, 3),
-        lambda: CompositionWord(3, (1, 4)),
-        lambda: classify_pair(4, 1, 3),
-        lambda: nabla(4, ComponentVector.zero(3, 0)),
-    ],
-    ids=["is_composable", "successors", "CompositionWord", "classify_pair", "nabla"],
+    "call, index",
+    # a bool is refused, though isinstance(True, int) and True == 1
+    [pytest.param(call, 4, id=name) for name, call in INDEX_ENTRY_POINTS.items()]
+    + [pytest.param(call, True, id=f"{name}-True") for name, call in INDEX_ENTRY_POINTS.items()],
 )
-def test_operator_index_message_is_shared(call):
-    with pytest.raises(ValueError, match=r"^operator index 4 out of range 1\.\.3$"):
-        call()
+def test_operator_index_message_is_shared(call, index):
+    with pytest.raises(ValueError, match=rf"^operator index {index} out of range 1\.\.3$"):
+        call(index)
 
 
 def test_adjacency_n3_matches_known_table():
@@ -106,13 +114,17 @@ def test_row_sums_are_one_or_two(n):
 
 @pytest.mark.parametrize("n", range(3, 71))
 def test_adjacency_agrees_with_is_composable(n):
-    # both are read off the closed-form successors; the oracle asks the
-    # predicate of every pair
+    # the package reads every view below off one closed form; the oracle is
+    # the paper's rule, written out here and asked of every pair
     a = build_adjacency(n)
     for i in range(1, n + 1):
+        rule = [j for j in range(1, n + 1) if j == i + 1 or i + j == n + 1]
+        assert successors(i, n) == rule
         for j in range(1, n + 1):
-            assert a[i - 1][j - 1] == int(is_composable(i, j, n))
-        assert successors(i, n) == [j for j in range(1, n + 1) if is_composable(i, j, n)]
+            assert is_composable(i, j, n) is (j in rule)
+            assert a[i - 1][j - 1] == int(j in rule)
+            bad = CompositionWord(n, (i, j)).first_invalid_pair()
+            assert bad == (None if j in rule else (i, j))
 
 
 @pytest.mark.parametrize(

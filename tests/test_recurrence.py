@@ -218,6 +218,55 @@ def test_characteristic_recurrence_annihilates_counts(n):
     assert verify_recurrence(rec, seq)
 
 
+def _holds_at_every_index(r, values):
+    # the check verify_recurrence makes, as a plain loop; None: nothing to test
+    results = []
+    for k in range(1, len(values) + 1):
+        if k >= r.valid_from and k > r.order:
+            rhs = 0
+            for t, c in enumerate(r.coefficients, start=1):
+                rhs += c * values[k - t - 1]
+            results.append(values[k - 1] == rhs)
+    return all(results) if results else None
+
+
+FIB = (1, 1, 2, 3, 5, 8, 13, 21)
+
+
+@pytest.mark.parametrize(
+    "r, values, expected",
+    [
+        (Recurrence((1, 1), valid_from=3), FIB, True),
+        (Recurrence((1, 1), valid_from=3), FIB[:3], True),  # one applicable index
+        (Recurrence((1, 1), valid_from=1), FIB, True),  # from order + 1, not valid_from
+        (Recurrence((1, 1), valid_from=5), (9, 9) + FIB[2:], True),  # f(1), f(2) unread
+        (Recurrence((1, 1), valid_from=3), (1, 1, 3) + FIB[3:], False),  # only the first breaks
+        (Recurrence((1, 1), valid_from=3), FIB[:-1] + (22,), False),  # only the last breaks
+        (Recurrence((1, 1), valid_from=3), (1, 1, 7), False),  # the one index breaks
+        (Recurrence((2,), valid_from=2), (1, 2, 4, 8, 16), True),
+        (Recurrence((2,), valid_from=2), (1, 2, 4, 8, 17), False),
+    ],
+)
+def test_verify_recurrence_at_its_edges(r, values, expected):
+    assert _holds_at_every_index(r, values) is expected
+    assert verify_recurrence(r, CountSequence(3, values)) is expected
+
+
+@pytest.mark.parametrize(
+    "r, values",
+    [
+        (Recurrence((1, 1), valid_from=3), (1, 1)),  # order 2 needs a third term
+        (Recurrence((1, 1), valid_from=9), FIB),  # valid only past the end
+        (Recurrence((2,), valid_from=1), (5,)),
+        (Recurrence((2,), valid_from=1), ()),
+    ],
+)
+def test_verify_recurrence_refuses_a_sequence_with_no_applicable_index(r, values):
+    assert _holds_at_every_index(r, values) is None
+    with pytest.raises(ValueError, match="^sequence too short to test the recurrence$"):
+        verify_recurrence(r, CountSequence(3, values))
+
+
 def test_minimal_recurrence_n3():
     r = minimal_recurrence(count_sequence(3, 14))
     assert r.coefficients == (1, 1)
