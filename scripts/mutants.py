@@ -32,6 +32,12 @@ MUTANTS = [
     # a bool is not an operator index
     ("src/nablachains/graph.py", "isinstance(i, bool) or ", "",
      "tests/test_graph.py::test_operator_index_message_is_shared"),
+    # the bound rule for orders, lengths, levels and degrees: its least
+    # value is taken, and a bool is refused
+    ("src/nablachains/graph.py", "value < low", "value <= low",
+     "tests/test_graph.py::test_bound_takes_its_least_value_and_refuses_the_one_below"),
+    ("src/nablachains/graph.py", "isinstance(value, bool) or ", "",
+     "tests/test_graph.py::test_bound_refuses_a_bool_or_non_int"),
     # a form's basis subsets are strictly ascending
     ("src/nablachains/forms.py", "map(operator.lt, key, key[1:])", "map(operator.le, key, key[1:])",
      "tests/test_forms.py"),

@@ -15,7 +15,7 @@ from itertools import islice
 
 from ._record import Record
 from .errors import EnumerationCapError
-from .graph import _successors, as_dim, successors, total_count_polynomial
+from .graph import _successors, as_dim, check_bound, successors, total_count_polynomial
 from .words import CompositionWord
 
 DEFAULT_ENUMERATION_CAP = 10**6
@@ -50,8 +50,7 @@ def _walk(n: int, k: int, one=1):
 def count_per_start(n: int, k: int) -> tuple[int, ...]:
     """f_i(k) for i = 1..n, via k-1 successor steps from all-ones."""
     n = as_dim(n)
-    if k < 1:
-        raise ValueError(f"order k must be >= 1, got {k}")
+    check_bound(k, "order k", 1)
     for v in _walk(n, k):
         pass
     return tuple(v)
@@ -107,8 +106,7 @@ def count_total(n: int, k: int) -> int:
     the value is stepped instead.
     """
     n = as_dim(n)
-    if k < 0:
-        raise ValueError(f"order k must be >= 0, got {k}")
+    check_bound(k, "order k", 0)
     if k == 0:
         return 1
     g = total_count_polynomial(n)
@@ -132,8 +130,7 @@ def count_total(n: int, k: int) -> int:
 def count_sequence(n: int, k_max: int) -> CountSequence:
     """f(1)..f(k_max) in one pass (one successor step per k)."""
     n = as_dim(n)
-    if k_max < 1:
-        raise ValueError(f"k_max must be >= 1, got {k_max}")
+    check_bound(k_max, "k_max", 1)
     return CountSequence(n, (sum(v) for v in _walk(n, k_max)))
 
 
@@ -152,8 +149,7 @@ def enumerate_words(
 ) -> list[CompositionWord]:
     """All meaningful length-k words in lexicographic order of the index tuple."""
     n = as_dim(n)
-    if k < 1:
-        raise ValueError(f"length k must be >= 1, got {k}")
+    check_bound(k, "length k", 1)
     _check_enumeration_cap(n, k, cap)
     return [CompositionWord(n, w) for w, _ in _iter_words(n, k)]
 
@@ -184,8 +180,7 @@ def brute_force_count(n: int, k: int) -> int:
     Independent of the successor stepping on purpose; no memoization.
     """
     n = as_dim(n)
-    if k < 0:
-        raise ValueError(f"order k must be >= 0, got {k}")
+    check_bound(k, "order k", 0)
     if k == 0:
         return 1
     succ = {i: successors(i, n) for i in range(1, n + 1)}

@@ -37,7 +37,7 @@ from fractions import Fraction
 
 from ._record import Record
 from .errors import LevelMismatchError
-from .graph import as_dim, check_index
+from .graph import as_dim, check_bound, check_index
 from .polynomial import Polynomial, _built
 from .words import WordLike, as_word
 
@@ -115,8 +115,7 @@ class DifferentialForm(Record):
 
     def __init__(self, n: int, degree: int, components: Mapping[Subset, Polynomial]):
         as_dim(n)
-        if not 0 <= degree <= n:
-            raise ValueError(f"degree {degree} out of range 0..{n}")
+        check_bound(degree, "degree", 0, n)
         canon: dict[Subset, Polynomial] = {}
         for key, poly in components.items():
             key = tuple(key)
@@ -151,22 +150,19 @@ class ComponentVector(Record):
     __match_args__ = ("n", "level", "entries")
 
     def __init__(self, n: int, level: int, entries: Iterable[Polynomial]):
+        entries = tuple(entries)
+        as_dim(n)
+        check_bound(level, "level", 0, n // 2)
+        expected = math.comb(n, level)
+        if len(entries) != expected:
+            raise ValueError(f"level {level} in dimension {n} needs {expected} entries, "
+                             f"got {len(entries)}")
+        for p in entries:
+            if p.n_vars != n:
+                raise ValueError("entry polynomial has wrong variable count")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "level", level)
-        object.__setattr__(self, "entries", tuple(entries))
-        as_dim(self.n)
-        m = self.n // 2
-        if not 0 <= self.level <= m:
-            raise ValueError(f"level {self.level} out of range 0..{m}")
-        expected = math.comb(self.n, self.level)
-        if len(self.entries) != expected:
-            raise ValueError(
-                f"level {self.level} in dimension {self.n} needs {expected} entries, "
-                f"got {len(self.entries)}"
-            )
-        for p in self.entries:
-            if p.n_vars != self.n:
-                raise ValueError("entry polynomial has wrong variable count")
+        object.__setattr__(self, "entries", entries)
 
     def is_zero(self) -> bool:
         return all(p.is_zero() for p in self.entries)
@@ -305,9 +301,7 @@ def is_zero_operator(w: WordLike, n: int) -> bool:
     Two probes decide it: S = {0} first, whose nonzero output ends most
     nonzero chains after one fold, then S = every other slot.
     """
-    n = as_dim(n)
     word = as_word(w, n)
-    word.require_meaningful()
     level = domain_level(word.indices[0], n)
     slots = math.comb(n, level)
     length = len(word)

@@ -26,6 +26,15 @@ def check_index(i: int, n: int) -> None:
         raise ValueError(f"operator index {i!r} out of range 1..{n}")
 
 
+def check_bound(value: int, name: str, low: int, high: int | None = None) -> None:
+    """Reject an order, length, level or degree that is not an int in
+    low..high (no upper end when high is None), or is a bool."""
+    if (type(value) is not int and (isinstance(value, bool) or not isinstance(value, int))
+            or value < low or high is not None and value > high):
+        raise ValueError(f"{name} must be >= {low}, got {value}" if high is None
+                         else f"{name} {value} out of range {low}..{high}")
+
+
 def is_composable(i: int, j: int, n: int) -> bool:
     """True iff nabla_j may be applied after nabla_i in dimension n."""
     n = as_dim(n)

@@ -28,8 +28,7 @@ class Polynomial:
         and coefficients ints or Fractions; terms with a zero coefficient are
         dropped.  No like terms are summed: a key given twice raises
         ValueError, as a malformed key or an inexact coefficient does."""
-        if n_vars < 1:
-            raise ValueError("need at least one variable")
+        _check_n_vars(n_vars)
         # key by key, raising at the first fault
         canon: dict[Exponents, Scalar] = {}
         for exps, coeff in (terms or {}).items():
@@ -89,7 +88,9 @@ class Polynomial:
 
     def diff(self, i: int) -> "Polynomial":
         """Partial derivative with respect to x_i (1-based), exact power rule."""
-        if not 1 <= i <= self.n_vars:
+        # as graph.check_index, inline: a zero-test decision calls diff about 127 times
+        if type(i) is not int and (isinstance(i, bool) or not isinstance(i, int)) \
+                or not 1 <= i <= self.n_vars:
             raise ValueError(f"variable index {i} out of range 1..{self.n_vars}")
         # Lowering the i-th exponent maps distinct exponents to distinct ones,
         # so each surviving term lands on its own key.
@@ -161,6 +162,13 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({self.n_vars}, {self})"
+
+
+def _check_n_vars(n_vars: int) -> None:
+    if type(n_vars) is not int and (isinstance(n_vars, bool) or not isinstance(n_vars, int)):
+        raise ValueError(f"variable count must be an int, got {n_vars!r}")
+    if n_vars < 1:
+        raise ValueError("need at least one variable")
 
 
 def _decimal_digits(m: int) -> int:
@@ -246,7 +254,7 @@ def parse_polynomial(text: str, n_vars: int) -> Polynomial:
         # A parse that succeeds has converted every token, so only a failed
         # one can have met a bad or over-long token.  The first of those in
         # the text names the fault, whatever the parse raised where it
-        # stopped (a TypeError, for one, when n_vars is not an int).
+        # stopped (a TypeError, for one, when n_vars is a float).
         _check_tokens(text)
         raise
 
@@ -308,13 +316,11 @@ def _parse(tokens: list[tuple[str, str, str, str]], n_vars: int) -> Polynomial:
         old = terms.get(key)
         terms[key] = c if old is None else old + c
         if idx == end:
-            if n_vars < 1:
-                raise ValueError("need at least one variable")
+            _check_n_vars(n_vars)
             # the keys are tuples of n_vars ints >= 0 and each sum an int or
             # Fraction, so only the zeros that cancelling terms made are dropped
-            if not all(terms.values()):
-                terms = {e: c for e, c in terms.items() if c}
-            return _built(n_vars, terms)
+            canon = terms if all(terms.values()) else {e: c for e, c in terms.items() if c}
+            return _built(n_vars, canon)
         # the next term's signs separate it from this one
         number, var, op, _ = tokens[idx]
         if op not in ("+", "-"):

@@ -162,9 +162,7 @@ def minimal_recurrence(seq: CountSequence) -> Recurrence:
     """
     n, values = seq.n, seq.values
     if len(values) < 2 * n + 4:
-        raise ValueError(
-            f"need at least {2 * n + 4} terms for n={n}, got {len(values)}"
-        )
+        raise ValueError(f"need at least {2 * n + 4} terms for n={n}, got {len(values)}")
     # conn = lead * (1 - c_1 x - ... - c_d x^d) annihilates the terms read so
     # far; prev is conn as it was before the last change of order, when its
     # discrepancy was prev_disc, `gap` terms ago.  prev_disc * conn -

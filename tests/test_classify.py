@@ -11,7 +11,7 @@ from nablachains import (
     is_composable,
     is_zero_operator,
 )
-from nablachains.words import N3_NAMES, NABLA_NAMES, notation
+from nablachains.words import N3_NAMES, NABLA_NAMES, as_word, notation
 
 
 @pytest.mark.parametrize(
@@ -203,3 +203,13 @@ def test_notation_rendering():
     assert notation((2,), N3_NAMES) == "curl"
     # a table caches each name by index, and True == 1: True must not make "∇_True"
     assert notation((1, True), type(NABLA_NAMES)()) == "∇_1 ∘ ∇_1"
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: CompositionWord(3, ()), "composition word must be nonempty"),
+    (lambda: as_word(CompositionWord(4, (1,)), 3), "word is for n=4, expected n=3"),
+])
+def test_word_checks_name_the_fault(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message

@@ -361,6 +361,18 @@ def test_is_zero_operator_rejects_non_meaningful():
         is_zero_operator((2, 1), 3)
 
 
+@pytest.mark.parametrize("word, probes", [((1, 2), 1), ((1, 3), 1), ((2, 3), 2), ((2, 2, 2), 1)])
+def test_is_zero_operator_scans_composability_once_per_probe(monkeypatch, word, probes):
+    # the first probe's apply_word refuses a word that is not meaningful, so
+    # is_zero_operator need not scan it first
+    scans, folds = [], []
+    scan, fold = CompositionWord.first_invalid_pair, forms.apply_word
+    monkeypatch.setattr(CompositionWord, "first_invalid_pair", lambda w: scans.append(w) or scan(w))
+    monkeypatch.setattr(forms, "apply_word", lambda w, v: folds.append(w) or fold(w, v))
+    is_zero_operator(word, 3)
+    assert len(folds) == probes and len(scans) == probes
+
+
 @pytest.mark.parametrize("n", (3, 4, 5))
 def test_identification_mismatch_has_nonzero_witness(n):
     # the round-trip identification at complementary degrees is not the

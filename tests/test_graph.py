@@ -3,10 +3,18 @@ import pytest
 from nablachains import (
     ComponentVector,
     CompositionWord,
+    DifferentialForm,
+    Polynomial,
     apply_word,
+    brute_force_count,
     build_adjacency,
     classify_pair,
+    count_nontrivial,
+    count_per_start,
+    count_sequence,
     count_total,
+    enumerate_nontrivial,
+    enumerate_words,
     is_composable,
     is_zero_operator,
     nabla,
@@ -76,6 +84,46 @@ INDEX_ENTRY_POINTS = {
 def test_operator_index_message_is_shared(call, index):
     with pytest.raises(ValueError, match=rf"^operator index {index} out of range 1\.\.3$"):
         call(index)
+
+
+# every order, length, level and degree argument, at n = 3: (call with the
+# value, the least value taken, the message that refuses value v)
+BOUND_ENTRY_POINTS = {
+    "count_per_start": (lambda k: count_per_start(3, k), 1, "order k must be >= 1, got {}"),
+    "count_total": (lambda k: count_total(3, k), 0, "order k must be >= 0, got {}"),
+    "count_sequence": (lambda k: count_sequence(3, k), 1, "k_max must be >= 1, got {}"),
+    "enumerate_words": (lambda k: enumerate_words(3, k), 1, "length k must be >= 1, got {}"),
+    "brute_force_count": (lambda k: brute_force_count(3, k), 0, "order k must be >= 0, got {}"),
+    "enumerate_nontrivial": (lambda k: enumerate_nontrivial(3, k), 1, "length must be >= 1, got {}"),
+    "count_nontrivial": (lambda k: count_nontrivial(3, k), 2, "length must be >= 2, got {}"),
+    "DifferentialForm": (lambda d: DifferentialForm(3, d, {}), 0, "degree {} out of range 0..3"),
+    "ComponentVector": (lambda m: ComponentVector(3, m, (Polynomial.zero(3),)), 0,
+                        "level {} out of range 0..1"),
+}
+
+
+@pytest.mark.parametrize("name", BOUND_ENTRY_POINTS)
+def test_bound_takes_its_least_value_and_refuses_the_one_below(name):
+    call, low, message = BOUND_ENTRY_POINTS[name]
+    call(low)
+    with pytest.raises(ValueError) as info:
+        call(low - 1)
+    assert str(info.value) == message.format(low - 1)
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    # a bool or float whose value is in range: each site once took one, or
+    # raised TypeError from inside range()
+    [pytest.param(name, value, id=f"{name}-{value!r}")
+     for name, (_, low, _) in BOUND_ENTRY_POINTS.items()
+     for value in [b for b in (False, True) if b >= low] + [float(low), low + 0.5]],
+)
+def test_bound_refuses_a_bool_or_non_int(name, value):
+    call, _, message = BOUND_ENTRY_POINTS[name]
+    with pytest.raises(ValueError) as info:
+        call(value)
+    assert str(info.value) == message.format(value)
 
 
 def test_adjacency_n3_matches_known_table():

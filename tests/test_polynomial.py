@@ -78,6 +78,47 @@ def test_constructor_rejects_a_key_repeated_after_tuple(first):
         Polynomial(2, {(1, 0): first, range(1, -1, -1): 2})
 
 
+@pytest.mark.parametrize("build, n_vars", [
+    pytest.param(lambda: Polynomial(2.0, {(1, 1): 1}), 2.0, id="Polynomial-2.0"),
+    pytest.param(lambda: Polynomial(True, {(1,): 1}), True, id="Polynomial-True"),
+    pytest.param(lambda: parse_polynomial("x1", True), True, id="parse_polynomial-True"),
+])
+def test_variable_count_must_be_an_int(build, n_vars):
+    # each was once built, with n_vars 2.0 or True
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == f"variable count must be an int, got {n_vars!r}"
+
+
+def test_zero_variables_is_refused():
+    with pytest.raises(ValueError) as info:
+        Polynomial(0)
+    assert str(info.value) == "need at least one variable"
+
+
+@pytest.mark.parametrize("i", [0, 4, pytest.param(True, id="True"), pytest.param(1.0, id="1.0")])
+def test_diff_refuses_a_variable_index_out_of_range_or_not_an_int(i):
+    # diff(True) and diff(1.0) once differentiated by x1
+    with pytest.raises(ValueError) as info:
+        Polynomial.monomial(3, (1, 1, 1)).diff(i)
+    assert str(info.value) == f"variable index {i} out of range 1..3"
+
+
+def test_equality_with_a_non_polynomial_is_not_implemented():
+    p = Polynomial.monomial(1, (0,), 3)
+    assert p.__eq__(3) is NotImplemented
+    assert p != 3 and p != "3"
+
+
+def test_a_fraction_subclass_coefficient_is_stored_as_a_fraction():
+    class Half(Fraction):
+        pass
+
+    p = Polynomial(1, {(1,): Half(1, 2)})
+    assert type(p.terms[(1,)]) is Fraction and p.terms[(1,)] == Fraction(1, 2)
+    assert str(p) == "1/2*x1"
+
+
 def test_diff_power_rule():
     # d/dx1 (x1^3 * x2) = 3 x1^2 x2
     p = Polynomial(2, {(3, 1): 1})

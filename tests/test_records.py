@@ -147,6 +147,16 @@ def test_empty_integer_polynomial_is_refused():
     assert recurrence_from_polynomial(IntegerPolynomial((1,))) == Recurrence((), 1)
 
 
+def test_integer_polynomial_needs_a_nonzero_leading_coefficient():
+    with pytest.raises(ValueError) as info:
+        IntegerPolynomial((1, 0))
+    assert str(info.value) == "leading coefficient must be nonzero"
+
+
+def test_integer_polynomial_prints_its_constant_term():
+    assert str(IntegerPolynomial((-2, 0, 1))) == "t^2 - 2"
+
+
 @pytest.mark.parametrize("code", [
     "import nablachains; print(nablachains.count_total(3, 1))",
     "import nablachains.cli",
