@@ -38,9 +38,13 @@ MUTANTS = [
      "tests/test_graph.py::test_bound_takes_its_least_value_and_refuses_the_one_below"),
     ("src/nablachains/graph.py", "isinstance(value, bool) or ", "",
      "tests/test_graph.py::test_bound_refuses_a_bool_or_non_int"),
-    # a form's basis subsets are strictly ascending
-    ("src/nablachains/forms.py", "map(operator.lt, key, key[1:])", "map(operator.le, key, key[1:])",
+    # a form's keys are its basis subsets, each strictly ascending
+    ("src/nablachains/forms.py", "s for s in _subsets(n, degree)}",
+     "s for s in itertools.combinations_with_replacement(range(1, n + 1), degree)}",
      "tests/test_forms.py"),
+    # an enumeration's least length, checked before the cap
+    ("src/nablachains/counting.py", '"length k", 1)', '"length k", 0)',
+     "tests/test_graph.py::test_bound_takes_its_least_value_and_refuses_the_one_below"),
     # a polynomial's exponent tuples are distinct
     ("src/nablachains/polynomial.py", "if key in canon:", "if key is canon:",
      "tests/test_polynomial.py"),

@@ -61,7 +61,7 @@ from .forms import (
     nabla,
     subsets,
 )
-from .graph import build_adjacency
+from .graph import build_adjacency, check_bound
 from .polynomial import Polynomial, parse_polynomial
 from .recurrence import (
     characteristic_polynomial,
@@ -99,16 +99,6 @@ def _int(text: str) -> int:
     raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
 
 
-def _check_counting_n(n: int) -> None:
-    if not 3 <= n <= MAX_COUNTING_N:
-        raise ValueError(f"n must be in 3..{MAX_COUNTING_N}")
-
-
-def _check_symbolic_n(n: int) -> None:
-    if not 3 <= n <= MAX_SYMBOLIC_N:
-        raise ValueError(f"n must be in 3..{MAX_SYMBOLIC_N} for symbolic computation")
-
-
 def _decimal(count: int) -> str:
     """Decimal digits of a count of any size.
 
@@ -133,9 +123,7 @@ def _write_joined(sep: str, pieces: Iterable[str]) -> None:
 
 
 def cmd_count(args) -> int:
-    _check_counting_n(args.n)
-    if args.k < 0:
-        raise ValueError("k must be >= 0")
+    check_bound(args.n, "n", 3, MAX_COUNTING_N)
     # f(k) <= n * 2^(k-1), since each operator has at most two successors
     bits = args.k - 1 + args.n.bit_length()
     if bits > MAX_COUNT_BITS:
@@ -151,9 +139,9 @@ def cmd_count(args) -> int:
 
 
 def cmd_sequence(args) -> int:
-    _check_counting_n(args.n)
-    if args.k_max < 1:
-        raise ValueError("k-max must be >= 1")
+    check_bound(args.n, "n", 3, MAX_COUNTING_N)
+    # count_sequence's rule: the walk below is run here, not through it
+    check_bound(args.k_max, "k_max", 1)
     # count's bound on the bits of f(k), k - 1 + n.bit_length(), summed
     k_max = args.k_max
     bits = k_max * (k_max - 1) // 2 + k_max * args.n.bit_length()
@@ -186,7 +174,7 @@ def cmd_sequence(args) -> int:
 
 
 def cmd_recurrence(args) -> int:
-    _check_counting_n(args.n)
+    check_bound(args.n, "n", 3, MAX_COUNTING_N)
     n = args.n
     seq = count_sequence(n, 2 * n + 8)
     rec = minimal_recurrence(seq)
@@ -209,15 +197,13 @@ def cmd_recurrence(args) -> int:
         print(payload["relation"])
         print(f"characteristic polynomial: {payload['characteristic_polynomial']}")
         if row is not None:
-            print(f"matches_reference_table: {str(rec == row).lower()}")
+            print(f"matches_reference_table: {str(payload['matches_reference_table']).lower()}")
     return 0
 
 
 def cmd_enumerate(args) -> int:
-    _check_counting_n(args.n)
-    if args.length < 1:
-        raise ValueError("length must be >= 1")
-    # the refusal enumerate_words makes, before any output; it returns f(length)
+    check_bound(args.n, "n", 3, MAX_COUNTING_N)
+    # the refusals enumerate_words makes, before any output; it returns f(length)
     count = _check_enumeration_cap(args.n, args.length)
     if args.nontrivial:
         # the closed-form families
@@ -283,7 +269,7 @@ def _parse_vector(text: str, n: int, level: int) -> ComponentVector:
 
 
 def cmd_apply(args) -> int:
-    _check_symbolic_n(args.n)
+    check_bound(args.n, "symbolic n", 3, MAX_SYMBOLIC_N)
     word = _parse_word(args.word, args.n)
     word.require_meaningful()
     level = domain_level(word.indices[0], args.n)

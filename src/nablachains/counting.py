@@ -135,9 +135,11 @@ def count_sequence(n: int, k_max: int) -> CountSequence:
 
 
 def _check_enumeration_cap(n: int, k: int, cap: int = DEFAULT_ENUMERATION_CAP) -> int:
-    """Return f(k) for k >= 1, or raise EnumerationCapError if f(k) > cap.
-    Totals never decrease (every operator has a predecessor), so the first
-    one above the cap rules k out before f(k) itself is computed."""
+    """Return f(k) for a length k that check_bound admits (an int >= 1), or
+    raise EnumerationCapError if f(k) > cap.  Totals never decrease (every
+    operator has a predecessor), so the first one above the cap rules k out
+    before f(k) itself is computed."""
+    check_bound(k, "length k", 1)
     for v in _walk(n, k):
         if (total := sum(v)) > cap:
             raise EnumerationCapError(total, cap)
@@ -149,7 +151,6 @@ def enumerate_words(
 ) -> list[CompositionWord]:
     """All meaningful length-k words in lexicographic order of the index tuple."""
     n = as_dim(n)
-    check_bound(k, "length k", 1)
     _check_enumeration_cap(n, k, cap)
     return [CompositionWord(n, w) for w, _ in _iter_words(n, k)]
 

@@ -31,7 +31,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
 
@@ -47,6 +46,13 @@ Subset = tuple[int, ...]
 @functools.cache
 def _subsets(n: int, size: int) -> tuple[Subset, ...]:
     return tuple(itertools.combinations(range(1, n + 1), size))
+
+
+@functools.cache
+def _basis(n: int, degree: int) -> dict[Subset, Subset]:
+    # each basis subset keyed by itself: a key equal to one, such as (True,)
+    # or (1.0,) for (1,), finds the tuple a form stores
+    return {s: s for s in _subsets(n, degree)}
 
 
 def subsets(n: int, size: int) -> list[Subset]:
@@ -116,17 +122,17 @@ class DifferentialForm(Record):
     def __init__(self, n: int, degree: int, components: Mapping[Subset, Polynomial]):
         as_dim(n)
         check_bound(degree, "degree", 0, n)
+        basis = _basis(n, degree)
         canon: dict[Subset, Polynomial] = {}
         for key, poly in components.items():
             key = tuple(key)
-            if len(key) != degree or not all(map(operator.lt, key, key[1:])):
+            s = basis.get(key)
+            if s is None:
                 raise ValueError(f"bad basis subset {key} for degree {degree}")
-            if key and not (1 <= key[0] and key[-1] <= n):
-                raise ValueError(f"subset {key} not within 1..{n}")
             if poly.n_vars != n:
                 raise ValueError("component polynomial has wrong variable count")
             if poly.terms:
-                canon[key] = poly
+                canon[s] = poly
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "components", canon)

@@ -248,13 +248,13 @@ def parse_polynomial(text: str, n_vars: int) -> Polynomial:
 
     digits are ASCII 0-9, and "x", digits is one token too.  A term's signs
     multiply, so ``x1 - -x2`` is x1 + x2."""
+    _check_n_vars(n_vars)
     try:
         return _parse(_TOKEN.findall(text), n_vars)
-    except Exception:
+    except ValueError:
         # A parse that succeeds has converted every token, so only a failed
         # one can have met a bad or over-long token.  The first of those in
-        # the text names the fault, whatever the parse raised where it
-        # stopped (a TypeError, for one, when n_vars is a float).
+        # the text names the fault, whatever the parse raised where it stopped.
         _check_tokens(text)
         raise
 
@@ -316,7 +316,6 @@ def _parse(tokens: list[tuple[str, str, str, str]], n_vars: int) -> Polynomial:
         old = terms.get(key)
         terms[key] = c if old is None else old + c
         if idx == end:
-            _check_n_vars(n_vars)
             # the keys are tuples of n_vars ints >= 0 and each sum an int or
             # Fraction, so only the zeros that cancelling terms made are dropped
             canon = terms if all(terms.values()) else {e: c for e, c in terms.items() if c}

@@ -472,12 +472,29 @@ def test_apply_checks_the_word_before_the_vector(capsys):
          "input vector must be bracketed, e.g. [x1*x2, 0, x3]"),
         (["apply", "--n", "3", "--word", "2", "--input", "[x1, x2]"], 1,
          "word starting with that operator needs 3 input components at level 1, got 2"),
-        (["sequence", "--n", "3", "--k-max", "0"], 1, "k-max must be >= 1"),
-        (["enumerate", "--n", "3", "--length", "0"], 1, "length must be >= 1"),
+        (["sequence", "--n", "3", "--k-max", "0"], 1, "k_max must be >= 1, got 0"),
+        (["enumerate", "--n", "3", "--length", "0"], 1, "length k must be >= 1, got 0"),
     ],
 )
 def test_input_shape_errors(capsys, argv, code, message):
     assert run(capsys, *argv) == (code, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, library",
+    [
+        (["count", "--n", "3", "--k", "-1"], lambda: count_total(3, -1)),
+        (["sequence", "--n", "3", "--k-max", "0"], lambda: count_sequence(3, 0)),
+        # enumerate checks enumerate_words' length and cap before either listing
+        (["enumerate", "--n", "3", "--length", "0"], lambda: enumerate_words(3, 0)),
+        (["enumerate", "--n", "3", "--length", "0", "--nontrivial"],
+         lambda: enumerate_words(3, 0)),
+    ],
+)
+def test_cli_bounds_are_the_library_messages(capsys, argv, library):
+    with pytest.raises(ValueError) as info:
+        library()
+    assert run(capsys, *argv) == (1, "", f"error: {info.value}\n")
 
 
 def test_apply_parse_error_is_usage(capsys):
@@ -630,7 +647,7 @@ def test_apply_symbolic_cap_env(capsys, monkeypatch):
     monkeypatch.setenv("NABLACHAINS_MAX_SYMBOLIC_N", "4")
     code, out, err = run(capsys, "apply", "--n", "13", "--word", "1", "--input", "[x1]")
     assert (code, out) == (1, "")
-    assert err == "error: n must be in 3..12 for symbolic computation\n"
+    assert err == "error: symbolic n 13 out of range 3..12\n"
     code, out, _ = run(
         capsys, "apply", "--n", "5", "--word", "1", "--input", "[x1]", "--format", "plain"
     )

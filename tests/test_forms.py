@@ -138,7 +138,8 @@ P4 = Polynomial.monomial(4, (1, 0, 0, 0))
     [
         (lambda: DifferentialForm(3, 4, {}), "degree 4 out of range 0..3"),
         (lambda: DifferentialForm(3, 2, {(2, 1): P3}), "bad basis subset (2, 1) for degree 2"),
-        (lambda: DifferentialForm(3, 1, {(4,): P3}), "subset (4,) not within 1..3"),
+        (lambda: DifferentialForm(3, 1, {(4,): P3}), "bad basis subset (4,) for degree 1"),
+        (lambda: DifferentialForm(3, 1, {(1.5,): P3}), "bad basis subset (1.5,) for degree 1"),
         (lambda: DifferentialForm(3, 1, {(1,): P4}), "component polynomial has wrong variable count"),
         (lambda: ComponentVector(3, 2, (P3,) * 3), "level 2 out of range 0..1"),
         (lambda: ComponentVector(3, 1, (P3,) * 2), "level 1 in dimension 3 needs 3 entries, got 2"),
@@ -207,19 +208,19 @@ class Pairs:
 
 
 def keywise_form_check(n, degree, components):
-    """DifferentialForm's component checks as they were made key by key,
-    with sorted(set(key)); returns the canonical components."""
+    """DifferentialForm's component checks made key by key: degree whole
+    numbers in 1..n, ascending by sorted(set(key)); returns the canonical
+    components, keyed by tuples of ints."""
     canon = {}
     for key, poly in components.items():
         key = tuple(key)
-        if len(key) != degree or list(key) != sorted(set(key)):
+        if (len(key) != degree or list(key) != sorted(set(key))
+                or key and not (1 <= key[0] and key[-1] <= n) or any(e != int(e) for e in key)):
             raise ValueError(f"bad basis subset {key} for degree {degree}")
-        if key and not (1 <= key[0] and key[-1] <= n):
-            raise ValueError(f"subset {key} not within 1..{n}")
         if poly.n_vars != n:
             raise ValueError("component polynomial has wrong variable count")
         if not poly.is_zero():
-            canon[key] = poly
+            canon[tuple(map(int, key))] = poly
     return canon
 
 
@@ -233,12 +234,14 @@ def outcome(build):
 @pytest.mark.parametrize("n, longest", [(3, 4), (4, 3)])
 def test_form_checks_agree_with_the_keywise_check(n, longest):
     # every key of length 0..longest over 0..n+1 (duplicates, descending, out
-    # of range and wrong length among them), as a tuple and as a list, with a
-    # zero or nonzero polynomial of the right or wrong variable count, alone
-    # and after a valid key
+    # of range and wrong length among them) and keys holding a float or bool
+    # (1.5 is refused, True and 1.0 are stored as 1), as a tuple and as a
+    # list, with a zero or nonzero polynomial of the right or wrong variable
+    # count, alone and after a valid key
     polys = [Polynomial.monomial(n, (1,) + (0,) * (n - 1)), Polynomial.zero(n),
              Polynomial.monomial(n + 1, (1,) * (n + 1))]
     keys = [k for length in range(longest + 1) for k in product(range(n + 2), repeat=length)]
+    keys += [(1.5,), (True,), (1.0,), (1, 2.0), (True, 2)]
     faults = 0
     for degree in range(n + 1):
         valid = tuple(range(1, degree + 1))
@@ -248,7 +251,8 @@ def test_form_checks_agree_with_the_keywise_check(n, longest):
                 pairs.insert(0, (valid, polys[0]))
             want = outcome(lambda: keywise_form_check(n, degree, Pairs(pairs)))
             got = outcome(lambda: DifferentialForm(n, degree, Pairs(pairs)).components)
-            assert got == want, (degree, pairs)
+            # repr tells a stored (1,) from (True,) or (1.0,)
+            assert got == want and repr(got) == repr(want), (degree, pairs)
             faults += isinstance(want, tuple)
     assert faults > len(keys)  # the oracle refused many of them
 

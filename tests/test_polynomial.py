@@ -82,6 +82,7 @@ def test_constructor_rejects_a_key_repeated_after_tuple(first):
     pytest.param(lambda: Polynomial(2.0, {(1, 1): 1}), 2.0, id="Polynomial-2.0"),
     pytest.param(lambda: Polynomial(True, {(1,): 1}), True, id="Polynomial-True"),
     pytest.param(lambda: parse_polynomial("x1", True), True, id="parse_polynomial-True"),
+    pytest.param(lambda: parse_polynomial("x1", 2.0), 2.0, id="parse_polynomial-2.0"),
 ])
 def test_variable_count_must_be_an_int(build, n_vars):
     # each was once built, with n_vars 2.0 or True
