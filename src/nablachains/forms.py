@@ -15,7 +15,9 @@ subsets of a size, the low side of _slots, complement_sign per subset, and
 per subset s the (t, key of dx_t ^ dx_s, sign) entries exterior_derivative
 reads.  _slots itself is not cached whole: its high side calls
 complement_sign once per slot on every iso call, so a traced run that
-follows an untraced one still enters complement_sign.
+follows an untraced one still enters complement_sign.  The zero test caches
+one more fact, whether nabla_j . nabla_i is zero, per (n, i, j) it meets: at
+most 2n pairs per n, as each i has at most two successors.
 
 The operator chain machinery (nabla, apply_word) and the exact
 zero-operator decision procedure live here too.  Each nabla_i has constant
@@ -38,7 +40,7 @@ from ._record import Record
 from .errors import LevelMismatchError
 from .graph import as_dim, check_bound, check_index
 from .polynomial import Polynomial, _built
-from .words import WordLike, as_word
+from .words import CompositionWord, WordLike, as_word
 
 Subset = tuple[int, ...]
 
@@ -125,8 +127,11 @@ class DifferentialForm(Record):
         basis = _basis(n, degree)
         canon: dict[Subset, Polynomial] = {}
         for key, poly in components.items():
-            key = tuple(key)
-            s = basis.get(key)
+            try:
+                key = tuple(key)
+                s = basis.get(key)
+            except TypeError:  # a key that is not iterable, or holds an unhashable element
+                s = None
             if s is None:
                 raise ValueError(f"bad basis subset {key} for degree {degree}")
             if poly.n_vars != n:
@@ -296,6 +301,31 @@ def apply_word(w: WordLike, v: ComponentVector) -> ComponentVector:
 def is_zero_operator(w: WordLike, n: int) -> bool:
     """Decide exactly whether the composed operator annihilates everything.
 
+    A word of length 3 or more is zero when one of its consecutive pairs
+    (i, j) is: the chain is A . (nabla_j . nabla_i) . B with A and B linear,
+    so a zero middle makes the whole zero whatever A and B are.  Such a word
+    is checked to compose first, then its pairs are read in order, each
+    decided once per process by the probes below; the first zero pair ends
+    it.  A word with no zero pair, and any word of length 1 or 2, is decided
+    by the probes on the whole word.  No answer reads the combinatorial
+    j = i + 1 rule, so classify_word stays an independent check.
+    """
+    word = as_word(w, n)
+    if len(word) > 2:
+        word.require_meaningful()
+        if any(_zero_pair(n, i, j) for i, j in itertools.pairwise(word.indices)):
+            return True
+    return _zero_by_probes(word)
+
+
+@functools.cache
+def _zero_pair(n: int, i: int, j: int) -> bool:
+    return _zero_by_probes(CompositionWord(n, (i, j)))
+
+
+def _zero_by_probes(word: CompositionWord) -> bool:
+    """Decide a word by at most two folds of apply_word.
+
     Each nabla_i = iso . d . iso is first order and homogeneous with constant
     coefficients, so a chain of length L is sum_{|a|=L} C_a d^a with constant
     matrices C_a.  Let b_s = (L + (L+1)s, L, ..., L).  As b_s >= a, d^a x^(b_s)
@@ -307,7 +337,7 @@ def is_zero_operator(w: WordLike, n: int) -> bool:
     Two probes decide it: S = {0} first, whose nonzero output ends most
     nonzero chains after one fold, then S = every other slot.
     """
-    word = as_word(w, n)
+    n = word.n
     level = domain_level(word.indices[0], n)
     slots = math.comb(n, level)
     length = len(word)

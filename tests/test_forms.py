@@ -140,6 +140,8 @@ P4 = Polynomial.monomial(4, (1, 0, 0, 0))
         (lambda: DifferentialForm(3, 2, {(2, 1): P3}), "bad basis subset (2, 1) for degree 2"),
         (lambda: DifferentialForm(3, 1, {(4,): P3}), "bad basis subset (4,) for degree 1"),
         (lambda: DifferentialForm(3, 1, {(1.5,): P3}), "bad basis subset (1.5,) for degree 1"),
+        (lambda: DifferentialForm(3, 1, {1: P3}), "bad basis subset 1 for degree 1"),
+        (lambda: DifferentialForm(3, 1, Pairs([([[1]], P3)])), "bad basis subset ([1],) for degree 1"),
         (lambda: DifferentialForm(3, 1, {(1,): P4}), "component polynomial has wrong variable count"),
         (lambda: ComponentVector(3, 2, (P3,) * 3), "level 2 out of range 0..1"),
         (lambda: ComponentVector(3, 1, (P3,) * 2), "level 1 in dimension 3 needs 3 entries, got 2"),
@@ -213,9 +215,13 @@ def keywise_form_check(n, degree, components):
     components, keyed by tuples of ints."""
     canon = {}
     for key, poly in components.items():
-        key = tuple(key)
-        if (len(key) != degree or list(key) != sorted(set(key))
-                or key and not (1 <= key[0] and key[-1] <= n) or any(e != int(e) for e in key)):
+        try:
+            key = tuple(key)
+            bad = (len(key) != degree or list(key) != sorted(set(key))
+                   or key and not (1 <= key[0] and key[-1] <= n) or any(e != int(e) for e in key))
+        except TypeError:  # not iterable, or an element that is unhashable or not a number
+            bad = True
+        if bad:
             raise ValueError(f"bad basis subset {key} for degree {degree}")
         if poly.n_vars != n:
             raise ValueError("component polynomial has wrong variable count")
@@ -234,19 +240,20 @@ def outcome(build):
 @pytest.mark.parametrize("n, longest", [(3, 4), (4, 3)])
 def test_form_checks_agree_with_the_keywise_check(n, longest):
     # every key of length 0..longest over 0..n+1 (duplicates, descending, out
-    # of range and wrong length among them) and keys holding a float or bool
-    # (1.5 is refused, True and 1.0 are stored as 1), as a tuple and as a
-    # list, with a zero or nonzero polynomial of the right or wrong variable
-    # count, alone and after a valid key
+    # of range and wrong length among them), keys holding a float or bool
+    # (1.5 is refused, True and 1.0 are stored as 1), and a key that is not
+    # iterable or holds an unhashable element, as a tuple and as a list, with
+    # a zero or nonzero polynomial of the right or wrong variable count, alone
+    # and after a valid key
     polys = [Polynomial.monomial(n, (1,) + (0,) * (n - 1)), Polynomial.zero(n),
              Polynomial.monomial(n + 1, (1,) * (n + 1))]
     keys = [k for length in range(longest + 1) for k in product(range(n + 2), repeat=length)]
-    keys += [(1.5,), (True,), (1.0,), (1, 2.0), (True, 2)]
+    keys += [(1.5,), (True,), (1.0,), (1, 2.0), (True, 2), 1, ([1],)]
     faults = 0
     for degree in range(n + 1):
         valid = tuple(range(1, degree + 1))
         for key, poly, as_list, after_valid in product(keys, polys, (False, True), (False, True)):
-            pairs = [(list(key) if as_list else key, poly)]
+            pairs = [(list(key) if as_list and isinstance(key, tuple) else key, poly)]
             if after_valid:
                 pairs.insert(0, (valid, polys[0]))
             want = outcome(lambda: keywise_form_check(n, degree, Pairs(pairs)))
@@ -365,16 +372,56 @@ def test_is_zero_operator_rejects_non_meaningful():
         is_zero_operator((2, 1), 3)
 
 
+def test_is_zero_operator_refuses_a_word_before_reading_its_pairs():
+    # (1, 2, 1) holds the zero pair (1, 2), decided and cached here first,
+    # but (2, 1) does not compose: the word is refused, not called zero
+    assert is_zero_operator((1, 2, 3), 3)
+    with pytest.raises(NotComposableError) as exc:
+        is_zero_operator((1, 2, 1), 3)
+    assert exc.value.pair == (2, 1)
+
+
 @pytest.mark.parametrize("word, probes", [((1, 2), 1), ((1, 3), 1), ((2, 3), 2), ((2, 2, 2), 1)])
 def test_is_zero_operator_scans_composability_once_per_probe(monkeypatch, word, probes):
     # the first probe's apply_word refuses a word that is not meaningful, so
-    # is_zero_operator need not scan it first
+    # the probe decision need not scan it first
     scans, folds = [], []
     scan, fold = CompositionWord.first_invalid_pair, forms.apply_word
     monkeypatch.setattr(CompositionWord, "first_invalid_pair", lambda w: scans.append(w) or scan(w))
     monkeypatch.setattr(forms, "apply_word", lambda w, v: folds.append(w) or fold(w, v))
-    is_zero_operator(word, 3)
-    assert len(folds) == probes and len(scans) == probes
+    forms._zero_by_probes(CompositionWord(3, word))
+    assert folds == [CompositionWord(3, word)] * probes and len(scans) == probes
+
+
+def test_is_zero_operator_ends_at_a_zero_pair(monkeypatch):
+    # a word with a zero pair makes no whole-word probe, cold or warm; a word
+    # without one makes the probes the probe decision makes on it alone.
+    # Which pairs are zero comes from the one-probe-per-slot oracle.
+    folds = []
+    fold = forms.apply_word
+    monkeypatch.setattr(forms, "apply_word", lambda u, v: folds.append(u) or fold(u, v))
+
+    def whole_word_folds(decide, w):
+        folds.clear()
+        decide(w)
+        return [u for u in folds if u == w]
+
+    forms._zero_pair.cache_clear()
+    for n in range(3, 6):
+        for length in range(3, 5):
+            for w in enumerate_words(n, length):
+                has_zero_pair = any(
+                    slow_is_zero_operator(CompositionWord(n, pair))
+                    for pair in zip(w.indices, w.indices[1:])
+                )
+                got = whole_word_folds(lambda u: is_zero_operator(u, n), w)
+                if has_zero_pair:
+                    assert got == [], (n, w.indices)
+                else:
+                    assert got == whole_word_folds(forms._zero_by_probes, w) != [], (n, w.indices)
+    # every pair at n = 3 is decided by now, so this word folds nothing at all
+    folds.clear()
+    assert is_zero_operator((1, 3, 1, 2, 3), 3) and folds == []
 
 
 @pytest.mark.parametrize("n", (3, 4, 5))
@@ -451,7 +498,8 @@ def test_probe_lemma_coefficients():
 
 
 def test_is_zero_operator_makes_at_most_two_probes(monkeypatch):
-    # is_zero_operator must feed exactly the probes the lemma above is about:
+    # the probe decision behind is_zero_operator, on any word, must feed
+    # exactly the probes the lemma above is about:
     # x^(b_0) in slot 0 alone, and, only if that gives zero and there are
     # other slots, x^(b_s) in every slot s >= 1 with slot 0 zero
     calls = []
@@ -466,7 +514,7 @@ def test_is_zero_operator_makes_at_most_two_probes(monkeypatch):
         for length in range(1, 4):
             for w in enumerate_words(n, length):
                 calls.clear()
-                zero = is_zero_operator(w, n)
+                zero = forms._zero_by_probes(w)
                 level = domain_level(w.indices[0], n)
                 slots = math.comb(n, level)
                 b = [Polynomial.monomial(n, probe_exponents(n, length, s)) for s in range(slots)]
@@ -495,7 +543,7 @@ def slow_is_zero_operator(w: CompositionWord) -> bool:
 
 @pytest.mark.parametrize("n", range(3, 8))
 def test_is_zero_operator_agrees_with_one_probe_per_slot(n):
-    for length in range(1, 4):
+    for length in range(1, 5 if n <= 5 else 4):
         for w in enumerate_words(n, length):
             assert is_zero_operator(w, n) is slow_is_zero_operator(w), w.indices
 
@@ -575,6 +623,7 @@ def fraction_count(monkeypatch):
 
 
 def test_is_zero_operator_makes_no_fraction(monkeypatch):
+    forms._zero_pair.cache_clear()  # so that each pair decision runs here
     made = fraction_count(monkeypatch)
     for n in range(3, 7):
         for length in range(1, 4):
