@@ -40,10 +40,17 @@ MUTANTS = [
      "tests/test_graph.py::test_bound_takes_its_least_value_and_refuses_the_one_below"),
     ("src/nablachains/graph.py", "isinstance(value, bool) or ", "",
      "tests/test_graph.py::test_bound_refuses_a_bool_or_non_int"),
-    # a form's keys are its basis subsets, each strictly ascending
-    ("src/nablachains/forms.py", "s for s in _subsets(n, degree)}",
-     "s for s in itertools.combinations_with_replacement(range(1, n + 1), degree)}",
+    # a form's keys are its basis subsets, each strictly ascending, and
+    # complement_sign reads its subset through the same table
+    ("src/nablachains/forms.py", "s for s in itertools.combinations(range(1, n + 1), size)}",
+     "s for s in itertools.combinations_with_replacement(range(1, n + 1), size)}",
      "tests/test_forms.py"),
+    ("src/nablachains/forms.py", "    s = _subset(_basis(n, len(s)), s, len(s))\n", "",
+     "tests/test_forms.py::test_form_and_vector_checks_name_the_fault"),
+    # the lift is the one level check on the nabla path
+    ("src/nablachains/forms.py", "if (expected := _level(target_degree, v.n)) != v.level:",
+     "if False and (expected := _level(target_degree, v.n)) != v.level:",
+     "tests/test_forms.py::test_nabla_level_mismatch"),
     # the zero test: a word is refused before its pairs are read, and a zero
     # pair ends the decision with no whole-word probe
     ("src/nablachains/forms.py", "        word.require_meaningful()\n        if any(", "        if any(",

@@ -136,10 +136,11 @@ def count_sequence(n: int, k_max: int) -> CountSequence:
 
 def _check_enumeration_cap(n: int, k: int, cap: int = DEFAULT_ENUMERATION_CAP) -> int:
     """Return f(k) for a length k that check_bound admits (an int >= 1), or
-    raise EnumerationCapError if f(k) > cap.  Totals never decrease (every
-    operator has a predecessor), so the first one above the cap rules k out
-    before f(k) itself is computed."""
+    raise EnumerationCapError if f(k) > cap, an int >= 0.  Totals never
+    decrease (every operator has a predecessor), so the first one above the
+    cap rules k out before f(k) itself is computed."""
     check_bound(k, "length k", 1)
+    check_bound(cap, "cap", 0)
     for v in _walk(n, k):
         if (total := sum(v)) > cap:
             raise EnumerationCapError(total, cap)

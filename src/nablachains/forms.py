@@ -8,10 +8,18 @@ high-degree identification carries the permutation sign that sorts
 operators come out as the classical grad, curl and div, and it is pinned
 by tests rather than assumed.  The identification is stated once, in
 _level and _slots; both iso maps and the level helpers read it from there.
+The level rule is checked once, too: iso_from_components refuses a vector
+whose level does not fit the target degree, and nabla relies on that.
+
+The basis is one table, _basis(n, size): the subsets of a size, each keyed
+by itself.  subsets and both sides of _slots read it, and _subset is the one
+lookup of a key in it: the form constructor, coefficient and complement_sign
+all call it, so each refuses a key that is no basis subset (descending,
+repeated or out of range) with the same message.
 
 The combinatorics of the nabla route depend only on n and a subset, so
 each is built once and cached, bounded by the (n, subset) pairs seen: the
-subsets of a size, the low side of _slots, complement_sign per subset, and
+basis table, the low side of _slots, complement_sign per subset, and
 per subset s the (t, key of dx_t ^ dx_s, sign) entries exterior_derivative
 reads.  _slots itself is not cached whole: its high side calls
 complement_sign once per slot on every iso call, so a traced run that
@@ -46,26 +54,35 @@ Subset = tuple[int, ...]
 
 
 @functools.cache
-def _subsets(n: int, size: int) -> tuple[Subset, ...]:
-    return tuple(itertools.combinations(range(1, n + 1), size))
+def _basis(n: int, size: int) -> dict[Subset, Subset]:
+    """Ascending subsets of {1..n} of a size, lexicographic, each keyed by
+    itself: an equal key, such as (True,) for (1,), finds the tuple stored."""
+    return {s: s for s in itertools.combinations(range(1, n + 1), size)}
 
 
-@functools.cache
-def _basis(n: int, degree: int) -> dict[Subset, Subset]:
-    # each basis subset keyed by itself: a key equal to one, such as (True,)
-    # or (1.0,) for (1,), finds the tuple a form stores
-    return {s: s for s in _subsets(n, degree)}
+def _subset(basis: dict[Subset, Subset], key, size: int) -> Subset:
+    """The basis subset a key names, or the refusal of a key that names none."""
+    try:
+        key = tuple(key)
+        s = basis.get(key)
+    except TypeError:  # a key that is not iterable, or holds an unhashable element
+        s = None
+    if s is None:
+        raise ValueError(f"bad basis subset {key} for degree {size}")
+    return s
 
 
 def subsets(n: int, size: int) -> list[Subset]:
     """Ascending subsets of {1..n} of the given size, in lexicographic order."""
-    return list(_subsets(n, size))
+    check_bound(size, "size", 0)
+    return list(_basis(n, size))
 
 
 def complement_sign(s: Subset, n: int) -> tuple[Subset, int]:
     """Complement T of S in {1..n} and the sign of the permutation (S, T).
 
-    The k-th smallest s_k exceeds s_k - k elements of T, so (S, T) has
+    S must be a basis subset; any other is refused as a form's key is.  The
+    k-th smallest s_k exceeds s_k - k elements of T, so (S, T) has
     sum(S) - |S|(|S|+1)/2 inversions.
     """
     return _complement_sign(tuple(s), n)
@@ -73,6 +90,7 @@ def complement_sign(s: Subset, n: int) -> tuple[Subset, int]:
 
 @functools.cache
 def _complement_sign(s: Subset, n: int) -> tuple[Subset, int]:
+    s = _subset(_basis(n, len(s)), s, len(s))
     t = tuple(x for x in range(1, n + 1) if x not in s)
     return t, -1 if (sum(s) - len(s) * (len(s) + 1) // 2) % 2 else 1
 
@@ -91,12 +109,12 @@ def _slots(n: int, degree: int) -> list[tuple[Subset, int]]:
     level = _level(degree, n)
     if degree <= n // 2:
         return list(_low_slots(n, level))
-    return [complement_sign(s, n) for s in _subsets(n, level)]
+    return [complement_sign(s, n) for s in _basis(n, level)]
 
 
 @functools.cache
 def _low_slots(n: int, level: int) -> tuple[tuple[Subset, int], ...]:
-    return tuple((s, 1) for s in _subsets(n, level))
+    return tuple((s, 1) for s in _basis(n, level))
 
 
 @functools.cache
@@ -127,13 +145,7 @@ class DifferentialForm(Record):
         basis = _basis(n, degree)
         canon: dict[Subset, Polynomial] = {}
         for key, poly in components.items():
-            try:
-                key = tuple(key)
-                s = basis.get(key)
-            except TypeError:  # a key that is not iterable, or holds an unhashable element
-                s = None
-            if s is None:
-                raise ValueError(f"bad basis subset {key} for degree {degree}")
+            s = _subset(basis, key, degree)
             if poly.n_vars != n:
                 raise ValueError("component polynomial has wrong variable count")
             if poly.terms:
@@ -150,7 +162,7 @@ class DifferentialForm(Record):
         return hash((self.n, self.degree, frozenset(self.components.items())))
 
     def coefficient(self, s: Subset) -> Polynomial:
-        p = self.components.get(tuple(s))
+        p = self.components.get(_subset(_basis(self.n, self.degree), s, self.degree))
         return Polynomial.zero(self.n) if p is None else p
 
 
@@ -223,8 +235,9 @@ def iso_from_components(v: ComponentVector, target_degree: int) -> DifferentialF
 
     target_degree must be v.level (low side) or n - v.level (high side).
     """
-    if _level(target_degree, v.n) != v.level:
-        raise ValueError(f"target degree {target_degree} incompatible with level {v.level}")
+    check_bound(target_degree, "degree", 0, v.n)
+    if (expected := _level(target_degree, v.n)) != v.level:
+        raise LevelMismatchError(expected, v.level)
     # a form's absent keys are zero, so only nonzero entries are lifted
     comps = {s: p.scale(sign) for (s, sign), p in zip(_slots(v.n, target_degree), v.entries) if p}
     return DifferentialForm(v.n, target_degree, comps)
@@ -232,23 +245,20 @@ def iso_from_components(v: ComponentVector, target_degree: int) -> DifferentialF
 
 def domain_level(i: int, n: int) -> int:
     """Level of the coefficient space nabla_i consumes."""
+    check_index(i, n)
     return _level(i - 1, n)
 
 
 def codomain_level(i: int, n: int) -> int:
     """Level of the coefficient space nabla_i produces."""
+    check_index(i, n)
     return _level(i, n)
 
 
 def nabla(i: int, v: ComponentVector) -> ComponentVector:
-    """The operator nabla_i: lift, exterior-differentiate, push down."""
-    n = v.n
-    check_index(i, n)
-    expected = domain_level(i, n)
-    if v.level != expected:
-        raise LevelMismatchError(expected, v.level)
-    form = iso_from_components(v, i - 1)
-    return iso_to_components(exterior_derivative(form))
+    """The operator nabla_i: lift (which checks v's level), d, push down."""
+    check_index(i, v.n)
+    return iso_to_components(exterior_derivative(iso_from_components(v, i - 1)))
 
 
 # Largest bit length of the shared denominator D for which apply_word folds

@@ -2,7 +2,7 @@ import bisect
 import math
 import random
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -105,6 +105,22 @@ def test_complement_sign_counts_inversions(n):
             assert sign == (-1) ** inversions
 
 
+@pytest.mark.parametrize("n", range(1, 6))
+def test_complement_sign_reads_only_basis_subsets(n):
+    # every ordering of every basis subset: the ascending one is read, with
+    # the inversion count's sign, and each other one is refused
+    for size in range(n + 1):
+        for s in combinations(range(1, n + 1), size):
+            for order in permutations(s):
+                if order != s:
+                    with pytest.raises(ValueError, match=r"^bad basis subset "):
+                        complement_sign(order, n)
+                    continue
+                t, sign = complement_sign(order, n)
+                seq = s + t
+                assert sign == (-1) ** sum(seq[a] > seq[b] for a, b in combinations(range(n), 2))
+
+
 def test_iso_high_side_n3():
     rng = random.Random(5)
     f1, f2, f3 = (rand_poly(rng, 3) for _ in range(3))
@@ -125,7 +141,7 @@ def test_iso_zero_and_top_forms_n3():
 
 def test_iso_from_components_bad_degree():
     v = ComponentVector.zero(3, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(LevelMismatchError):
         iso_from_components(v, 3)  # n - level = 2, level = 1; 3 fits neither
 
 
@@ -148,6 +164,29 @@ P4 = Polynomial.monomial(4, (1, 0, 0, 0))
         (lambda: ComponentVector(3, 1, (P3, P3, P4)), "entry polynomial has wrong variable count"),
         (lambda: ComponentVector.zero(3, 1) + ComponentVector.zero(3, 0),
          "component vectors of different shape"),
+        # every reader of a subset refuses it as the constructor does; a
+        # message met above gets an id of its own, so no case's id changes
+        (lambda: complement_sign((3, 1), 3), "bad basis subset (3, 1) for degree 2"),
+        pytest.param(lambda: complement_sign((4,), 3), "bad basis subset (4,) for degree 1",
+                     id="complement_sign-bad basis subset (4,) for degree 1"),
+        (lambda: complement_sign((1, 1), 3), "bad basis subset (1, 1) for degree 2"),
+        pytest.param(lambda: DifferentialForm(3, 2, {(1, 2): P3}).coefficient((2, 1)),
+                     "bad basis subset (2, 1) for degree 2",
+                     id="coefficient-bad basis subset (2, 1) for degree 2"),
+        (lambda: DifferentialForm(3, 2, {(1, 2): P3}).coefficient(1),
+         "bad basis subset 1 for degree 2"),
+        # the lift's degree, then its level
+        (lambda: iso_from_components(ComponentVector.zero(3, 1), 5), "degree 5 out of range 0..3"),
+        (lambda: iso_from_components(ComponentVector.zero(3, 1), 3),
+         "expected component vector at level 0, got level 1"),
+        # the level helpers, subsets and the enumeration cap, by graph's rules
+        (lambda: domain_level(5, 3), "operator index 5 out of range 1..3"),
+        (lambda: codomain_level(7, 3), "operator index 7 out of range 1..3"),
+        (lambda: domain_level(True, 3), "operator index True out of range 1..3"),
+        (lambda: subsets(3, -1), "size must be >= 0, got -1"),
+        (lambda: subsets(3, 1.0), "size must be >= 0, got 1.0"),
+        (lambda: enumerate_words(3, 1, cap=True), "cap must be >= 0, got True"),
+        (lambda: enumerate_words(3, 1, cap=2.5), "cap must be >= 0, got 2.5"),
     ],
 )
 def test_form_and_vector_checks_name_the_fault(build, message):
