@@ -51,11 +51,14 @@ MUTANTS = [
     ("src/nablachains/forms.py", "if (expected := _level(target_degree, v.n)) != v.level:",
      "if False and (expected := _level(target_degree, v.n)) != v.level:",
      "tests/test_forms.py::test_nabla_level_mismatch"),
-    # the zero test: a word is refused before its pairs are read, and a zero
-    # pair ends the decision with no whole-word probe
-    ("src/nablachains/forms.py", "        word.require_meaningful()\n        if any(", "        if any(",
+    # the zero test: a word of length 1 or 2 is read from the table, a longer
+    # word is refused before its pairs are read, and a zero pair ends the
+    # decision with no whole-word probe
+    ("src/nablachains/forms.py", "if len(word) <= 2:", "if len(word) <= 1:",
+     "tests/test_forms.py::test_short_words_are_decided_once"),
+    ("src/nablachains/forms.py", "    word.require_meaningful()\n    if any(", "    if any(",
      "tests/test_forms.py::test_is_zero_operator_refuses_a_word_before_reading_its_pairs"),
-    ("src/nablachains/forms.py", "if any(_zero_pair(", "if False and any(_zero_pair(",
+    ("src/nablachains/forms.py", "if any(_zero_short(", "if False and any(_zero_short(",
      "tests/test_forms.py::test_is_zero_operator_ends_at_a_zero_pair"),
     # an enumeration's least length, checked before the cap
     ("src/nablachains/counting.py", '"length k", 1)', '"length k", 0)',
@@ -83,9 +86,10 @@ MUTANTS = [
 # the argument for it and is not run.  Its old text is checked like a
 # mutant's, so the list cannot outlive the code it names.
 EQUIVALENT = [
-    # a length-2 word is its own only pair: the scan decides it by the same
-    # probes (cached), and a non-zero answer falls through to them again
-    ("src/nablachains/forms.py", "len(word) > 2", "len(word) > 1"),
+    # the packing width keeps one spare bit: bit_length(R^n) + 1 bits already
+    # hold every digit of A^k with its offset (characteristic_polynomial's
+    # docstring gives the bound)
+    ("src/nablachains/recurrence.py", "bit_length() + 2", "bit_length() + 1"),
 ]
 
 

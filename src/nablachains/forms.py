@@ -24,8 +24,9 @@ per subset s the (t, key of dx_t ^ dx_s, sign) entries exterior_derivative
 reads.  _slots itself is not cached whole: its high side calls
 complement_sign once per slot on every iso call, so a traced run that
 follows an untraced one still enters complement_sign.  The zero test caches
-one more fact, whether nabla_j . nabla_i is zero, per (n, i, j) it meets: at
-most 2n pairs per n, as each i has at most two successors.
+one more fact, whether a word of length 1 or 2 is zero, per (n, word) it
+meets: at most n single operators and 2n pairs per n, as each i has at most
+two successors, so at most 3n words per n.
 
 The operator chain machinery (nabla, apply_word) and the exact
 zero-operator decision procedure live here too.  Each nabla_i has constant
@@ -41,7 +42,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Mapping, Sized
 from fractions import Fraction
 
 from ._record import Record
@@ -81,11 +82,18 @@ def subsets(n: int, size: int) -> list[Subset]:
 def complement_sign(s: Subset, n: int) -> tuple[Subset, int]:
     """Complement T of S in {1..n} and the sign of the permutation (S, T).
 
-    S must be a basis subset; any other is refused as a form's key is.  The
-    k-th smallest s_k exceeds s_k - k elements of T, so (S, T) has
-    sum(S) - |S|(|S|+1)/2 inversions.
+    S must be a basis subset; any other is refused as a form's key is, by
+    _subset, and so is a value that is not iterable (named at degree 1, as
+    one element) or holds an unhashable element.  The k-th smallest s_k
+    exceeds s_k - k elements of T, so (S, T) has sum(S) - |S|(|S|+1)/2
+    inversions.
     """
-    return _complement_sign(tuple(s), n)
+    try:
+        key = tuple(s)
+        hash(key)
+    except TypeError:  # no basis subset: the empty table refuses it
+        _subset({}, s, len(s) if isinstance(s, Sized) else 1)
+    return _complement_sign(key, n)
 
 
 @functools.cache
@@ -311,26 +319,31 @@ def apply_word(w: WordLike, v: ComponentVector) -> ComponentVector:
 def is_zero_operator(w: WordLike, n: int) -> bool:
     """Decide exactly whether the composed operator annihilates everything.
 
-    A word of length 3 or more is zero when one of its consecutive pairs
-    (i, j) is: the chain is A . (nabla_j . nabla_i) . B with A and B linear,
-    so a zero middle makes the whole zero whatever A and B are.  Such a word
-    is checked to compose first, then its pairs are read in order, each
-    decided once per process by the probes below; the first zero pair ends
-    it.  A word with no zero pair, and any word of length 1 or 2, is decided
-    by the probes on the whole word.  No answer reads the combinatorial
-    j = i + 1 rule, so classify_word stays an independent check.
+    A word of length 1 or 2 is read from _zero_short, which decides each
+    such word once per process by the probes below.  A longer word is zero
+    when one of its consecutive pairs (i, j) is: the chain is
+    A . (nabla_j . nabla_i) . B with A and B linear, so a zero middle makes
+    the whole zero whatever A and B are.  Such a word is checked to compose
+    first, then its pairs are read in order from the same table; the first
+    zero pair ends it, and a word with no zero pair is decided by the probes
+    on the whole word.  No answer reads the combinatorial j = i + 1 rule, so
+    classify_word stays an independent check.
     """
     word = as_word(w, n)
-    if len(word) > 2:
-        word.require_meaningful()
-        if any(_zero_pair(n, i, j) for i, j in itertools.pairwise(word.indices)):
-            return True
+    if len(word) <= 2:
+        return _zero_short(n, word.indices)
+    word.require_meaningful()
+    if any(_zero_short(n, pair) for pair in itertools.pairwise(word.indices)):
+        return True
     return _zero_by_probes(word)
 
 
 @functools.cache
-def _zero_pair(n: int, i: int, j: int) -> bool:
-    return _zero_by_probes(CompositionWord(n, (i, j)))
+def _zero_short(n: int, indices: tuple[int, ...]) -> bool:
+    """The probe decision of a word of length 1 or 2, held once it is made;
+    a word that does not compose raises from the first probe, so no refusal
+    is held."""
+    return _zero_by_probes(CompositionWord(n, indices))
 
 
 def _zero_by_probes(word: CompositionWord) -> bool:

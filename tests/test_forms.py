@@ -170,6 +170,10 @@ P4 = Polynomial.monomial(4, (1, 0, 0, 0))
         pytest.param(lambda: complement_sign((4,), 3), "bad basis subset (4,) for degree 1",
                      id="complement_sign-bad basis subset (4,) for degree 1"),
         (lambda: complement_sign((1, 1), 3), "bad basis subset (1, 1) for degree 2"),
+        pytest.param(lambda: complement_sign(1, 3), "bad basis subset 1 for degree 1",
+                     id="complement_sign-bad basis subset 1 for degree 1"),
+        pytest.param(lambda: complement_sign(([1],), 3), "bad basis subset ([1],) for degree 1",
+                     id="complement_sign-bad basis subset ([1],) for degree 1"),
         pytest.param(lambda: DifferentialForm(3, 2, {(1, 2): P3}).coefficient((2, 1)),
                      "bad basis subset (2, 1) for degree 2",
                      id="coefficient-bad basis subset (2, 1) for degree 2"),
@@ -445,7 +449,7 @@ def test_is_zero_operator_ends_at_a_zero_pair(monkeypatch):
         decide(w)
         return [u for u in folds if u == w]
 
-    forms._zero_pair.cache_clear()
+    forms._zero_short.cache_clear()
     for n in range(3, 6):
         for length in range(3, 5):
             for w in enumerate_words(n, length):
@@ -461,6 +465,73 @@ def test_is_zero_operator_ends_at_a_zero_pair(monkeypatch):
     # every pair at n = 3 is decided by now, so this word folds nothing at all
     folds.clear()
     assert is_zero_operator((1, 3, 1, 2, 3), 3) and folds == []
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_short_word_table_agrees_with_its_oracles(n):
+    # every composable word of length 1 or 2 is answered from one table
+    # entry each, which holds the one-probe-per-slot oracle's answer (n <= 7)
+    # and classify_word's d^2 rule (every n the CLI admits)
+    words = [w for length in (1, 2) for w in enumerate_words(n, length)]
+    forms._zero_short.cache_clear()
+    want = {}
+    for w in words:
+        want[w] = classify_word(w) is TrivialityClass.ZERO
+        if n <= 7:
+            assert slow_is_zero_operator(w) is want[w], w.indices
+        assert is_zero_operator(w, n) is want[w], w.indices
+    info = forms._zero_short.cache_info()
+    assert info.currsize == len(words)
+    for w in words:
+        assert forms._zero_short(n, w.indices) is want[w], w.indices
+    assert forms._zero_short.cache_info().misses == info.misses
+
+
+def test_short_words_are_decided_once(monkeypatch):
+    # a cold word of length 1 or 2 makes the probe decision's folds, and the
+    # same word warm makes no fold at all
+    folds = []
+    fold = forms.apply_word
+    monkeypatch.setattr(forms, "apply_word", lambda u, v: folds.append(u) or fold(u, v))
+    forms._zero_short.cache_clear()
+    for n in range(3, 6):
+        for length in (1, 2):
+            for w in enumerate_words(n, length):
+                folds.clear()
+                forms._zero_by_probes(w)
+                cold = list(folds)
+                folds.clear()
+                is_zero_operator(w, n)
+                assert folds == cold != [], (n, w.indices)
+                folds.clear()
+                is_zero_operator(w, n)
+                assert folds == [], (n, w.indices)
+
+
+def test_short_word_table_holds_at_most_3n_words():
+    # after every meaningful word of length <= 4, the table holds each
+    # single operator and each composable pair once, and nothing else
+    forms._zero_short.cache_clear()
+    expected = 0
+    for n in range(3, 7):
+        for length in range(1, 5):
+            for w in enumerate_words(n, length):
+                is_zero_operator(w, n)
+        pairs = sum(len(successors(i, n)) for i in range(1, n + 1))
+        assert pairs <= 2 * n
+        expected += n + pairs
+    assert forms._zero_short.cache_info().currsize == expected
+
+
+def test_short_word_table_holds_no_refusal():
+    forms._zero_short.cache_clear()
+    assert is_zero_operator((1, 2), 3)
+    assert forms._zero_short.cache_info().currsize == 1
+    for _ in range(2):
+        with pytest.raises(NotComposableError) as exc:
+            is_zero_operator((2, 1), 3)
+        assert exc.value.pair == (2, 1)
+    assert forms._zero_short.cache_info().currsize == 1
 
 
 @pytest.mark.parametrize("n", (3, 4, 5))
@@ -662,7 +733,7 @@ def fraction_count(monkeypatch):
 
 
 def test_is_zero_operator_makes_no_fraction(monkeypatch):
-    forms._zero_pair.cache_clear()  # so that each pair decision runs here
+    forms._zero_short.cache_clear()  # so that each short-word decision runs here
     made = fraction_count(monkeypatch)
     for n in range(3, 7):
         for length in range(1, 4):
