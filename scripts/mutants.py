@@ -63,6 +63,17 @@ MUTANTS = [
     # an enumeration's least length, checked before the cap
     ("src/nablachains/counting.py", '"length k", 1)', '"length k", 0)',
      "tests/test_graph.py::test_bound_takes_its_least_value_and_refuses_the_one_below"),
+    # a text the grammar refuses is not read factor by factor (7 x1 would be
+    # two terms), a term's signs multiply, and apply_word gives an integral
+    # coefficient as an int on both sides of the cutoff
+    ("src/nablachains/polynomial.py", "if re.fullmatch(_GRAMMAR, text):", "if True:",
+     "tests/test_polynomial.py::test_parse_values_and_messages_agree_with_the_oracle"),
+    ("src/nablachains/polynomial.py", 'if signs and signs.count("-") & 1:',
+     'if signs and not signs.count("-") & 1:', "tests/test_polynomial.py::test_parse_basic"),
+    ("src/nablachains/forms.py", "out[e] = Fraction(c, d) if r else q", "out[e] = Fraction(c, d)",
+     "tests/test_forms.py::test_apply_word_gives_an_int_for_each_integral_coefficient"),
+    ("src/nablachains/forms.py", "    elif d > 1:", "    elif False:",
+     "tests/test_forms.py::test_apply_word_gives_an_int_for_each_integral_coefficient"),
     # a polynomial's exponent tuples are distinct
     ("src/nablachains/polynomial.py", "if key in canon:", "if key is canon:",
      "tests/test_polynomial.py"),
@@ -90,6 +101,9 @@ EQUIVALENT = [
     # hold every digit of A^k with its offset (characteristic_polynomial's
     # docstring gives the bound)
     ("src/nablachains/recurrence.py", "bit_length() + 2", "bit_length() + 1"),
+    # an empty run of signs holds no '-', so skipping the count for it only
+    # saves a call
+    ("src/nablachains/polynomial.py", 'if signs and signs.count("-") & 1:', 'if signs.count("-") & 1:'),
 ]
 
 

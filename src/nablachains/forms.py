@@ -48,7 +48,7 @@ from fractions import Fraction
 from ._record import Record
 from .errors import LevelMismatchError
 from .graph import as_dim, check_bound, check_index
-from .polynomial import Polynomial, _built
+from .polynomial import Polynomial, Scalar, _built
 from .words import CompositionWord, WordLike, as_word
 
 Subset = tuple[int, ...]
@@ -285,7 +285,8 @@ def apply_word(w: WordLike, v: ComponentVector) -> ComponentVector:
     When D, the lcm of v's denominators, is above 1 and has at most
     _CLEARED_DENOMINATOR_BITS bits, the fold runs on the int vector D*v and
     each output term is divided by D once at the end; otherwise it runs on
-    v as given.
+    v as given.  Every output coefficient is an int when it is integral and
+    a Fraction otherwise.
     """
     word = as_word(w, v.n)
     word.require_meaningful()
@@ -310,10 +311,24 @@ def apply_word(w: WordLike, v: ComponentVector) -> ComponentVector:
     for i in word.indices:
         v = nabla(i, v)
     if cleared:
+        v = ComponentVector(n, v.level, tuple(_built(n, _over(p.terms, d)) for p in v.entries))
+    elif d > 1:
+        # the fold on Fractions can make one integral: 1/2*x1^2 gives x1
         v = ComponentVector(n, v.level, tuple(
-            _built(n, {e: Fraction(c, d) for e, c in p.terms.items()}) for p in v.entries
+            _built(n, {e: c.numerator if c.denominator == 1 else c for e, c in p.terms.items()})
+            for p in v.entries
         ))
     return v
+
+
+def _over(terms: dict[tuple[int, ...], int], d: int) -> dict[tuple[int, ...], Scalar]:
+    """Each int coefficient over d: the quotient when d divides it, else a
+    Fraction."""
+    out: dict[tuple[int, ...], Scalar] = {}
+    for e, c in terms.items():
+        q, r = divmod(c, d)
+        out[e] = Fraction(c, d) if r else q
+    return out
 
 
 def is_zero_operator(w: WordLike, n: int) -> bool:

@@ -127,22 +127,19 @@ class Polynomial:
     # rendering
 
     def __str__(self) -> str:
-        ordered = sorted(self.terms, key=lambda e: (sum(e), e), reverse=True)
+        ordered = sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
+        names = [f"x{i}" for i in range(1, self.n_vars + 1)]
         terms: list[tuple[int, str]] = []
         try:
-            for e in ordered:
-                # an int is its own numerator over 1; reading both as ints
-                # makes no Fraction for abs() or a comparison
-                c = self.terms[e]
-                num, den = c.numerator, c.denominator
+            for e, c in ordered:
+                # an int is its own numerator over 1, and a Fraction gives
+                # both at once; as ints they make no Fraction for abs() or a
+                # comparison
+                num, den = (c, 1) if type(c) is int else c.as_integer_ratio()
                 mag = str(abs(num))
                 if den != 1:
                     mag = f"{mag}/{den}"
-                factors = [
-                    f"x{i + 1}" if p == 1 else f"x{i + 1}^{p}"
-                    for i, p in enumerate(e)
-                    if p > 0
-                ]
+                factors = [names[i] if p == 1 else f"{names[i]}^{p}" for i, p in enumerate(e) if p]
                 if not factors:
                     body = mag
                 elif mag == "1":
@@ -215,28 +212,23 @@ def join_signed(terms: Iterable[tuple[int, str]]) -> str:
     return " ".join(parts) if parts else "0"
 
 
+# The docstring's grammar as one regex: a factor, then factors each after a
+# '*' or a run of signs, with whitespace around any token.  Each step is
+# read as (?=(step))\N, an atomic group: the match never backtracks into a
+# step it has read, so a text it refuses fails in one pass, and the match
+# holds about 120 bytes of state a factor, where plain groups hold 500-700.
+_GRAMMAR = r"[-+\s]*(?=({0}))\1(?:(?=(\s*(?:\*\s*|[-+][-+\s]*){0}))\2)*\s*".format(
+    r"(?:x[0-9]+(?:\s*\^\s*[0-9]+)?|[0-9]+(?:/[0-9]+)?)"
+)
+# A factor of a text the grammar accepts, with the signs and whitespace
+# before it and the '*' after it, as (signs, numerator, denominator,
+# variable digits, power, star); the grammar has checked the order of its
+# parts.
+_FACTOR = r"([-+\s]*)(?:([0-9]+)/?([0-9]*)|x([0-9]+)[\s^]*([0-9]*))\s*(\*?)"
 # A token and the whitespace before it, as (num, var, op, bad), one group
 # non-empty; bad is a character no token starts with, so the tokens cover
 # the text up to trailing whitespace.
-_TOKEN = re.compile(
-    r"\s*(?:(?P<num>[0-9]+(?:/[0-9]+)?)|(?P<var>x[0-9]+)|(?P<op>[-+*^])|(?P<bad>\S))"
-)
-
-
-def _check_tokens(text: str) -> None:
-    """Raise at the first token that cannot be read, in text order: a
-    character no token starts with, or a number over the digit limit."""
-    # int() refuses digit strings over this limit (0: none; Python before
-    # 3.10.7 has none) with advice that a CLI user cannot act on
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    for m in _TOKEN.finditer(text):
-        if m.lastgroup == "bad":
-            raise ValueError(f"cannot parse polynomial near {text[m.start():]!r}")
-        tok = m.group(m.lastgroup)
-        if limit and len(tok) > limit:
-            digits = max(len(part) for part in tok.lstrip("x").split("/"))
-            if digits > limit:
-                raise ValueError(f"number too long: {digits} digits (limit {limit})")
+_TOKEN = r"\s*(?:(?P<num>[0-9]+(?:/[0-9]+)?)|(?P<var>x[0-9]+)|(?P<op>[-+*^])|(?P<bad>\S))"
 
 
 def parse_polynomial(text: str, n_vars: int) -> Polynomial:
@@ -247,79 +239,100 @@ def parse_polynomial(text: str, n_vars: int) -> Polynomial:
         number = digits, ["/", digits] ;   (* one token; whitespace only between tokens *)
 
     digits are ASCII 0-9, and "x", digits is one token too.  A term's signs
-    multiply, so ``x1 - -x2`` is x1 + x2."""
+    multiply, so ``x1 - -x2`` is x1 + x2.  A text the grammar accepts is read
+    factor by factor; one it refuses, or whose reading fails, is walked token
+    by token, and the walk names the fault."""
     _check_n_vars(n_vars)
-    try:
-        return _parse(_TOKEN.findall(text), n_vars)
-    except ValueError:
-        # A parse that succeeds has converted every token, so only a failed
-        # one can have met a bad or over-long token.  The first of those in
-        # the text names the fault, whatever the parse raised where it stopped.
-        _check_tokens(text)
-        raise
+    if re.fullmatch(_GRAMMAR, text):
+        try:
+            return _read(re.findall(_FACTOR, text), n_vars)
+        except (ValueError, ZeroDivisionError):
+            pass  # a number over the digit limit, a zero denominator or a variable out of range
+    _refuse(text, n_vars)
 
 
-def _parse(tokens: list[tuple[str, str, str, str]], n_vars: int) -> Polynomial:
-    """The polynomial that _TOKEN's tokens spell, read term by term."""
+def _read(factors: list[tuple[str, str, str, str, str, str]], n_vars: int) -> Polynomial:
+    """The polynomial an accepted text spells, from its factors as _FACTOR
+    reads them.  A term is a single monomial, whose numerator and
+    denominator multiply as ints, so one Fraction is made per term whose
+    denominator is not 1.  A fault raises with no message."""
+    terms: dict[Exponents, Scalar] = {}
+    num = den = 1
+    exps = [0] * n_vars
+    for signs, top, bottom, var, power, star in factors:
+        if var:
+            i = int(var)
+            if not 0 < i <= n_vars:
+                raise ValueError
+            exps[i - 1] += int(power) if power else 1
+        else:
+            num *= int(top)
+            if bottom:
+                den *= int(bottom)
+        if signs and signs.count("-") & 1:
+            num = -num
+        if not star:
+            key = tuple(exps)
+            c = num if den == 1 else Fraction(num, den)
+            # adding to one dict keeps parsing linear in the number of terms
+            old = terms.get(key)
+            terms[key] = c if old is None else old + c
+            num = den = 1
+            exps = [0] * n_vars
+    # the keys are tuples of n_vars ints >= 0 and each sum an int or
+    # Fraction, so only the zeros that cancelling terms made are dropped
+    return _built(n_vars, terms if all(terms.values()) else {e: c for e, c in terms.items() if c})
+
+
+def _refuse(text: str, n_vars: int) -> None:
+    """Raise the fault of a text that parse_polynomial cannot read: the
+    first character no token starts with or number over the digit limit, in
+    text order, else the first fault met walking the tokens by the grammar,
+    so a variable or denominator fault comes before a later grammar fault."""
+    # int() refuses digit strings over this limit (0: none; Python before
+    # 3.10.7 has none) with advice that a CLI user cannot act on
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    tokens = []
+    for m in re.finditer(_TOKEN, text):
+        if m.lastgroup == "bad":
+            raise ValueError(f"cannot parse polynomial near {text[m.start():]!r}")
+        tok = m.group(m.lastgroup)
+        if limit and len(tok) > limit:
+            digits = max(len(part) for part in tok.lstrip("x").split("/"))
+            if digits > limit:
+                raise ValueError(f"number too long: {digits} digits (limit {limit})")
+        tokens.append(m.groups(""))
     if not tokens:
         raise ValueError("empty polynomial")
-    terms: dict[Exponents, Scalar] = {}
     idx, end = 0, len(tokens)
     while True:
-        # A term is a run of signs, then factors joined by '*': a single
-        # monomial, whose numerator and denominator multiply as ints, so one
-        # Fraction is made per term whose denominator is not 1.
-        sign = 1
+        # a term: a run of signs, then factors joined by '*'
         while idx < end and tokens[idx][2] in ("+", "-"):
-            if tokens[idx][2] == "-":
-                sign = -sign
             idx += 1
-        num = den = 1
-        exps = None
         while True:
             if idx == end:
                 raise ValueError("unexpected end of polynomial")
             number, var, op, _ = tokens[idx]
             idx += 1
-            i = 0
             if number:
-                top, _, bottom = number.partition("/")
-                if bottom:
-                    d = int(bottom)
-                    if not d:
-                        raise ValueError(f"zero denominator in {number!r}")
-                    den *= d
-                num *= int(top)
+                _, _, bottom = number.partition("/")
+                if bottom and not int(bottom):
+                    raise ValueError(f"zero denominator in {number!r}")
             elif var:
-                i = int(var[1:])
-                if not 1 <= i <= n_vars:
+                if not 1 <= int(var[1:]) <= n_vars:
                     raise ValueError(f"variable {var} out of range for n={n_vars}")
-                power = 1
                 if idx < end and tokens[idx][2] == "^":
                     idx += 1
                     if idx == end or not tokens[idx][0] or "/" in tokens[idx][0]:
                         raise ValueError("expected integer exponent after '^'")
-                    power = int(tokens[idx][0])
                     idx += 1
             else:
                 raise ValueError(f"unexpected token {op!r}")
-            if exps is None:
-                exps = [0] * n_vars
-            if i:
-                exps[i - 1] += power
             if idx == end or tokens[idx][2] != "*":
                 break
             idx += 1
-        key = tuple(exps)
-        c = sign * num if den == 1 else Fraction(sign * num, den)
-        # adding to one dict keeps parsing linear in the number of terms
-        old = terms.get(key)
-        terms[key] = c if old is None else old + c
         if idx == end:
-            # the keys are tuples of n_vars ints >= 0 and each sum an int or
-            # Fraction, so only the zeros that cancelling terms made are dropped
-            canon = terms if all(terms.values()) else {e: c for e, c in terms.items() if c}
-            return _built(n_vars, canon)
+            raise AssertionError(f"the grammar refuses {text!r}, which the token walk reads")
         # the next term's signs separate it from this one
         number, var, op, _ = tokens[idx]
         if op not in ("+", "-"):

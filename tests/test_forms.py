@@ -5,7 +5,7 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 from nablachains import (
@@ -683,7 +683,7 @@ def as_fractions(v):
 
 
 @st.composite
-def rational_chain_inputs(draw):
+def rational_chain_inputs(draw, denominators=DENOMINATORS):
     n = draw(st.integers(3, 8))
     length = draw(st.integers(1, 3))
     indices = [draw(st.integers(1, n))]
@@ -693,7 +693,7 @@ def rational_chain_inputs(draw):
     exps = st.tuples(*[st.integers(0, 3)] * n)
     coeff = st.one_of(
         st.integers(-50, 50),
-        st.builds(Fraction, st.integers(-50, 50), st.sampled_from(DENOMINATORS)),
+        st.builds(Fraction, st.integers(-50, 50), st.sampled_from(denominators)),
     )
     entries = draw(
         st.lists(st.dictionaries(exps, coeff, max_size=3),
@@ -717,6 +717,26 @@ def test_apply_word_equals_the_fraction_fold(case):
     for p in got.entries:
         assert Polynomial(p.n_vars, p.terms).terms == p.terms
         assert all(type(c) in (int, Fraction) for c in p.terms.values())
+
+
+@pytest.mark.parametrize("past", [False, True], ids=["cleared", "past the cutoff"])
+@given(case=st.data())
+# without the explain phase, which takes a minute on a failure here
+@settings(max_examples=50, deadline=None, phases=set(Phase) - {Phase.explain})
+def test_apply_word_gives_an_int_for_each_integral_coefficient(past, case):
+    # a shared denominator on one side of the cutoff or the other; the
+    # uncleared fold, nabla over v as given, is the oracle for the values
+    w, v = case.draw(rational_chain_inputs(DENOMINATORS[-1:] + [1, 2, 3] if past else DENOMINATORS[:-1]))
+    bits = math.lcm(*(c.denominator for p in v.entries for c in p.terms.values())).bit_length()
+    assume(bits > 1 and (bits > forms._CLEARED_DENOMINATOR_BITS) is past)
+    got = apply_word(w, v)
+    want = v
+    for i in w.indices:
+        want = nabla(i, want)
+    assert got == want
+    for p in got.entries:
+        for c in p.terms.values():
+            assert type(c) is int if c.denominator == 1 else type(c) is Fraction
 
 
 def fraction_count(monkeypatch):

@@ -442,6 +442,55 @@ def test_long_text_messages_agree_with_the_oracle(text):
     assert outcome(parse_polynomial, text, 2) == outcome(fraction_per_factor_parse, text, 2)
 
 
+@pytest.mark.parametrize("text, want", [
+    ("x1 ^ 2", {(2, 0, 0): 1}),
+    ("x1^ 2", {(2, 0, 0): 1}),
+    ("3 * x1", {(1, 0, 0): 3}),
+    ("- - x1", {(1, 0, 0): 1}),
+    ("+x1", {(1, 0, 0): 1}),
+    ("2*3*x1", {(1, 0, 0): 6}),
+    ("x1*x1", {(2, 0, 0): 1}),
+    ("x1 - -x2", {(1, 0, 0): 1, (0, 1, 0): 1}),
+    ("4/2*x1", {(1, 0, 0): 2}),
+])
+def test_grammar_edges_that_are_read(text, want):
+    # whitespace around a token, runs of signs and products of factors
+    assert parse_polynomial(text, 3) == fraction_per_factor_parse(text, 3) == Polynomial(3, want)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("3 /4", "cannot parse polynomial near ' /4'"),
+    ("3/ 4", "cannot parse polynomial near '/ 4'"),
+    ("x 1", "cannot parse polynomial near 'x 1'"),
+    ("x1 x2", "expected '+' or '-', got 'x2'"),
+    ("7 x1", "expected '+' or '-', got 'x1'"),
+    ("x1^2^3", "expected '+' or '-', got '^'"),
+    ("x1^2/3", "expected integer exponent after '^'"),
+    ("-", "unexpected end of polynomial"),
+    ("x1 +", "unexpected end of polynomial"),
+    ("", "empty polynomial"),
+    # a variable fault before a later grammar fault is the one named
+    ("x9 + 7 x1", "variable x9 out of range for n=3"),
+])
+def test_grammar_edges_that_are_refused(text, message):
+    assert outcome(parse_polynomial, text, 3) == outcome(fraction_per_factor_parse, text, 3) \
+        == ("ValueError", message)
+
+
+LONG_TEXT = " + ".join(f"{k % 97 + 1}/{k % 7 + 2}*x1^{k % 5}*x2 - -x3^{k % 11}" for k in range(8700))
+
+
+@pytest.mark.parametrize("text", [LONG_TEXT, LONG_TEXT[:-1] + "?"], ids=["valid", "bad last character"])
+def test_a_long_text_is_matched_in_one_pass(text):
+    # about 200 000 characters: a grammar regex that backtracked over the
+    # terms would take time quadratic in them, minutes at this length
+    assert len(text) > 195_000
+    start = time.perf_counter()
+    got = outcome(parse_polynomial, text, 3)
+    assert time.perf_counter() - start < 2
+    assert got == outcome(fraction_per_factor_parse, text, 3)
+
+
 @pytest.fixture
 def digit_limit_640():
     old = sys.get_int_max_str_digits()
