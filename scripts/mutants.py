@@ -60,6 +60,11 @@ MUTANTS = [
      "tests/test_forms.py::test_is_zero_operator_refuses_a_word_before_reading_its_pairs"),
     ("src/nablachains/forms.py", "if any(_zero_short(", "if False and any(_zero_short(",
      "tests/test_forms.py::test_is_zero_operator_ends_at_a_zero_pair"),
+    # the probe's exponents are the word's length, so every derivative of
+    # that order leaves a term: one less reads nabla_2 at n = 3 as zero on 1
+    ("src/nablachains/forms.py", "Polynomial.monomial(n, (len(word),) * n)",
+     "Polynomial.monomial(n, (len(word) - 1,) * n)",
+     "tests/test_forms.py::test_is_zero_operator_known_pairs"),
     # an enumeration's least length, checked before the cap
     ("src/nablachains/counting.py", '"length k", 1)', '"length k", 0)',
      "tests/test_graph.py::test_bound_takes_its_least_value_and_refuses_the_one_below"),

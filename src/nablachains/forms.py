@@ -291,10 +291,9 @@ def apply_word(w: WordLike, v: ComponentVector) -> ComponentVector:
     word = as_word(w, v.n)
     word.require_meaningful()
     n = v.n
-    # empty slots are skipped before their values are read, as the first
-    # zero-test probe fills one slot of many; the lcm stops growing past the
-    # cutoff, as the lcm of many long denominators alone can cost more than
-    # the fold
+    # empty slots are skipped before their values are read, as the zero-test
+    # probe fills one slot of many; the lcm stops growing past the cutoff,
+    # as the lcm of many long denominators alone can cost more than the fold
     d = 1
     for den in {c.denominator for p in v.entries if p.terms for c in p.terms.values()}:
         d = math.lcm(d, den)
@@ -335,12 +334,12 @@ def is_zero_operator(w: WordLike, n: int) -> bool:
     """Decide exactly whether the composed operator annihilates everything.
 
     A word of length 1 or 2 is read from _zero_short, which decides each
-    such word once per process by the probes below.  A longer word is zero
+    such word once per process by the probe below.  A longer word is zero
     when one of its consecutive pairs (i, j) is: the chain is
     A . (nabla_j . nabla_i) . B with A and B linear, so a zero middle makes
     the whole zero whatever A and B are.  Such a word is checked to compose
     first, then its pairs are read in order from the same table; the first
-    zero pair ends it, and a word with no zero pair is decided by the probes
+    zero pair ends it, and a word with no zero pair is decided by the probe
     on the whole word.  No answer reads the combinatorial j = i + 1 rule, so
     classify_word stays an independent check.
     """
@@ -350,43 +349,33 @@ def is_zero_operator(w: WordLike, n: int) -> bool:
     word.require_meaningful()
     if any(_zero_short(n, pair) for pair in itertools.pairwise(word.indices)):
         return True
-    return _zero_by_probes(word)
+    return _zero_by_probe(word)
 
 
 @functools.cache
 def _zero_short(n: int, indices: tuple[int, ...]) -> bool:
     """The probe decision of a word of length 1 or 2, held once it is made;
-    a word that does not compose raises from the first probe, so no refusal
-    is held."""
-    return _zero_by_probes(CompositionWord(n, indices))
+    a word that does not compose raises from the probe, so no refusal is
+    held."""
+    return _zero_by_probe(CompositionWord(n, indices))
 
 
-def _zero_by_probes(word: CompositionWord) -> bool:
-    """Decide a word by at most two folds of apply_word.
+def _zero_by_probe(word: CompositionWord) -> bool:
+    """Decide a word by one fold of apply_word: x^(L, ..., L) in slot 0.
 
     Each nabla_i = iso . d . iso is first order and homogeneous with constant
     coefficients, so a chain of length L is sum_{|a|=L} C_a d^a with constant
-    matrices C_a.  Let b_s = (L + (L+1)s, L, ..., L).  As b_s >= a, d^a x^(b_s)
-    = (b_s!/(b_s-a)!) x^(b_s-a) with a nonzero factor, and the first exponent
-    of b_s - a lies in [(L+1)s, (L+1)s + L]: these ranges are disjoint, so the
-    monomials x^(b_s-a) are distinct over all s and a, and nothing cancels.
-    Fed x^(b_s) in slot s for each s in a set S and zeros elsewhere, the
-    chain thus gives zero iff column s of every C_a is zero for every s in S.
-    Two probes decide it: S = {0} first, whose nonzero output ends most
-    nonzero chains after one fold, then S = every other slot.
+    matrices C_a.  With b = (L, ..., L) >= a, d^a x^b = (b!/(b-a)!) x^(b-a)
+    with a nonzero factor, and the monomials x^(b-a) are distinct over a, so
+    nothing cancels: fed x^b in slot 0 alone, the chain gives zero iff column
+    0 of every C_a is zero.  A permutation of the coordinates commutes with d
+    and, up to its orientation sign, with the iso maps (the Hodge star up to
+    sign), and it fixes x^b and carries slot 0 of a level to any other slot;
+    so a chain that kills x^b in slot 0 kills it in every slot, and every
+    column of every C_a is zero.
     """
     n = word.n
     level = domain_level(word.indices[0], n)
-    slots = math.comb(n, level)
-    length = len(word)
-    rest = (length,) * (n - 1)
     zero = Polynomial.zero(n)
-    first = (Polynomial.monomial(n, (length,) + rest),) + (zero,) * (slots - 1)
-    if not apply_word(word, ComponentVector(n, level, first)).is_zero():
-        return False
-    if slots == 1:
-        return True
-    others = tuple(
-        Polynomial.monomial(n, (length + (length + 1) * s,) + rest) for s in range(1, slots)
-    )
-    return apply_word(word, ComponentVector(n, level, (zero,) + others)).is_zero()
+    probe = (Polynomial.monomial(n, (len(word),) * n),) + (zero,) * (math.comb(n, level) - 1)
+    return apply_word(word, ComponentVector(n, level, probe)).is_zero()

@@ -424,21 +424,21 @@ def test_is_zero_operator_refuses_a_word_before_reading_its_pairs():
     assert exc.value.pair == (2, 1)
 
 
-@pytest.mark.parametrize("word, probes", [((1, 2), 1), ((1, 3), 1), ((2, 3), 2), ((2, 2, 2), 1)])
+@pytest.mark.parametrize("word, probes", [((1, 2), 1), ((1, 3), 1), ((2, 3), 1), ((2, 2, 2), 1)])
 def test_is_zero_operator_scans_composability_once_per_probe(monkeypatch, word, probes):
-    # the first probe's apply_word refuses a word that is not meaningful, so
-    # the probe decision need not scan it first
+    # the probe's apply_word refuses a word that is not meaningful, so the
+    # probe decision need not scan it first
     scans, folds = [], []
     scan, fold = CompositionWord.first_invalid_pair, forms.apply_word
     monkeypatch.setattr(CompositionWord, "first_invalid_pair", lambda w: scans.append(w) or scan(w))
     monkeypatch.setattr(forms, "apply_word", lambda w, v: folds.append(w) or fold(w, v))
-    forms._zero_by_probes(CompositionWord(3, word))
+    forms._zero_by_probe(CompositionWord(3, word))
     assert folds == [CompositionWord(3, word)] * probes and len(scans) == probes
 
 
 def test_is_zero_operator_ends_at_a_zero_pair(monkeypatch):
     # a word with a zero pair makes no whole-word probe, cold or warm; a word
-    # without one makes the probes the probe decision makes on it alone.
+    # without one makes the probe the probe decision makes on it alone.
     # Which pairs are zero comes from the one-probe-per-slot oracle.
     folds = []
     fold = forms.apply_word
@@ -461,7 +461,7 @@ def test_is_zero_operator_ends_at_a_zero_pair(monkeypatch):
                 if has_zero_pair:
                     assert got == [], (n, w.indices)
                 else:
-                    assert got == whole_word_folds(forms._zero_by_probes, w) != [], (n, w.indices)
+                    assert got == whole_word_folds(forms._zero_by_probe, w) != [], (n, w.indices)
     # every pair at n = 3 is decided by now, so this word folds nothing at all
     folds.clear()
     assert is_zero_operator((1, 3, 1, 2, 3), 3) and folds == []
@@ -498,7 +498,7 @@ def test_short_words_are_decided_once(monkeypatch):
         for length in (1, 2):
             for w in enumerate_words(n, length):
                 folds.clear()
-                forms._zero_by_probes(w)
+                forms._zero_by_probe(w)
                 cold = list(folds)
                 folds.clear()
                 is_zero_operator(w, n)
@@ -560,18 +560,12 @@ def test_apply_word_linearity(n, data):
     assert lhs == rhs
 
 
-def probe_exponents(n: int, length: int, slot: int) -> tuple[int, ...]:
-    """b_s = (L + (L+1)s, L, ..., L), the exponents is_zero_operator puts in slot s."""
-    return (length + (length + 1) * slot,) + (length,) * (n - 1)
-
-
 def test_probe_lemma_coefficients():
     # The argument behind is_zero_operator, checked coefficient by coefficient:
     # a length-L chain is sum_{|a|=L} C_a d^a, so on x^b e_s with b >= a the
     # coefficient of x^(b-a) is prod C(b_i, a_i) times the constant the chain
     # gives on x^a e_s (= a! C_a e_s), and no other monomial appears.  Checked
-    # for b = (L, ..., L) and for the shifted b_s in slot s; the b_s of the
-    # slots a probe fills give disjoint output monomials, so nothing cancels.
+    # for b = (L, ..., L), the probe's exponents, in every slot s.
     for n in range(3, 6):
         for length in range(1, 4):
             alphas = [
@@ -587,31 +581,24 @@ def test_probe_lemma_coefficients():
                     entries[slot] = Polynomial.monomial(n, exps)
                     return apply_word(w, ComponentVector(n, level, tuple(entries))).entries
 
-                seen = [set() for _ in range(math.comb(n, codomain_level(w.indices[-1], n)))]
+                beta = (length,) * n
                 for slot in range(slots):
-                    # b_s last, so probe is its output below
-                    for beta in dict.fromkeys([(length,) * n, probe_exponents(n, length, slot)]):
-                        probe = single(slot, beta)
-                        expected = [{} for _ in probe]
-                        for alpha in alphas:
-                            factor = math.prod(math.comb(b, a) for b, a in zip(beta, alpha))
-                            shifted = tuple(b - a for b, a in zip(beta, alpha))
-                            for r, c in enumerate(single(slot, alpha)):
-                                assert set(c.terms) <= {(0,) * n}
-                                if c:
-                                    expected[r][shifted] = factor * c.terms[(0,) * n]
-                        assert [p.terms for p in probe] == expected, (n, w.indices, slot, beta)
-                    if slot:
-                        for r, p in enumerate(probe):
-                            assert seen[r].isdisjoint(p.terms), (n, w.indices, slot)
-                            seen[r] |= set(p.terms)
+                    probe = single(slot, beta)
+                    expected = [{} for _ in probe]
+                    for alpha in alphas:
+                        factor = math.prod(math.comb(b, a) for b, a in zip(beta, alpha))
+                        shifted = tuple(b - a for b, a in zip(beta, alpha))
+                        for r, c in enumerate(single(slot, alpha)):
+                            assert set(c.terms) <= {(0,) * n}
+                            if c:
+                                expected[r][shifted] = factor * c.terms[(0,) * n]
+                    assert [p.terms for p in probe] == expected, (n, w.indices, slot)
 
 
-def test_is_zero_operator_makes_at_most_two_probes(monkeypatch):
+def test_is_zero_operator_makes_one_probe(monkeypatch):
     # the probe decision behind is_zero_operator, on any word, must feed
-    # exactly the probes the lemma above is about:
-    # x^(b_0) in slot 0 alone, and, only if that gives zero and there are
-    # other slots, x^(b_s) in every slot s >= 1 with slot 0 zero
+    # exactly the probe the lemma above is about, x^(L, ..., L) in slot 0
+    # alone, once, and answer with that fold's zero-ness
     calls = []
 
     def spy(word, v):
@@ -624,21 +611,19 @@ def test_is_zero_operator_makes_at_most_two_probes(monkeypatch):
         for length in range(1, 4):
             for w in enumerate_words(n, length):
                 calls.clear()
-                zero = forms._zero_by_probes(w)
+                zero = forms._zero_by_probe(w)
                 level = domain_level(w.indices[0], n)
                 slots = math.comb(n, level)
-                b = [Polynomial.monomial(n, probe_exponents(n, length, s)) for s in range(slots)]
-                zero_poly = Polynomial.zero(n)
-                assert len(calls) == (2 if calls[0][1] and slots > 1 else 1)
-                assert all(v.level == level for v, _ in calls)
-                assert calls[0][0].entries == (b[0],) + (zero_poly,) * (slots - 1)
-                if len(calls) == 2:
-                    assert calls[1][0].entries == (zero_poly,) + tuple(b[1:])
-                assert calls[-1][1] is zero, (n, w.indices)
+                probe = Polynomial.monomial(n, (length,) * n)
+                assert len(calls) == 1, (n, w.indices)
+                (v, out_zero), = calls
+                assert v.level == level
+                assert v.entries == (probe,) + (Polynomial.zero(n),) * (slots - 1)
+                assert out_zero is zero, (n, w.indices)
 
 
-def slow_is_zero_operator(w: CompositionWord) -> bool:
-    """The zero test with one probe per slot: x^(L, ..., L) in slot s alone."""
+def probe_zero_per_slot(w: CompositionWord):
+    """Whether the chain kills x^(L, ..., L) in slot s alone, slot by slot."""
     n = w.n
     level = domain_level(w.indices[0], n)
     slots = math.comb(n, level)
@@ -646,9 +631,23 @@ def slow_is_zero_operator(w: CompositionWord) -> bool:
     for slot in range(slots):
         entries = [Polynomial.zero(n)] * slots
         entries[slot] = probe
-        if not apply_word(w, ComponentVector(n, level, tuple(entries))).is_zero():
-            return False
-    return True
+        yield apply_word(w, ComponentVector(n, level, tuple(entries))).is_zero()
+
+
+def slow_is_zero_operator(w: CompositionWord) -> bool:
+    """The zero test with one probe per slot: x^(L, ..., L) in slot s alone."""
+    return all(probe_zero_per_slot(w))
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_probe_is_zero_in_every_slot_or_in_none(n):
+    # the symmetry the one-probe decision rests on: a permutation of the
+    # coordinates commutes with d and, up to sign, with the iso maps, fixes
+    # x^(L, ..., L) and carries slot 0 to every slot of its level, so a chain
+    # kills the probe in every slot or in none
+    for length in range(1, 4):
+        for w in enumerate_words(n, length):
+            assert len(set(probe_zero_per_slot(w))) == 1, w.indices
 
 
 @pytest.mark.parametrize("n", range(3, 8))
@@ -661,7 +660,7 @@ def test_is_zero_operator_agrees_with_one_probe_per_slot(n):
 @pytest.mark.parametrize("indices", [(7, 8), (6, 7, 8), (7, 6, 7), (7, 6)])
 def test_is_zero_operator_on_the_largest_levels(indices):
     # at n = 12, nabla_7 takes C(12, 6) = 924 slots and nabla_6 C(12, 5) = 792,
-    # all but one in the second probe; classify_word's d^2 rule is the
+    # of which the probe fills slot 0 alone; classify_word's d^2 rule is the
     # independent answer
     w = CompositionWord(12, indices)
     assert math.comb(12, domain_level(indices[0], 12)) == (792 if indices[0] == 6 else 924)
