@@ -69,16 +69,16 @@ MUTANTS = [
     ("src/nablachains/counting.py", '"length k", 1)', '"length k", 0)',
      "tests/test_graph.py::test_bound_takes_its_least_value_and_refuses_the_one_below"),
     # a text the grammar refuses is not read factor by factor (7 x1 would be
-    # two terms), a term's signs multiply, and apply_word gives an integral
-    # coefficient as an int on both sides of the cutoff
+    # two terms), a term's signs multiply, apply_word gives an integral
+    # coefficient as an int, and past the cutoff it divides by 1, not D
     ("src/nablachains/polynomial.py", "if re.fullmatch(_GRAMMAR, text):", "if True:",
      "tests/test_polynomial.py::test_parse_values_and_messages_agree_with_the_oracle"),
     ("src/nablachains/polynomial.py", 'if signs and signs.count("-") & 1:',
      'if signs and not signs.count("-") & 1:', "tests/test_polynomial.py::test_parse_basic"),
-    ("src/nablachains/forms.py", "out[e] = Fraction(c, d) if r else q", "out[e] = Fraction(c, d)",
+    ("src/nablachains/forms.py", "out[e] = q if not r else", "out[e] = Fraction(c, d) if True else",
      "tests/test_forms.py::test_apply_word_gives_an_int_for_each_integral_coefficient"),
-    ("src/nablachains/forms.py", "    elif d > 1:", "    elif False:",
-     "tests/test_forms.py::test_apply_word_gives_an_int_for_each_integral_coefficient"),
+    ("src/nablachains/forms.py", "d if cleared else 1", "d",
+     "tests/test_forms.py::test_apply_word_folds_over_one_shared_denominator"),
     # a polynomial's exponent tuples are distinct
     ("src/nablachains/polynomial.py", "if key in canon:", "if key is canon:",
      "tests/test_polynomial.py"),
@@ -96,6 +96,15 @@ MUTANTS = [
      "tests/test_cli.py"),
     ("src/nablachains/counting.py", "if (total := sum(v)) > cap:", "if (total := sum(v)) >= cap:",
      "tests/test_counting.py"),
+    # fast paths, each against its slow oracle: squaring in the power ladder,
+    # the alternation flag of each enumeration step, classify_word's d^2
+    # rule, and the sign of each wedge exterior_derivative reads
+    ("src/nablachains/counting.py", "twice = 2 * a", "twice = a", "tests/test_counting.py"),
+    ("src/nablachains/counting.py", "((j,), j == i + 1)", "((j,), j == i - 1)",
+     "tests/test_counting.py"),
+    ("src/nablachains/classify.py", "b == a + 1", "b == a - 1", "tests/test_classify.py"),
+    ("src/nablachains/forms.py", "-1 if pos % 2 else 1))", "1 if pos % 2 else -1))",
+     "tests/test_forms.py::test_cached_tables_equal_their_derivations"),
 ]
 
 # Edits that change no answer, so no test can kill them; each is listed with
@@ -109,6 +118,9 @@ EQUIVALENT = [
     # an empty run of signs holds no '-', so skipping the count for it only
     # saves a call
     ("src/nablachains/polynomial.py", 'if signs and signs.count("-") & 1:', 'if signs.count("-") & 1:'),
+    # an int's denominator is 1, so reading it too clears an all-int vector
+    # at D = 1 and divides each output term by 1, which changes no value
+    ("src/nablachains/forms.py", "\n            if isinstance(c, Fraction)}", "}"),
 ]
 
 

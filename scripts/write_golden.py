@@ -93,6 +93,10 @@ CALLS = {
         _apply(3, "1,3", "[1/2*x1^2*x2 + 1/3*x3^3]", "--format", "plain"),
         _apply(3, "1", "[--x1]"),
         _apply(4, "3,2", "[x1^3*x2, -x2*x3^2, 7/3*x4, x1*x2*x3*x4, 0, x3^4]"),
+        # rationals whose shared denominator is 1, and one past the cutoff
+        # (2^521 - 1 has 521 bits) that apply_word folds without clearing
+        _apply(3, "1", "[4/2*x1^2 + 6/3*x2]"),
+        _apply(3, "1", f"[1/{2**521 - 1}*x1^2 + 1/2*x2^2 + 1/3*x2]", "--format", "plain"),
         # words: integers separated by ','
         _apply(3, "1,,2", "[x1]"),
         _apply(3, "-1,2", "[x1]"),

@@ -29,12 +29,9 @@ meets: at most n single operators and 2n pairs per n, as each i has at most
 two successors, so at most 3n words per n.
 
 The operator chain machinery (nabla, apply_word) and the exact
-zero-operator decision procedure live here too.  Each nabla_i has constant
-integer coefficients, so a chain is linear over Z, and apply_word folds it
-over one shared denominator: a rational input v with D the lcm of its
-denominators runs as the integer vector D*v, and each output term is divided
-by D once at the end, which is exact.  Inputs whose D has over 512 bits,
-like integer ones, are folded as given; _CLEARED_DENOMINATOR_BITS says why.
+zero-operator decision procedure live here too; apply_word folds an input
+with a Fraction as the int vector D*v divided by D once at the end, unless D
+is past the cutoff, and an all-int input as given, as its docstring states.
 """
 
 from __future__ import annotations
@@ -75,6 +72,7 @@ def _subset(basis: dict[Subset, Subset], key, size: int) -> Subset:
 
 def subsets(n: int, size: int) -> list[Subset]:
     """Ascending subsets of {1..n} of the given size, in lexicographic order."""
+    check_bound(n, "n", 0)  # before the cache, which would take 3.0 for a cached 3
     check_bound(size, "size", 0)
     return list(_basis(n, size))
 
@@ -88,6 +86,7 @@ def complement_sign(s: Subset, n: int) -> tuple[Subset, int]:
     exceeds s_k - k elements of T, so (S, T) has sum(S) - |S|(|S|+1)/2
     inversions.
     """
+    check_bound(n, "n", 0)  # before the cache, which would take 3.0 for a cached 3
     try:
         key = tuple(s)
         hash(key)
@@ -253,13 +252,13 @@ def iso_from_components(v: ComponentVector, target_degree: int) -> DifferentialF
 
 def domain_level(i: int, n: int) -> int:
     """Level of the coefficient space nabla_i consumes."""
-    check_index(i, n)
+    check_index(i, as_dim(n))
     return _level(i - 1, n)
 
 
 def codomain_level(i: int, n: int) -> int:
     """Level of the coefficient space nabla_i produces."""
-    check_index(i, n)
+    check_index(i, as_dim(n))
     return _level(i, n)
 
 
@@ -281,52 +280,50 @@ _CLEARED_DENOMINATOR_BITS = 512
 def apply_word(w: WordLike, v: ComponentVector) -> ComponentVector:
     """Fold nabla over the word in application order.
 
-    The chain is linear over Z, so it maps v = (D*v)/D to chain(D*v)/D.
-    When D, the lcm of v's denominators, is above 1 and has at most
-    _CLEARED_DENOMINATOR_BITS bits, the fold runs on the int vector D*v and
-    each output term is divided by D once at the end; otherwise it runs on
-    v as given.  Every output coefficient is an int when it is integral and
-    a Fraction otherwise.
+    The chain is linear over Z, so it maps v = (D*v)/D to chain(D*v)/D, D
+    the lcm of the denominators of v's Fraction coefficients.  An all-int v
+    folds as given.  A v with a Fraction folds as the int vector D*v when D
+    has at most _CLEARED_DENOMINATOR_BITS bits (D = 1 included), and as given
+    past that; either way each output term is divided once at the end, by D
+    or by 1, so every output coefficient is an int when it is integral and a
+    Fraction otherwise.
     """
     word = as_word(w, v.n)
     word.require_meaningful()
     n = v.n
-    # empty slots are skipped before their values are read, as the zero-test
-    # probe fills one slot of many; the lcm stops growing past the cutoff,
-    # as the lcm of many long denominators alone can cost more than the fold
+    # ints and empty slots are skipped, as the zero-test probe fills one slot
+    # of many with an int; the lcm stops growing past the cutoff, as the lcm
+    # of many long denominators alone can cost more than the fold
+    dens = {c.denominator for p in v.entries if p.terms for c in p.terms.values()
+            if isinstance(c, Fraction)}
     d = 1
-    for den in {c.denominator for p in v.entries if p.terms for c in p.terms.values()}:
+    for den in dens:
         d = math.lcm(d, den)
         if d.bit_length() > _CLEARED_DENOMINATOR_BITS:
             break
-    cleared = 1 < d and d.bit_length() <= _CLEARED_DENOMINATOR_BITS
+    cleared = d.bit_length() <= _CLEARED_DENOMINATOR_BITS
     # keys carry over and nonzero values stay nonzero, so both conversions
     # build canonical polynomials directly
-    if cleared:
+    if dens and cleared:
         v = ComponentVector(n, v.level, tuple(
             _built(n, {e: c.numerator * (d // c.denominator) for e, c in p.terms.items()})
             for p in v.entries
         ))
     for i in word.indices:
         v = nabla(i, v)
-    if cleared:
-        v = ComponentVector(n, v.level, tuple(_built(n, _over(p.terms, d)) for p in v.entries))
-    elif d > 1:
-        # the fold on Fractions can make one integral: 1/2*x1^2 gives x1
-        v = ComponentVector(n, v.level, tuple(
-            _built(n, {e: c.numerator if c.denominator == 1 else c for e, c in p.terms.items()})
-            for p in v.entries
-        ))
+    if dens:
+        divisor = d if cleared else 1
+        v = ComponentVector(n, v.level, tuple(_built(n, _over(p.terms, divisor)) for p in v.entries))
     return v
 
 
-def _over(terms: dict[tuple[int, ...], int], d: int) -> dict[tuple[int, ...], Scalar]:
-    """Each int coefficient over d: the quotient when d divides it, else a
-    Fraction."""
+def _over(terms: dict[tuple[int, ...], Scalar], d: int) -> dict[tuple[int, ...], Scalar]:
+    """Each coefficient over d (an int over D, or a Fraction over 1): the
+    quotient when it is integral, else a Fraction, kept as it is over 1."""
     out: dict[tuple[int, ...], Scalar] = {}
     for e, c in terms.items():
-        q, r = divmod(c, d)
-        out[e] = Fraction(c, d) if r else q
+        q, r = divmod(c.numerator, c.denominator * d)
+        out[e] = q if not r else c if d == 1 else Fraction(c, d)
     return out
 
 

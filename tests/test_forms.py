@@ -187,6 +187,9 @@ P4 = Polynomial.monomial(4, (1, 0, 0, 0))
         (lambda: domain_level(5, 3), "operator index 5 out of range 1..3"),
         (lambda: codomain_level(7, 3), "operator index 7 out of range 1..3"),
         (lambda: domain_level(True, 3), "operator index True out of range 1..3"),
+        (lambda: domain_level(1, 2), "dimension must be an int >= 3, got 2"),
+        (lambda: codomain_level(2, 3.0), "dimension must be an int >= 3, got 3.0"),
+        (lambda: complement_sign((1,), True), "n must be >= 0, got True"),
         (lambda: subsets(3, -1), "size must be >= 0, got -1"),
         (lambda: subsets(3, 1.0), "size must be >= 0, got 1.0"),
         (lambda: enumerate_words(3, 1, cap=True), "cap must be >= 0, got True"),
@@ -197,6 +200,18 @@ def test_form_and_vector_checks_name_the_fault(build, message):
     with pytest.raises(ValueError) as info:
         build()
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("read", [lambda n: subsets(n, 1), lambda n: complement_sign((1,), n)],
+                         ids=["subsets", "complement_sign"])
+def test_subset_readers_check_n_before_their_tables(read):
+    # 3.0 == 3 and hashes alike, so a cached table for 3 would answer 3.0
+    forms._basis.cache_clear()
+    forms._complement_sign.cache_clear()
+    for _ in ("cold", "warm"):
+        with pytest.raises(ValueError, match=r"^n must be >= 0, got 3\.0$"):
+            read(3.0)
+        read(3)
 
 
 def bisect_wedges(s, n):
@@ -727,7 +742,7 @@ def test_apply_word_gives_an_int_for_each_integral_coefficient(past, case):
     # uncleared fold, nabla over v as given, is the oracle for the values
     w, v = case.draw(rational_chain_inputs(DENOMINATORS[-1:] + [1, 2, 3] if past else DENOMINATORS[:-1]))
     bits = math.lcm(*(c.denominator for p in v.entries for c in p.terms.values())).bit_length()
-    assume(bits > 1 and (bits > forms._CLEARED_DENOMINATOR_BITS) is past)
+    assume((bits > forms._CLEARED_DENOMINATOR_BITS) is past)
     got = apply_word(w, v)
     want = v
     for i in w.indices:
@@ -763,6 +778,17 @@ def test_is_zero_operator_makes_no_fraction(monkeypatch):
     v = ComponentVector(3, 0, (Polynomial(3, {(2, 0, 0): 1}).scale(Fraction(1, 3)),))
     apply_word((1,), v)
     assert made
+
+
+def test_apply_word_folds_an_integral_fraction_as_an_int(monkeypatch):
+    # 4/2 reads as the Fraction 2, so D = 1: the fold runs on ints and the
+    # output is divided by 1 with no Fraction made
+    v = ComponentVector(3, 0, (parse_polynomial("4/2*x1^2", 3),))
+    assert v.entries[0].terms == {(2, 0, 0): Fraction(2)}
+    made = fraction_count(monkeypatch)
+    got = apply_word((1,), v).entries[0].terms
+    assert got == {(1, 0, 0): 4} and type(got[1, 0, 0]) is int
+    assert made == []
 
 
 def coefficient_types(monkeypatch):
