@@ -47,6 +47,13 @@ MUTANTS = [
      "tests/test_forms.py"),
     ("src/nablachains/forms.py", "    s = _subset(_basis(n, len(s)), s, len(s))\n", "",
      "tests/test_forms.py::test_form_and_vector_checks_name_the_fault"),
+    # the identification of degrees with levels: the low side runs up to
+    # n // 2 inclusive, and the high side's sign is the parity of (S, T)
+    ("src/nablachains/forms.py", "if degree <= n // 2:", "if degree < n // 2:",
+     "tests/test_forms.py::test_cached_tables_equal_their_derivations"),
+    ("src/nablachains/forms.py", "return t, -1 if (sum(s) - len(s) * (len(s) + 1) // 2) % 2 else 1",
+     "return t, 1 if (sum(s) - len(s) * (len(s) + 1) // 2) % 2 else -1",
+     "tests/test_forms.py::test_complement_sign_n3"),
     # the lift is the one level check on the nabla path
     ("src/nablachains/forms.py", "if (expected := _level(target_degree, v.n)) != v.level:",
      "if False and (expected := _level(target_degree, v.n)) != v.level:",
@@ -96,6 +103,11 @@ MUTANTS = [
      "tests/test_cli.py"),
     ("src/nablachains/counting.py", "if (total := sum(v)) > cap:", "if (total := sum(v)) >= cap:",
      "tests/test_counting.py"),
+    # count_total's certificate needs its vector half: the scalar half alone
+    # passes a wrong g
+    ("src/nablachains/counting.py", "if any(shifted) or sum(c * f for c, f in zip(g, prefix)):",
+     "if sum(c * f for c, f in zip(g, prefix)):",
+     "tests/test_counting.py::test_polynomial_passing_only_the_scalar_check_falls_back"),
     # fast paths, each against its slow oracle: squaring in the power ladder,
     # the alternation flag of each enumeration step, classify_word's d^2
     # rule, and the sign of each wedge exterior_derivative reads
@@ -121,6 +133,12 @@ EQUIVALENT = [
     # an int's denominator is 1, so reading it too clears an all-int vector
     # at D = 1 and divides each output term by 1, which changes no value
     ("src/nablachains/forms.py", "\n            if isinstance(c, Fraction)}", "}"),
+    # the vector check implies the scalar one: w^T A = 2 1^T for w = 1 but
+    # w_n = 2 (and w_{n/2} = 2 at even n), so A g(A) 1 = 0 gives
+    # 1^T g(A) 1 = 0 (count_total's docstring; the lemma is tested for
+    # n = 3..64 and a few larger n)
+    ("src/nablachains/counting.py", "if any(shifted) or sum(c * f for c, f in zip(g, prefix)):",
+     "if any(shifted):"),
 ]
 
 

@@ -94,13 +94,16 @@ def count_total(n: int, k: int) -> int:
 
     With A the adjacency matrix, the walk vectors are v(s) = A^(s-1) 1 and
     f(s) = 1^T v(s).  count_total steps only v(1..d+2), d being the degree
-    of g = graph.total_count_polynomial(n), and certifies g by two checks:
-    the vector sum_i g_i v(i+2) = A g(A) 1 is zero, and the scalar
-    h(1) = sum_i g_i f(i+1) = 1^T g(A) 1 is zero.  Then the g-shifted
-    sequence h(s) = sum_i g_i f(s+i) = 1^T A^(s-1) g(A) 1 is zero at s = 1,
-    and at every s >= 2 it is 1^T A^(s-2) (A g(A) 1) = 0, so g annihilates
-    f from f(1) on.  (g(A) 1 itself need not be zero: at n = 8, 16, 24, ...
-    it is a nonzero vector in the kernel of A.)
+    of g = graph.total_count_polynomial(n), and certifies g by checking
+    that the vector sum_i g_i v(i+2) = A g(A) 1 is zero.  Then the g-shifted
+    sequence h(s) = sum_i g_i f(s+i) = 1^T A^(s-1) g(A) 1 is zero at every
+    s >= 2, as 1^T A^(s-2) (A g(A) 1), and at s = 1 as well: rows i and n - i
+    of A are equal for 1 <= i < n and row n is e_1, so w^T A = 2 1^T for w = 1
+    but w_n = 2 (and w_{n/2} = 2 at even n), and 2 h(1) = w^T A g(A) 1 = 0.
+    So g annihilates f from f(1) on.  The scalar h(1) = sum_i g_i f(i+1) is
+    checked too, for one sum, though the vector check already implies it.
+    (g(A) 1 itself need not be zero: at n = 8, 16, 24, ... it is a nonzero
+    vector in the kernel of A.)
     Then f(k) = sum_i r_i f(i+1) with r = t^(k-1) mod g (C. M. Fiduccia,
     SIAM J. Comput. 14(1), 1985).  For k <= d + 2, or if a check fails,
     the value is stepped instead.

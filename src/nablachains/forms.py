@@ -19,14 +19,14 @@ repeated or out of range) with the same message.
 
 The combinatorics of the nabla route depend only on n and a subset, so
 each is built once and cached, bounded by the (n, subset) pairs seen: the
-basis table, the low side of _slots, complement_sign per subset, and
-per subset s the (t, key of dx_t ^ dx_s, sign) entries exterior_derivative
-reads.  _slots itself is not cached whole: its high side calls
-complement_sign once per slot on every iso call, so a traced run that
-follows an untraced one still enters complement_sign.  The zero test caches
-one more fact, whether a word of length 1 or 2 is zero, per (n, word) it
-meets: at most n single operators and 2n pairs per n, as each i has at most
-two successors, so at most 3n words per n.
+basis table, complement_sign per subset, and per subset s the
+(t, key of dx_t ^ dx_s, sign) entries exterior_derivative reads.  _slots is
+not cached: it reads both sides from the basis table per call, and its high
+side calls complement_sign once per slot on every iso call, so a traced run
+that follows an untraced one still enters complement_sign.  The zero test
+caches one more fact, whether a word of length 1 or 2 is zero, per
+(n, word) it meets: at most n single operators and 2n pairs per n, as each
+i has at most two successors, so at most 3n words per n.
 
 The operator chain machinery (nabla, apply_word) and the exact
 zero-operator decision procedure live here too; apply_word folds an input
@@ -88,11 +88,9 @@ def complement_sign(s: Subset, n: int) -> tuple[Subset, int]:
     """
     check_bound(n, "n", 0)  # before the cache, which would take 3.0 for a cached 3
     try:
-        key = tuple(s)
-        hash(key)
+        return _complement_sign(tuple(s), n)
     except TypeError:  # no basis subset: the empty table refuses it
         _subset({}, s, len(s) if isinstance(s, Sized) else 1)
-    return _complement_sign(key, n)
 
 
 @functools.cache
@@ -113,15 +111,10 @@ def _slots(n: int, degree: int) -> list[tuple[Subset, int]]:
     Slot s, in lexicographic order, holds the coefficient of dx_s up to
     degree n // 2, and sign(S, T) times that of dx_T, T = complement(s), above.
     """
-    level = _level(degree, n)
+    basis = _basis(n, _level(degree, n))
     if degree <= n // 2:
-        return list(_low_slots(n, level))
-    return [complement_sign(s, n) for s in _basis(n, level)]
-
-
-@functools.cache
-def _low_slots(n: int, level: int) -> tuple[tuple[Subset, int], ...]:
-    return tuple((s, 1) for s in _basis(n, level))
+        return [(s, 1) for s in basis]
+    return [complement_sign(s, n) for s in basis]
 
 
 @functools.cache
@@ -153,6 +146,8 @@ class DifferentialForm(Record):
         canon: dict[Subset, Polynomial] = {}
         for key, poly in components.items():
             s = _subset(basis, key, degree)
+            if not isinstance(poly, Polynomial):
+                raise ValueError(f"component {poly!r} is not a polynomial")
             if poly.n_vars != n:
                 raise ValueError("component polynomial has wrong variable count")
             if poly.terms:
@@ -188,6 +183,8 @@ class ComponentVector(Record):
             raise ValueError(f"level {level} in dimension {n} needs {expected} entries, "
                              f"got {len(entries)}")
         for p in entries:
+            if not isinstance(p, Polynomial):
+                raise ValueError(f"entry {p!r} is not a polynomial")
             if p.n_vars != n:
                 raise ValueError("entry polynomial has wrong variable count")
         object.__setattr__(self, "n", n)

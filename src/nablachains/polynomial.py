@@ -88,7 +88,9 @@ class Polynomial:
 
     def diff(self, i: int) -> "Polynomial":
         """Partial derivative with respect to x_i (1-based), exact power rule."""
-        # as graph.check_index, inline: a zero-test decision calls diff about 127 times
+        # as graph.check_index, inline: exterior_derivative calls diff once per
+        # (component, wedge) pair on every nabla step, 9 times in the probe
+        # fold of (1, 2) at n = 3 and 312 in that of (5, 8, 5) at n = 12
         if type(i) is not int and (isinstance(i, bool) or not isinstance(i, int)) \
                 or not 1 <= i <= self.n_vars:
             raise ValueError(f"variable index {i} out of range 1..{self.n_vars}")

@@ -10,6 +10,7 @@ from nablachains import (
     EnumerationCapError,
     TrivialityClass,
     brute_force_count,
+    build_adjacency,
     classify_word,
     count_per_start,
     count_sequence,
@@ -268,6 +269,19 @@ def test_certificate_holds_on_d_plus_2_vectors(monkeypatch, n):
     taken = walk_counter(monkeypatch)
     assert [count_total(n, k) for k in ks] == want
     assert taken == [d + 2] * 5
+
+
+@pytest.mark.parametrize("n", [*range(3, 65), 100, 127, 128, 255])
+def test_vector_check_implies_the_scalar_check(n):
+    # rows i and n - i of A are both {i + 1, n + 1 - i} and row n is {1}, so
+    # w^T A = 2 1^T for this w; A g(A) 1 = 0 then gives 2 1^T g(A) 1 = 0,
+    # which is why dropping count_total's scalar check changes no answer
+    a = build_adjacency(n)
+    w = [1] * n
+    w[n - 1] = 2
+    if n % 2 == 0:
+        w[n // 2 - 1] = 2
+    assert [sum(wi * row[j] for wi, row in zip(w, a)) for j in range(n)] == [2] * n
 
 
 @pytest.mark.parametrize("n", [3, 4, 8, 9, 16, 63, 64])

@@ -159,9 +159,11 @@ P4 = Polynomial.monomial(4, (1, 0, 0, 0))
         (lambda: DifferentialForm(3, 1, {1: P3}), "bad basis subset 1 for degree 1"),
         (lambda: DifferentialForm(3, 1, Pairs([([[1]], P3)])), "bad basis subset ([1],) for degree 1"),
         (lambda: DifferentialForm(3, 1, {(1,): P4}), "component polynomial has wrong variable count"),
+        (lambda: DifferentialForm(3, 1, {(1,): 5}), "component 5 is not a polynomial"),
         (lambda: ComponentVector(3, 2, (P3,) * 3), "level 2 out of range 0..1"),
         (lambda: ComponentVector(3, 1, (P3,) * 2), "level 1 in dimension 3 needs 3 entries, got 2"),
         (lambda: ComponentVector(3, 1, (P3, P3, P4)), "entry polynomial has wrong variable count"),
+        (lambda: ComponentVector(3, 0, [5]), "entry 5 is not a polynomial"),
         (lambda: ComponentVector.zero(3, 1) + ComponentVector.zero(3, 0),
          "component vectors of different shape"),
         # every reader of a subset refuses it as the constructor does; a
@@ -733,14 +735,17 @@ def test_apply_word_equals_the_fraction_fold(case):
         assert all(type(c) in (int, Fraction) for c in p.terms.values())
 
 
-@pytest.mark.parametrize("past", [False, True], ids=["cleared", "past the cutoff"])
+@pytest.mark.parametrize("denominators, past", [
+    (DENOMINATORS[:-1], False), (DENOMINATORS[-1:] + [1, 2, 3], True), ([1], False),
+], ids=["cleared", "past the cutoff", "D = 1"])
 @given(case=st.data())
 # without the explain phase, which takes a minute on a failure here
 @settings(max_examples=50, deadline=None, phases=set(Phase) - {Phase.explain})
-def test_apply_word_gives_an_int_for_each_integral_coefficient(past, case):
-    # a shared denominator on one side of the cutoff or the other; the
-    # uncleared fold, nabla over v as given, is the oracle for the values
-    w, v = case.draw(rational_chain_inputs(DENOMINATORS[-1:] + [1, 2, 3] if past else DENOMINATORS[:-1]))
+def test_apply_word_gives_an_int_for_each_integral_coefficient(denominators, past, case):
+    # a shared denominator on one side of the cutoff or the other, or D = 1,
+    # where every Fraction drawn is integral and none may be left in the
+    # output; the uncleared fold, nabla over v as given, is the oracle
+    w, v = case.draw(rational_chain_inputs(denominators))
     bits = math.lcm(*(c.denominator for p in v.entries for c in p.terms.values())).bit_length()
     assume((bits > forms._CLEARED_DENOMINATOR_BITS) is past)
     got = apply_word(w, v)
