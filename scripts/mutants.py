@@ -77,18 +77,32 @@ MUTANTS = [
      "tests/test_graph.py::test_bound_takes_its_least_value_and_refuses_the_one_below"),
     # a text the grammar refuses is not read factor by factor (7 x1 would be
     # two terms), a term's signs multiply, apply_word gives an integral
-    # coefficient as an int, and past the cutoff it divides by 1, not D
+    # coefficient as an int, clears by the lcm of the denominators, takes a
+    # D of exactly the cutoff's bits, and past the cutoff divides by 1, not D
     ("src/nablachains/polynomial.py", "if re.fullmatch(_GRAMMAR, text):", "if True:",
      "tests/test_polynomial.py::test_parse_values_and_messages_agree_with_the_oracle"),
     ("src/nablachains/polynomial.py", 'if signs and signs.count("-") & 1:',
      'if signs and not signs.count("-") & 1:', "tests/test_polynomial.py::test_parse_basic"),
     ("src/nablachains/forms.py", "out[e] = q if not r else", "out[e] = Fraction(c, d) if True else",
      "tests/test_forms.py::test_apply_word_gives_an_int_for_each_integral_coefficient"),
-    ("src/nablachains/forms.py", "d if cleared else 1", "d",
+    ("src/nablachains/forms.py", "math.lcm(d, den)", "max(d, den)",
+     "tests/test_forms.py::test_apply_word_folds_over_one_shared_denominator"),
+    ("src/nablachains/forms.py", "if d.bit_length() > _CLEARED_DENOMINATOR_BITS:",
+     "if d.bit_length() >= _CLEARED_DENOMINATOR_BITS:",
+     "tests/test_forms.py::test_apply_word_clears_a_denominator_of_exactly_the_cutoff_bits"),
+    ("src/nablachains/forms.py", "d, cleared = 1, False", "cleared = False",
      "tests/test_forms.py::test_apply_word_folds_over_one_shared_denominator"),
     # a polynomial's exponent tuples are distinct
     ("src/nablachains/polynomial.py", "if key in canon:", "if key is canon:",
      "tests/test_polynomial.py"),
+    # characteristic_polynomial: the sign of Newton's identities and the
+    # packing width, whose bound is tight; Berlekamp-Massey's order update
+    ("src/nablachains/recurrence.py", "divmod(-sum(", "divmod(sum(",
+     "tests/test_recurrence.py::test_characteristic_polynomial_identity"),
+    ("src/nablachains/recurrence.py", "bit_length() + 1", "bit_length()",
+     "tests/test_recurrence.py::test_characteristic_polynomial_identity"),
+    ("src/nablachains/recurrence.py", "if 2 * order <= k:", "if 2 * order < k:",
+     "tests/test_recurrence.py::test_minimal_recurrence_matches_rational_berlekamp_massey"),
     # verify_recurrence: the comparison, and each end of the applicable range
     ("src/nablachains/recurrence.py", "values[k - 1] == sum(", "values[k - 1] >= sum(",
      "tests/test_recurrence.py"),
@@ -103,10 +117,8 @@ MUTANTS = [
      "tests/test_cli.py"),
     ("src/nablachains/counting.py", "if (total := sum(v)) > cap:", "if (total := sum(v)) >= cap:",
      "tests/test_counting.py"),
-    # count_total's certificate needs its vector half: the scalar half alone
-    # passes a wrong g
-    ("src/nablachains/counting.py", "if any(shifted) or sum(c * f for c, f in zip(g, prefix)):",
-     "if sum(c * f for c, f in zip(g, prefix)):",
+    # count_total's certificate: a wrong g fails it, and the total is stepped
+    ("src/nablachains/counting.py", "if any(shifted):", "if False:",
      "tests/test_counting.py::test_polynomial_passing_only_the_scalar_check_falls_back"),
     # fast paths, each against its slow oracle: squaring in the power ladder,
     # the alternation flag of each enumeration step, classify_word's d^2
@@ -123,22 +135,12 @@ MUTANTS = [
 # the argument for it and is not run.  Its old text is checked like a
 # mutant's, so the list cannot outlive the code it names.
 EQUIVALENT = [
-    # the packing width keeps one spare bit: bit_length(R^n) + 1 bits already
-    # hold every digit of A^k with its offset (characteristic_polynomial's
-    # docstring gives the bound)
-    ("src/nablachains/recurrence.py", "bit_length() + 2", "bit_length() + 1"),
     # an empty run of signs holds no '-', so skipping the count for it only
     # saves a call
     ("src/nablachains/polynomial.py", 'if signs and signs.count("-") & 1:', 'if signs.count("-") & 1:'),
     # an int's denominator is 1, so reading it too clears an all-int vector
     # at D = 1 and divides each output term by 1, which changes no value
     ("src/nablachains/forms.py", "\n            if isinstance(c, Fraction)}", "}"),
-    # the vector check implies the scalar one: w^T A = 2 1^T for w = 1 but
-    # w_n = 2 (and w_{n/2} = 2 at even n), so A g(A) 1 = 0 gives
-    # 1^T g(A) 1 = 0 (count_total's docstring; the lemma is tested for
-    # n = 3..64 and a few larger n)
-    ("src/nablachains/counting.py", "if any(shifted) or sum(c * f for c, f in zip(g, prefix)):",
-     "if any(shifted):"),
 ]
 
 

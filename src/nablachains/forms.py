@@ -39,7 +39,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections.abc import Iterable, Mapping, Sized
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 
 from ._record import Record
@@ -88,9 +88,13 @@ def complement_sign(s: Subset, n: int) -> tuple[Subset, int]:
     """
     check_bound(n, "n", 0)  # before the cache, which would take 3.0 for a cached 3
     try:
-        return _complement_sign(tuple(s), n)
-    except TypeError:  # no basis subset: the empty table refuses it
-        _subset({}, s, len(s) if isinstance(s, Sized) else 1)
+        s = tuple(s)
+    except TypeError:  # not iterable: the empty table refuses it as one element
+        _subset({}, s, 1)
+    try:
+        return _complement_sign(s, n)
+    except TypeError:  # an unhashable element: the empty table refuses the tuple read
+        _subset({}, s, len(s))
 
 
 @functools.cache
@@ -293,12 +297,12 @@ def apply_word(w: WordLike, v: ComponentVector) -> ComponentVector:
     # of many long denominators alone can cost more than the fold
     dens = {c.denominator for p in v.entries if p.terms for c in p.terms.values()
             if isinstance(c, Fraction)}
-    d = 1
+    d, cleared = 1, True
     for den in dens:
         d = math.lcm(d, den)
         if d.bit_length() > _CLEARED_DENOMINATOR_BITS:
+            d, cleared = 1, False  # fold as given, and divide by 1
             break
-    cleared = d.bit_length() <= _CLEARED_DENOMINATOR_BITS
     # keys carry over and nonzero values stay nonzero, so both conversions
     # build canonical polynomials directly
     if dens and cleared:
@@ -309,8 +313,7 @@ def apply_word(w: WordLike, v: ComponentVector) -> ComponentVector:
     for i in word.indices:
         v = nabla(i, v)
     if dens:
-        divisor = d if cleared else 1
-        v = ComponentVector(n, v.level, tuple(_built(n, _over(p.terms, divisor)) for p in v.entries))
+        v = ComponentVector(n, v.level, tuple(_built(n, _over(p.terms, d)) for p in v.entries))
     return v
 
 

@@ -31,8 +31,8 @@ def check_bound(value: int, name: str, low: int, high: int | None = None) -> Non
     low..high (no upper end when high is None), or is a bool."""
     if (type(value) is not int and (isinstance(value, bool) or not isinstance(value, int))
             or value < low or high is not None and value > high):
-        raise ValueError(f"{name} must be >= {low}, got {value}" if high is None
-                         else f"{name} {value} out of range {low}..{high}")
+        raise ValueError(f"{name} must be >= {low}, got {value!r}" if high is None
+                         else f"{name} {value!r} out of range {low}..{high}")
 
 
 def is_composable(i: int, j: int, n: int) -> bool:

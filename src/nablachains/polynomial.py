@@ -93,7 +93,7 @@ class Polynomial:
         # fold of (1, 2) at n = 3 and 312 in that of (5, 8, 5) at n = 12
         if type(i) is not int and (isinstance(i, bool) or not isinstance(i, int)) \
                 or not 1 <= i <= self.n_vars:
-            raise ValueError(f"variable index {i} out of range 1..{self.n_vars}")
+            raise ValueError(f"variable index {i!r} out of range 1..{self.n_vars}")
         # Lowering the i-th exponent maps distinct exponents to distinct ones,
         # so each surviving term lands on its own key.
         j = i - 1

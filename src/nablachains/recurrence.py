@@ -98,12 +98,11 @@ def characteristic_polynomial(a: list[list[int]]) -> IntegerPolynomial:
     A^(k+1) = A A^k combines those ints over the nonzero entries of A's
     rows: one or two bigint additions a row for the composability graph.
     With R the largest absolute row sum of A, the infinity norm is
-    submultiplicative, so |(A^k)[r][s]| <= R^k <= R^n < 2^(w-1) for k <= n
-    already when w = bit_length(R^n) + 1.  Adding 2^(w-1) to every w-bit
+    submultiplicative, so |(A^k)[r][s]| <= R^k <= R^n < 2^(w-1) for k <= n,
+    with w = bit_length(R^n) + 1.  Adding 2^(w-1) to every w-bit
     digit then leaves each digit in [0, 2^w), so the diagonal entry is read
-    off without a borrow from the digits below.  The + 2 below keeps one
-    spare bit: cutting w by one bit is an equivalent mutant, which no test
-    can tell apart.  Raises ValueError if the matrix is not square.
+    off without a borrow from the digits below.  Raises ValueError if the
+    matrix is not square.
     """
     n = len(a)
     for r, row in enumerate(a):
@@ -113,7 +112,7 @@ def characteristic_polynomial(a: list[list[int]]) -> IntegerPolynomial:
             )
     nonzero = [[(s, x) for s, x in enumerate(row) if x] for row in a]
     bound = max((sum(abs(x) for _, x in entries) for entries in nonzero), default=0)
-    w = (bound**n).bit_length() + 2
+    w = (bound**n).bit_length() + 1
     mask, half = (1 << w) - 1, 1 << (w - 1)
     offset = half * (((1 << (w * n)) - 1) // mask)  # half in every digit
     rows = [1 << (w * r) for r in range(n)]  # A^0 = I, packed

@@ -275,7 +275,7 @@ def test_certificate_holds_on_d_plus_2_vectors(monkeypatch, n):
 def test_vector_check_implies_the_scalar_check(n):
     # rows i and n - i of A are both {i + 1, n + 1 - i} and row n is {1}, so
     # w^T A = 2 1^T for this w; A g(A) 1 = 0 then gives 2 1^T g(A) 1 = 0,
-    # which is why dropping count_total's scalar check changes no answer
+    # which is why count_total checks only the vector A g(A) 1
     a = build_adjacency(n)
     w = [1] * n
     w[n - 1] = 2

@@ -176,6 +176,9 @@ P4 = Polynomial.monomial(4, (1, 0, 0, 0))
                      id="complement_sign-bad basis subset 1 for degree 1"),
         pytest.param(lambda: complement_sign(([1],), 3), "bad basis subset ([1],) for degree 1",
                      id="complement_sign-bad basis subset ([1],) for degree 1"),
+        # an iterator is read once, and refused as the tuple it gave
+        pytest.param(lambda: complement_sign(iter([1, [2]]), 3), "bad basis subset (1, [2]) for degree 2",
+                     id="complement_sign-iterator"),
         pytest.param(lambda: DifferentialForm(3, 2, {(1, 2): P3}).coefficient((2, 1)),
                      "bad basis subset (2, 1) for degree 2",
                      id="coefficient-bad basis subset (2, 1) for degree 2"),
@@ -861,3 +864,22 @@ def test_apply_word_stops_the_lcm_past_the_cutoff(monkeypatch):
     monkeypatch.setattr(math, "lcm", lambda *args: calls.append(args) or lcm(*args))
     assert apply_word((1, 3), v) == want
     assert len(calls) == 1
+
+
+def test_apply_word_clears_a_denominator_of_exactly_the_cutoff_bits(monkeypatch):
+    # D = lcm(3, 2^(b - 2)) has exactly b bits: at b = the cutoff nabla sees
+    # ints only, and one bit past it the Fractions as given
+    cutoff = forms._CLEARED_DENOMINATOR_BITS
+    w = (1, 3, 1)
+    seen = coefficient_types(monkeypatch)
+    for bits in (cutoff, cutoff + 1):
+        assert math.lcm(3, 2 ** (bits - 2)).bit_length() == bits
+        terms = {(3, 1, 0): Fraction(1, 3), (0, 2, 2): Fraction(5, 2 ** (bits - 2)), (1, 1, 2): 7}
+        v = ComponentVector(3, 0, (Polynomial(3, terms),))
+        want = as_fractions(v)
+        for i in w:
+            want = nabla(i, want)
+        seen.clear()
+        assert apply_word(w, v) == want
+        assert (seen == [{int}] * 3) is (bits == cutoff)
+        assert (Fraction in seen[0]) is (bits > cutoff)

@@ -89,16 +89,16 @@ def test_operator_index_message_is_shared(call, index):
 # every order, length, level and degree argument, at n = 3: (call with the
 # value, the least value taken, the message that refuses value v)
 BOUND_ENTRY_POINTS = {
-    "count_per_start": (lambda k: count_per_start(3, k), 1, "order k must be >= 1, got {}"),
-    "count_total": (lambda k: count_total(3, k), 0, "order k must be >= 0, got {}"),
-    "count_sequence": (lambda k: count_sequence(3, k), 1, "k_max must be >= 1, got {}"),
-    "enumerate_words": (lambda k: enumerate_words(3, k), 1, "length k must be >= 1, got {}"),
-    "brute_force_count": (lambda k: brute_force_count(3, k), 0, "order k must be >= 0, got {}"),
-    "enumerate_nontrivial": (lambda k: enumerate_nontrivial(3, k), 1, "length must be >= 1, got {}"),
-    "count_nontrivial": (lambda k: count_nontrivial(3, k), 2, "length must be >= 2, got {}"),
-    "DifferentialForm": (lambda d: DifferentialForm(3, d, {}), 0, "degree {} out of range 0..3"),
+    "count_per_start": (lambda k: count_per_start(3, k), 1, "order k must be >= 1, got {!r}"),
+    "count_total": (lambda k: count_total(3, k), 0, "order k must be >= 0, got {!r}"),
+    "count_sequence": (lambda k: count_sequence(3, k), 1, "k_max must be >= 1, got {!r}"),
+    "enumerate_words": (lambda k: enumerate_words(3, k), 1, "length k must be >= 1, got {!r}"),
+    "brute_force_count": (lambda k: brute_force_count(3, k), 0, "order k must be >= 0, got {!r}"),
+    "enumerate_nontrivial": (lambda k: enumerate_nontrivial(3, k), 1, "length must be >= 1, got {!r}"),
+    "count_nontrivial": (lambda k: count_nontrivial(3, k), 2, "length must be >= 2, got {!r}"),
+    "DifferentialForm": (lambda d: DifferentialForm(3, d, {}), 0, "degree {!r} out of range 0..3"),
     "ComponentVector": (lambda m: ComponentVector(3, m, (Polynomial.zero(3),)), 0,
-                        "level {} out of range 0..1"),
+                        "level {!r} out of range 0..1"),
 }
 
 
@@ -114,10 +114,11 @@ def test_bound_takes_its_least_value_and_refuses_the_one_below(name):
 @pytest.mark.parametrize(
     "name, value",
     # a bool or float whose value is in range: each site once took one, or
-    # raised TypeError from inside range()
+    # raised TypeError from inside range(); a str is named as given, not as
+    # the int it prints as
     [pytest.param(name, value, id=f"{name}-{value!r}")
      for name, (_, low, _) in BOUND_ENTRY_POINTS.items()
-     for value in [b for b in (False, True) if b >= low] + [float(low), low + 0.5]],
+     for value in [b for b in (False, True) if b >= low] + [float(low), low + 0.5, str(low)]],
 )
 def test_bound_refuses_a_bool_or_non_int(name, value):
     call, _, message = BOUND_ENTRY_POINTS[name]

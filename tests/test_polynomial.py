@@ -97,12 +97,13 @@ def test_zero_variables_is_refused():
     assert str(info.value) == "need at least one variable"
 
 
-@pytest.mark.parametrize("i", [0, 4, pytest.param(True, id="True"), pytest.param(1.0, id="1.0")])
+@pytest.mark.parametrize("i", [0, 4, pytest.param(True, id="True"), pytest.param(1.0, id="1.0"),
+                               pytest.param("1", id="str")])
 def test_diff_refuses_a_variable_index_out_of_range_or_not_an_int(i):
-    # diff(True) and diff(1.0) once differentiated by x1
+    # diff(True) and diff(1.0) once differentiated by x1; '1' is named as given
     with pytest.raises(ValueError) as info:
         Polynomial.monomial(3, (1, 1, 1)).diff(i)
-    assert str(info.value) == f"variable index {i} out of range 1..3"
+    assert str(info.value) == f"variable index {i!r} out of range 1..3"
 
 
 def test_equality_with_a_non_polynomial_is_not_implemented():
