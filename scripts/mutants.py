@@ -7,8 +7,9 @@ temporary copy of the repository: the old text, which must occur exactly
 once in the file, is replaced, `pytest -x -q` runs on the killing test (a
 test file or a node id), and the file is restored.  A failing run kills the
 mutant.  Each killing test is first run once on the unchanged copy, since a
-test that fails anyway kills nothing.  Prints killed or survived per mutant
-and exits 1 if any survived, 2 if an edit or a baseline run is refused.
+test that fails anyway kills nothing.  Prints killed or survived per mutant,
+then a summary that ends with the run's wall time, and exits 1 if any
+survived, 2 if an edit or a baseline run is refused.
 EQUIVALENT lists edits that change no answer, each with its argument; their
 old text is checked as a mutant's is, but they are not run.
 
@@ -31,20 +32,19 @@ MUTANTS = [
     # the composability rule, stated once as the successors' closed form
     ("src/nablachains/graph.py", "j = n + 1 - i", "j = n - i",
      "tests/test_graph.py::test_adjacency_agrees_with_is_composable"),
-    # a bool is not an operator index
-    ("src/nablachains/graph.py", "isinstance(i, bool) or ", "",
-     "tests/test_graph.py::test_operator_index_message_is_shared"),
-    # the bound rule for orders, lengths, levels and degrees: its least
-    # value is taken, and a bool is refused
+    # the bound rule for indices, orders, lengths, levels and degrees: its
+    # least value is taken, and a bool is refused, as an operator index too
     ("src/nablachains/graph.py", "value < low", "value <= low",
      "tests/test_graph.py::test_bound_takes_its_least_value_and_refuses_the_one_below"),
     ("src/nablachains/graph.py", "isinstance(value, bool) or ", "",
      "tests/test_graph.py::test_bound_refuses_a_bool_or_non_int"),
+    ("src/nablachains/graph.py", "isinstance(value, bool) or ", "",
+     "tests/test_graph.py::test_operator_index_message_is_shared"),
     # a form's keys are its basis subsets, each strictly ascending, and
     # complement_sign reads its subset through the same table
     ("src/nablachains/forms.py", "s for s in itertools.combinations(range(1, n + 1), size)}",
      "s for s in itertools.combinations_with_replacement(range(1, n + 1), size)}",
-     "tests/test_forms.py"),
+     "tests/test_forms.py::test_cached_tables_equal_their_derivations"),
     ("src/nablachains/forms.py", "    s = _subset(_basis(n, len(s)), s, len(s))\n", "",
      "tests/test_forms.py::test_form_and_vector_checks_name_the_fault"),
     # the identification of degrees with levels: the low side runs up to
@@ -94,7 +94,7 @@ MUTANTS = [
      "tests/test_forms.py::test_apply_word_folds_over_one_shared_denominator"),
     # a polynomial's exponent tuples are distinct
     ("src/nablachains/polynomial.py", "if key in canon:", "if key is canon:",
-     "tests/test_polynomial.py"),
+     "tests/test_polynomial.py::test_constructor_rejects_a_key_repeated_after_tuple"),
     # characteristic_polynomial: the sign of Newton's identities and the
     # packing width, whose bound is tight; Berlekamp-Massey's order update
     ("src/nablachains/recurrence.py", "divmod(-sum(", "divmod(sum(",
@@ -105,28 +105,53 @@ MUTANTS = [
      "tests/test_recurrence.py::test_minimal_recurrence_matches_rational_berlekamp_massey"),
     # verify_recurrence: the comparison, and each end of the applicable range
     ("src/nablachains/recurrence.py", "values[k - 1] == sum(", "values[k - 1] >= sum(",
-     "tests/test_recurrence.py"),
+     "tests/test_recurrence.py::test_verify_recurrence_at_its_edges"),
     ("src/nablachains/recurrence.py", "max(r.valid_from, d + 1)", "max(r.valid_from, d + 2)",
-     "tests/test_recurrence.py"),
+     "tests/test_recurrence.py::test_verify_recurrence_at_its_edges"),
     ("src/nablachains/recurrence.py", "len(values) + 1)", "len(values))",
-     "tests/test_recurrence.py"),
+     "tests/test_recurrence.py::test_verify_recurrence_at_its_edges"),
     # the CLI budgets, each at its edge
     ("src/nablachains/cli.py", "if bits > MAX_COUNT_BITS:", "if bits >= MAX_COUNT_BITS:",
-     "tests/test_cli.py"),
+     "tests/test_cli.py::test_count_bit_budget_boundary"),
     ("src/nablachains/cli.py", "if bits > MAX_SEQUENCE_BITS:", "if bits >= MAX_SEQUENCE_BITS:",
-     "tests/test_cli.py"),
+     "tests/test_cli.py::test_sequence_bit_budget_boundary"),
+    # each verify check, narrowed or emptied, is caught by its planted fault
+    ("src/nablachains/cli.py", "range(1, 11)", "range(1, 10)",
+     "tests/test_cli.py::test_verify_oracle_runs_every_pair"),
+    ("src/nablachains/cli.py", "range(1, 31)", "range(1, 30)",
+     "tests/test_cli.py::test_verify_fibonacci_runs_every_k_and_catches_a_wrong_count"),
+    ("src/nablachains/cli.py", "range(3, 11)", "range(3, 10)",
+     "tests/test_cli.py::test_verify_minimal_recurrences_runs_every_n_and_catches_faults"),
+    ("src/nablachains/cli.py", "range(3, 13)", "range(3, 12)",
+     "tests/test_cli.py::test_verify_characteristic_recurrences_runs_every_n_and_catches_a_wrong_charpoly"),
+    ("src/nablachains/cli.py", "reference.items()", "list(reference.items())[1:]",
+     "tests/test_cli.py::test_verify_reference_table_compares_every_row"),
+    ("src/nablachains/cli.py", "range(0, n + 1)", "range(0, n)",
+     "tests/test_cli.py::test_verify_d_squared_runs_every_form_and_catches_a_wrong_d"),
+    ("src/nablachains/cli.py", "if grad != ", "if False and grad != ",
+     "tests/test_cli.py::test_verify_identities_catch_a_wrong_nabla"),
+    ("src/nablachains/cli.py", "if nabla(2, ComponentVector(3, 1, fs)) !=",
+     "if False and nabla(2, ComponentVector(3, 1, fs)) !=",
+     "tests/test_cli.py::test_verify_identities_catch_a_wrong_nabla"),
+    ("src/nablachains/cli.py", "if nabla(3, ComponentVector(3, 1, fs)) !=",
+     "if False and nabla(3, ComponentVector(3, 1, fs)) !=",
+     "tests/test_cli.py::test_verify_identities_catch_a_wrong_nabla"),
+    ("src/nablachains/cli.py", "range(1, 5)", "range(1, 4)",
+     "tests/test_cli.py::test_verify_concordance_covers_n6_length4"),
     ("src/nablachains/counting.py", "if (total := sum(v)) > cap:", "if (total := sum(v)) >= cap:",
-     "tests/test_counting.py"),
+     "tests/test_counting.py::test_cap_walk_returns_the_total_it_reached"),
     # count_total's certificate: a wrong g fails it, and the total is stepped
     ("src/nablachains/counting.py", "if any(shifted):", "if False:",
      "tests/test_counting.py::test_polynomial_passing_only_the_scalar_check_falls_back"),
     # fast paths, each against its slow oracle: squaring in the power ladder,
     # the alternation flag of each enumeration step, classify_word's d^2
     # rule, and the sign of each wedge exterior_derivative reads
-    ("src/nablachains/counting.py", "twice = 2 * a", "twice = a", "tests/test_counting.py"),
+    ("src/nablachains/counting.py", "twice = 2 * a", "twice = a",
+     "tests/test_counting.py::test_jumps_agree_with_stepping"),
     ("src/nablachains/counting.py", "((j,), j == i + 1)", "((j,), j == i - 1)",
-     "tests/test_counting.py"),
-    ("src/nablachains/classify.py", "b == a + 1", "b == a - 1", "tests/test_classify.py"),
+     "tests/test_counting.py::test_walk_rows_are_the_searched_words_with_their_zero_flag"),
+    ("src/nablachains/classify.py", "b == a + 1", "b == a - 1",
+     "tests/test_classify.py::test_symbolic_concordance_small"),
     ("src/nablachains/forms.py", "-1 if pos % 2 else 1))", "1 if pos % 2 else -1))",
      "tests/test_forms.py::test_cached_tables_equal_their_derivations"),
 ]
@@ -157,6 +182,7 @@ def run_pytest(copy: pathlib.Path, target: str) -> tuple[bool, float]:
 
 
 def main() -> int:
+    start = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
         copy = pathlib.Path(tmp) / "repo"
         shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
@@ -184,7 +210,8 @@ def main() -> int:
             verdict = "SURVIVED" if passed else "killed"
             print(f"{verdict:8}  {path}: {old!r} -> {new!r}  by {target}  ({seconds:.1f} s)")
     print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} mutants killed; "
-          f"{len(EQUIVALENT)} listed as equivalent, not run")
+          f"{len(EQUIVALENT)} listed as equivalent, not run; "
+          f"{time.perf_counter() - start:.0f} s wall")
     return 1 if survivors else 0
 
 

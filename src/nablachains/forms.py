@@ -44,7 +44,7 @@ from fractions import Fraction
 
 from ._record import Record
 from .errors import LevelMismatchError
-from .graph import as_dim, check_bound, check_index
+from .graph import as_dim, check_bound
 from .polynomial import Polynomial, Scalar, _built
 from .words import CompositionWord, WordLike, as_word
 
@@ -253,19 +253,19 @@ def iso_from_components(v: ComponentVector, target_degree: int) -> DifferentialF
 
 def domain_level(i: int, n: int) -> int:
     """Level of the coefficient space nabla_i consumes."""
-    check_index(i, as_dim(n))
+    check_bound(i, "operator index", 1, as_dim(n))
     return _level(i - 1, n)
 
 
 def codomain_level(i: int, n: int) -> int:
     """Level of the coefficient space nabla_i produces."""
-    check_index(i, as_dim(n))
+    check_bound(i, "operator index", 1, as_dim(n))
     return _level(i, n)
 
 
 def nabla(i: int, v: ComponentVector) -> ComponentVector:
     """The operator nabla_i: lift (which checks v's level), d, push down."""
-    check_index(i, v.n)
+    check_bound(i, "operator index", 1, v.n)
     return iso_to_components(exterior_derivative(iso_from_components(v, i - 1)))
 
 

@@ -19,16 +19,9 @@ def as_dim(n: int) -> int:
     return n
 
 
-def check_index(i: int, n: int) -> None:
-    """Reject an operator index that is not an int in 1..n, or is a bool."""
-    # type() first: a plain int, the common case, costs no isinstance call
-    if type(i) is not int and (isinstance(i, bool) or not isinstance(i, int)) or not 1 <= i <= n:
-        raise ValueError(f"operator index {i!r} out of range 1..{n}")
-
-
 def check_bound(value: int, name: str, low: int, high: int | None = None) -> None:
-    """Reject an order, length, level or degree that is not an int in
-    low..high (no upper end when high is None), or is a bool."""
+    """Reject an index, order, length, level or degree that is not an int
+    in low..high (no upper end when high is None), or is a bool."""
     if (type(value) is not int and (isinstance(value, bool) or not isinstance(value, int))
             or value < low or high is not None and value > high):
         raise ValueError(f"{name} must be >= {low}, got {value!r}" if high is None
@@ -38,8 +31,8 @@ def check_bound(value: int, name: str, low: int, high: int | None = None) -> Non
 def is_composable(i: int, j: int, n: int) -> bool:
     """True iff nabla_j may be applied after nabla_i in dimension n."""
     n = as_dim(n)
-    check_index(i, n)
-    check_index(j, n)
+    check_bound(i, "operator index", 1, n)
+    check_bound(j, "operator index", 1, n)
     return j in _successors(i, n)
 
 
@@ -70,7 +63,7 @@ def build_adjacency(n: int) -> list[list[int]]:
 def successors(i: int, n: int) -> list[int]:
     """Ascending list of all j composable after i."""
     n = as_dim(n)
-    check_index(i, n)
+    check_bound(i, "operator index", 1, n)
     return _successors(i, n)
 
 

@@ -16,6 +16,8 @@ import sys
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
 
+from .graph import check_bound
+
 Exponents = tuple[int, ...]
 Scalar = int | Fraction
 
@@ -25,15 +27,16 @@ class Polynomial:
 
     def __init__(self, n_vars: int, terms: Mapping[Exponents, Scalar] | None = None):
         """Keys, after tuple(), must be distinct tuples of n_vars ints >= 0,
-        and coefficients ints or Fractions; terms with a zero coefficient are
-        dropped.  No like terms are summed: a key given twice raises
-        ValueError, as a malformed key or an inexact coefficient does."""
+        not bools, and coefficients ints or Fractions; terms with a zero
+        coefficient are dropped.  No like terms are summed: a key given twice
+        raises ValueError, as a malformed key or an inexact coefficient does."""
         _check_n_vars(n_vars)
         # key by key, raising at the first fault
         canon: dict[Exponents, Scalar] = {}
         for exps, coeff in (terms or {}).items():
             key = tuple(exps)
-            if len(key) != n_vars or not all(isinstance(e, int) and e >= 0 for e in key):
+            if len(key) != n_vars or not all(
+                    isinstance(e, int) and type(e) is not bool and e >= 0 for e in key):
                 raise ValueError(f"bad exponent tuple {key} for {n_vars} variables")
             if key in canon:
                 raise ValueError(f"exponent tuple {key} given twice")
@@ -88,12 +91,7 @@ class Polynomial:
 
     def diff(self, i: int) -> "Polynomial":
         """Partial derivative with respect to x_i (1-based), exact power rule."""
-        # as graph.check_index, inline: exterior_derivative calls diff once per
-        # (component, wedge) pair on every nabla step, 9 times in the probe
-        # fold of (1, 2) at n = 3 and 312 in that of (5, 8, 5) at n = 12
-        if type(i) is not int and (isinstance(i, bool) or not isinstance(i, int)) \
-                or not 1 <= i <= self.n_vars:
-            raise ValueError(f"variable index {i!r} out of range 1..{self.n_vars}")
+        check_bound(i, "variable index", 1, self.n_vars)
         # Lowering the i-th exponent maps distinct exponents to distinct ones,
         # so each surviving term lands on its own key.
         j = i - 1

@@ -22,8 +22,9 @@ from .polynomial import join_signed
 
 
 class IntegerPolynomial(Record):
-    """Dense integer polynomial; coefficients ascending by power.  The zero
-    polynomial is (0,); an empty tuple is refused."""
+    """Dense integer polynomial; coefficients ascending by power, each an
+    int and not a bool.  The zero polynomial is (0,); an empty tuple is
+    refused."""
 
     __match_args__ = ("coefficients",)
 
@@ -31,6 +32,9 @@ class IntegerPolynomial(Record):
         object.__setattr__(self, "coefficients", tuple(coefficients))
         if not self.coefficients:
             raise ValueError("polynomial needs at least one coefficient")
+        for c in self.coefficients:
+            if not isinstance(c, int) or isinstance(c, bool):
+                raise ValueError(f"coefficient {c!r} is not an int")
         if len(self.coefficients) > 1 and self.coefficients[-1] == 0:
             raise ValueError("leading coefficient must be nonzero")
 
@@ -102,7 +106,7 @@ def characteristic_polynomial(a: list[list[int]]) -> IntegerPolynomial:
     with w = bit_length(R^n) + 1.  Adding 2^(w-1) to every w-bit
     digit then leaves each digit in [0, 2^w), so the diagonal entry is read
     off without a borrow from the digits below.  Raises ValueError if the
-    matrix is not square.
+    matrix is not square or a nonzero entry is not an int.
     """
     n = len(a)
     for r, row in enumerate(a):
@@ -111,6 +115,10 @@ def characteristic_polynomial(a: list[list[int]]) -> IntegerPolynomial:
                 f"matrix must be square: {n} rows, but row {r} has length {len(row)}"
             )
     nonzero = [[(s, x) for s, x in enumerate(row) if x] for row in a]
+    for r, entries in enumerate(nonzero):
+        for s, x in entries:
+            if not isinstance(x, int) or isinstance(x, bool):
+                raise ValueError(f"matrix entry {x!r} at row {r}, column {s} is not an int")
     bound = max((sum(abs(x) for _, x in entries) for entries in nonzero), default=0)
     w = (bound**n).bit_length() + 1
     mask, half = (1 << w) - 1, 1 << (w - 1)

@@ -6,7 +6,7 @@ from collections.abc import Iterable, Sequence
 
 from ._record import Record
 from .errors import NotComposableError
-from .graph import _successors, as_dim, check_index
+from .graph import _successors, as_dim, check_bound
 
 
 class _NablaNames(dict):
@@ -38,7 +38,7 @@ class CompositionWord(Record):
         if not self.indices:
             raise ValueError("composition word must be nonempty")
         for i in self.indices:
-            check_index(i, self.n)
+            check_bound(i, "operator index", 1, self.n)
 
     def __len__(self) -> int:
         return len(self.indices)

@@ -2,6 +2,7 @@ import re
 import sys
 import time
 from decimal import Decimal
+from enum import IntEnum
 from fractions import Fraction
 
 import pytest
@@ -57,10 +58,20 @@ def test_constructor_keeps_exactly_the_nonzero_terms(case):
     assert Polynomial(n, d).terms == {e: Fraction(c) for e, c in d.items() if c}
 
 
-@pytest.mark.parametrize("key", [(0.5,), (1.0,), ("1",), (-1,), (1, 0), ()])
+@pytest.mark.parametrize("key", [(0.5,), (1.0,), ("1",), (-1,), (1, 0), (), (True,), (False,)])
 def test_constructor_rejects_malformed_exponents(key):
     with pytest.raises(ValueError, match="bad exponent tuple"):
         Polynomial(1, {key: 1})
+
+
+def test_a_bool_exponent_is_refused_and_an_int_subclass_taken():
+    # a bool is refused as every int argument of the package refuses one;
+    # another int subclass is an int, as check_bound takes one
+    with pytest.raises(ValueError) as info:
+        Polynomial.monomial(3, (True, 0, 0))
+    assert str(info.value) == "bad exponent tuple (True, 0, 0) for 3 variables"
+    two = IntEnum("Two", {"TWO": 2}).TWO
+    assert Polynomial(3, {(two, 0, 0): 5}).terms == {(2, 0, 0): 5}
 
 
 @pytest.mark.parametrize("coeff", [0.1, 1.0, "1/3", None, 1j])
@@ -385,7 +396,8 @@ def canonical_key_by_key(n_vars, terms):
     canon = {}
     for exps, coeff in (terms or {}).items():
         key = tuple(exps)
-        if len(key) != n_vars or not all(isinstance(e, int) and e >= 0 for e in key):
+        if len(key) != n_vars or not all(
+                isinstance(e, int) and not isinstance(e, bool) and e >= 0 for e in key):
             raise ValueError(f"bad exponent tuple {key} for {n_vars} variables")
         if key in canon:
             raise ValueError(f"exponent tuple {key} given twice")

@@ -153,6 +153,15 @@ def test_integer_polynomial_needs_a_nonzero_leading_coefficient():
     assert str(info.value) == "leading coefficient must be nonzero"
 
 
+@pytest.mark.parametrize("coefficients, bad", [
+    ([1.5, 2], 1.5), ([1, Fraction(2)], Fraction(2)), ([1, True], True), (["1"], "1"),
+], ids=["float", "Fraction", "bool", "str"])
+def test_integer_polynomial_refuses_a_coefficient_that_is_not_an_int(coefficients, bad):
+    with pytest.raises(ValueError) as info:
+        IntegerPolynomial(coefficients)
+    assert str(info.value) == f"coefficient {bad!r} is not an int"
+
+
 def test_integer_polynomial_prints_its_constant_term():
     assert str(IntegerPolynomial((-2, 0, 1))) == "t^2 - 2"
 

@@ -79,6 +79,27 @@ def test_characteristic_polynomial_rejects_non_square():
     assert characteristic_polynomial([]).coefficients == (1,)
 
 
+@pytest.mark.parametrize(
+    "a, message",
+    [
+        ([[0.5]], "matrix entry 0.5 at row 0, column 0 is not an int"),
+        ([[1, 2], [3, "4"]], "matrix entry '4' at row 1, column 1 is not an int"),
+        ([[0, True], [1, 0]], "matrix entry True at row 0, column 1 is not an int"),
+        ([[1, Fraction(1, 2)], [0, 1]], "matrix entry Fraction(1, 2) at row 0, column 1 is not an int"),
+    ],
+    ids=["float", "str", "bool", "Fraction"],
+)
+def test_characteristic_polynomial_names_an_entry_that_is_not_an_int(a, message):
+    with pytest.raises(ValueError) as info:
+        characteristic_polynomial(a)
+    assert str(info.value) == message
+
+
+def test_characteristic_polynomial_takes_a_zero_of_any_type():
+    # a zero adds nothing to any power of the matrix
+    assert characteristic_polynomial([[1, 0.0], [False, 2]]).coefficients == (2, -3, 1)
+
+
 def _bareiss_det(m: list[list[int]]) -> int:
     """Determinant by fraction-free (Bareiss) elimination; every // is exact."""
     m = [row[:] for row in m]
