@@ -6,10 +6,12 @@ A mutant is (file, old text, new text, killing test).  All run in one
 temporary copy of the repository: the old text, which must occur exactly
 once in the file, is replaced, `pytest -x -q` runs on the killing test (a
 test file or a node id), and the file is restored.  A failing run kills the
-mutant.  Each killing test is first run once on the unchanged copy, since a
-test that fails anyway kills nothing.  Prints killed or survived per mutant,
-then a summary that ends with the run's wall time, and exits 1 if any
-survived, 2 if an edit or a baseline run is refused.
+mutant.  The killing tests first run together, in one pytest process, on
+the unchanged copy, since a test that fails anyway kills nothing; if that
+run fails, each runs alone, and every one that fails is named.  Prints
+killed or survived per mutant, then a summary that ends with the run's wall
+time, and exits 1 if any survived, 2 if an edit or a baseline run is
+refused.
 EQUIVALENT lists edits that change no answer, each with its argument; their
 old text is checked as a mutant's is, but they are not run.
 
@@ -32,14 +34,18 @@ MUTANTS = [
     # the composability rule, stated once as the successors' closed form
     ("src/nablachains/graph.py", "j = n + 1 - i", "j = n - i",
      "tests/test_graph.py::test_adjacency_agrees_with_is_composable"),
-    # the bound rule for indices, orders, lengths, levels and degrees: its
-    # least value is taken, and a bool is refused, as an operator index too
+    # the bound rule for dimensions, indices, orders, lengths, levels and
+    # degrees: its least value is taken, and a bool is refused, as an
+    # operator index too
     ("src/nablachains/graph.py", "value < low", "value <= low",
      "tests/test_graph.py::test_bound_takes_its_least_value_and_refuses_the_one_below"),
     ("src/nablachains/graph.py", "isinstance(value, bool) or ", "",
      "tests/test_graph.py::test_bound_refuses_a_bool_or_non_int"),
     ("src/nablachains/graph.py", "isinstance(value, bool) or ", "",
      "tests/test_graph.py::test_operator_index_message_is_shared"),
+    # a non-int whose value is in range is named as a non-int, not taken
+    ("src/nablachains/graph.py", 'raise ValueError(f"{name} must be an int, got {value!r}")', "pass",
+     "tests/test_graph.py::test_dimension_message_is_shared"),
     # a form's keys are its basis subsets, each strictly ascending, and
     # complement_sign reads its subset through the same table
     ("src/nablachains/forms.py", "s for s in itertools.combinations(range(1, n + 1), size)}",
@@ -169,13 +175,24 @@ EQUIVALENT = [
 ]
 
 
-def run_pytest(copy: pathlib.Path, target: str) -> tuple[bool, float]:
-    """(passed, seconds) of `pytest -x -q target` in the copy.  No bytecode
-    is written, so a mutant never runs from a cache of the file it changed."""
+def misplaced(root: pathlib.Path) -> list[str]:
+    """Why each listed edit, mutant or equivalent, cannot be made under root:
+    its old text does not occur exactly once in its file."""
+    faults = []
+    for path, old, *_ in MUTANTS + EQUIVALENT:
+        found = (root / path).read_text(encoding="utf-8").count(old)
+        if found != 1:
+            faults.append(f"{old!r} occurs {found} times in {path}, not once")
+    return faults
+
+
+def run_pytest(copy: pathlib.Path, *args: str) -> tuple[bool, float]:
+    """(passed, seconds) of `pytest -q *args` in the copy.  No bytecode is
+    written, so a mutant never runs from a cache of the file it changed."""
     env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
     start = time.perf_counter()
     proc = subprocess.run(
-        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", target],
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *args],
         cwd=copy, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
     )
     return proc.returncode == 0, time.perf_counter() - start
@@ -187,23 +204,31 @@ def main() -> int:
         copy = pathlib.Path(tmp) / "repo"
         shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
             ".git", "__pycache__", ".pytest_cache", ".hypothesis", "results"))
-        for path, old, *_ in MUTANTS + EQUIVALENT:
-            found = (copy / path).read_text(encoding="utf-8").count(old)
-            if found != 1:
-                print(f"refused: {old!r} occurs {found} times in {path}, not once")
-                return 2
-        for target in dict.fromkeys(t for *_, t in MUTANTS):
-            passed, seconds = run_pytest(copy, target)
-            print(f"baseline  {'passed' if passed else 'FAILED'}  {target}  ({seconds:.1f} s)")
-            if not passed:
-                return 2
+        faults = misplaced(copy)
+        for fault in faults:
+            print(f"refused: {fault}")
+        if faults:
+            return 2
+        # every killing test in one run, as pytest's start-up is most of a run;
+        # only if that fails is each run on its own, to name the failing ones
+        targets = list(dict.fromkeys(t for *_, t in MUTANTS))
+        passed, seconds = run_pytest(copy, *targets)
+        print(f"baseline  {'passed' if passed else 'FAILED'}  "
+              f"{len(targets)} killing tests in one run  ({seconds:.1f} s)")
+        if not passed:
+            failing = [t for t in targets if not run_pytest(copy, t)[0]]
+            for target in failing:
+                print(f"baseline  FAILED  {target}")
+            if not failing:
+                print("baseline  FAILED  only when the killing tests run together")
+            return 2
         survivors = 0
         for path, old, new, target in MUTANTS:
             source = copy / path
             original = source.read_text(encoding="utf-8")
             source.write_text(original.replace(old, new), encoding="utf-8")
             try:
-                passed, seconds = run_pytest(copy, target)
+                passed, seconds = run_pytest(copy, "-x", target)
             finally:
                 source.write_text(original, encoding="utf-8")
             survivors += passed

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 
-from .graph import as_dim, check_bound
+from .graph import check_bound
 from .words import CompositionWord, WordLike, as_word
 
 
@@ -57,7 +57,7 @@ def enumerate_nontrivial(n: int, length: int) -> list[CompositionWord]:
     """All non-trivial chains of the given length, ordered by starting index:
     every word of length 1, and from length 2 on the alternating words
     (k, n+1-k, k, ...) with no d-squared step."""
-    n = as_dim(n)
+    check_bound(n, "dimension", 3)
     check_bound(length, "length", 1)
     if length == 1:
         return [CompositionWord(n, (k,)) for k in range(1, n + 1)]
@@ -69,6 +69,6 @@ def enumerate_nontrivial(n: int, length: int) -> list[CompositionWord]:
 
 def count_nontrivial(n: int, length: int) -> int:
     """Number of non-trivial chains of the given length (>= 2)."""
-    n = as_dim(n)
+    check_bound(n, "dimension", 3)
     check_bound(length, "length", 2)
     return len(_nontrivial_starts(n, length))

@@ -15,20 +15,23 @@ from itertools import islice
 
 from ._record import Record
 from .errors import EnumerationCapError
-from .graph import _successors, as_dim, check_bound, successors, total_count_polynomial
+from .graph import _successors, check_bound, check_ints, successors, total_count_polynomial
 from .words import CompositionWord
 
 DEFAULT_ENUMERATION_CAP = 10**6
 
 
 class CountSequence(Record):
-    """Totals f(1), ..., f(k_max); values[k-1] is f(k)."""
+    """Totals f(1), ..., f(k_max); values[k-1] is f(k), an int and not a
+    bool.  n, an int >= 1, bounds the order minimal_recurrence fits."""
 
     __match_args__ = ("n", "values")
 
     def __init__(self, n: int, values: Iterable[int]):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "values", tuple(values))
+        check_bound(n, "n", 1)
+        check_ints(self.values, "value")
 
 
 def _walk(n: int, k: int, one=1):
@@ -49,7 +52,7 @@ def _walk(n: int, k: int, one=1):
 
 def count_per_start(n: int, k: int) -> tuple[int, ...]:
     """f_i(k) for i = 1..n, via k-1 successor steps from all-ones."""
-    n = as_dim(n)
+    check_bound(n, "dimension", 3)
     check_bound(k, "order k", 1)
     for v in _walk(n, k):
         pass
@@ -106,7 +109,7 @@ def count_total(n: int, k: int) -> int:
     r = t^(k-1) mod g (C. M. Fiduccia, SIAM J. Comput. 14(1), 1985).  For
     k <= d + 2, or if the check fails, the value is stepped instead.
     """
-    n = as_dim(n)
+    check_bound(n, "dimension", 3)
     check_bound(k, "order k", 0)
     if k == 0:
         return 1
@@ -130,7 +133,7 @@ def count_total(n: int, k: int) -> int:
 
 def count_sequence(n: int, k_max: int) -> CountSequence:
     """f(1)..f(k_max) in one pass (one successor step per k)."""
-    n = as_dim(n)
+    check_bound(n, "dimension", 3)
     check_bound(k_max, "k_max", 1)
     return CountSequence(n, (sum(v) for v in _walk(n, k_max)))
 
@@ -152,7 +155,7 @@ def enumerate_words(
     n: int, k: int, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> list[CompositionWord]:
     """All meaningful length-k words in lexicographic order of the index tuple."""
-    n = as_dim(n)
+    check_bound(n, "dimension", 3)
     _check_enumeration_cap(n, k, cap)
     return [CompositionWord(n, w) for w, _ in _iter_words(n, k)]
 
@@ -182,7 +185,7 @@ def brute_force_count(n: int, k: int) -> int:
 
     Independent of the successor stepping on purpose; no memoization.
     """
-    n = as_dim(n)
+    check_bound(n, "dimension", 3)
     check_bound(k, "order k", 0)
     if k == 0:
         return 1

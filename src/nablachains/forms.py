@@ -44,7 +44,7 @@ from fractions import Fraction
 
 from ._record import Record
 from .errors import LevelMismatchError
-from .graph import as_dim, check_bound
+from .graph import check_bound
 from .polynomial import Polynomial, Scalar, _built
 from .words import CompositionWord, WordLike, as_word
 
@@ -144,7 +144,7 @@ class DifferentialForm(Record):
     __match_args__ = ("n", "degree", "components")
 
     def __init__(self, n: int, degree: int, components: Mapping[Subset, Polynomial]):
-        as_dim(n)
+        check_bound(n, "dimension", 3)
         check_bound(degree, "degree", 0, n)
         basis = _basis(n, degree)
         canon: dict[Subset, Polynomial] = {}
@@ -180,7 +180,7 @@ class ComponentVector(Record):
 
     def __init__(self, n: int, level: int, entries: Iterable[Polynomial]):
         entries = tuple(entries)
-        as_dim(n)
+        check_bound(n, "dimension", 3)
         check_bound(level, "level", 0, n // 2)
         expected = math.comb(n, level)
         if len(entries) != expected:
@@ -253,13 +253,15 @@ def iso_from_components(v: ComponentVector, target_degree: int) -> DifferentialF
 
 def domain_level(i: int, n: int) -> int:
     """Level of the coefficient space nabla_i consumes."""
-    check_bound(i, "operator index", 1, as_dim(n))
+    check_bound(n, "dimension", 3)
+    check_bound(i, "operator index", 1, n)
     return _level(i - 1, n)
 
 
 def codomain_level(i: int, n: int) -> int:
     """Level of the coefficient space nabla_i produces."""
-    check_bound(i, "operator index", 1, as_dim(n))
+    check_bound(n, "dimension", 3)
+    check_bound(i, "operator index", 1, n)
     return _level(i, n)
 
 

@@ -6,31 +6,36 @@ n + 1 - i, one index when the two coincide (2i = n).  The predicate is
 membership in that list.  The adjacency matrix, the counting walks and the
 word checks all read it, and the rest of the package is driven by them.
 
-Indices are 1-based throughout the public surface.
+Indices are 1-based throughout the public surface.  Every bounded integer
+argument of the package, from a dimension to a variable count, is checked by
+one rule, check_bound: a non-int (a bool included) is named as a non-int,
+and an int out of its bounds by its range.  check_ints states the same int
+test for unbounded data, such as a recurrence's coefficients.
 """
 
 from __future__ import annotations
 
 
-def as_dim(n: int) -> int:
-    """Validate a dimension argument: an int n >= 3."""
-    if not isinstance(n, int) or n < 3:
-        raise ValueError(f"dimension must be an int >= 3, got {n!r}")
-    return n
-
-
 def check_bound(value: int, name: str, low: int, high: int | None = None) -> None:
-    """Reject an index, order, length, level or degree that is not an int
-    in low..high (no upper end when high is None), or is a bool."""
-    if (type(value) is not int and (isinstance(value, bool) or not isinstance(value, int))
-            or value < low or high is not None and value > high):
+    """Reject a bounded integer argument that is not an int, or is a bool,
+    then one outside low..high (no upper end when high is None)."""
+    if type(value) is not int and (isinstance(value, bool) or not isinstance(value, int)):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if value < low or high is not None and value > high:
         raise ValueError(f"{name} must be >= {low}, got {value!r}" if high is None
                          else f"{name} {value!r} out of range {low}..{high}")
 
 
+def check_ints(values: tuple, name: str) -> None:
+    """Reject an entry of unbounded integer data that is not an int, or is a bool."""
+    for v in values:
+        if not isinstance(v, int) or isinstance(v, bool):
+            raise ValueError(f"{name} {v!r} is not an int")
+
+
 def is_composable(i: int, j: int, n: int) -> bool:
     """True iff nabla_j may be applied after nabla_i in dimension n."""
-    n = as_dim(n)
+    check_bound(n, "dimension", 3)
     check_bound(i, "operator index", 1, n)
     check_bound(j, "operator index", 1, n)
     return j in _successors(i, n)
@@ -50,7 +55,7 @@ def build_adjacency(n: int) -> list[list[int]]:
 
     Rows/columns are returned 0-based (entry [i-1][j-1] for operators i, j).
     """
-    n = as_dim(n)
+    check_bound(n, "dimension", 3)
     rows = []
     for i in range(1, n + 1):
         row = [0] * n
@@ -62,7 +67,7 @@ def build_adjacency(n: int) -> list[list[int]]:
 
 def successors(i: int, n: int) -> list[int]:
     """Ascending list of all j composable after i."""
-    n = as_dim(n)
+    check_bound(n, "dimension", 3)
     check_bound(i, "operator index", 1, n)
     return _successors(i, n)
 
@@ -81,7 +86,7 @@ def total_count_polynomial(n: int) -> tuple[int, ...]:
     Math. 1, 2007).  The tests check that g is the minimal polynomial of the
     counts for n <= 64; count_total certifies it on the counts before use.
     """
-    n = as_dim(n)
+    check_bound(n, "dimension", 3)
     big_n = n + 2 if n % 2 else n // 2 + 2
     if big_n % 2:
         prev, cur, m = [1], [-1, 1], (big_n - 1) // 2

@@ -30,7 +30,7 @@ class Polynomial:
         not bools, and coefficients ints or Fractions; terms with a zero
         coefficient are dropped.  No like terms are summed: a key given twice
         raises ValueError, as a malformed key or an inexact coefficient does."""
-        _check_n_vars(n_vars)
+        check_bound(n_vars, "variable count", 1)
         # key by key, raising at the first fault
         canon: dict[Exponents, Scalar] = {}
         for exps, coeff in (terms or {}).items():
@@ -161,13 +161,6 @@ class Polynomial:
         return f"Polynomial({self.n_vars}, {self})"
 
 
-def _check_n_vars(n_vars: int) -> None:
-    if type(n_vars) is not int and (isinstance(n_vars, bool) or not isinstance(n_vars, int)):
-        raise ValueError(f"variable count must be an int, got {n_vars!r}")
-    if n_vars < 1:
-        raise ValueError("need at least one variable")
-
-
 def _decimal_digits(m: int) -> int:
     """Decimal digits of an int m >= 1, without its text: r, (bits - 1/2) *
     log10(2) rounded, is within 0.66 of log10(m), so m has r or r + 1 digits."""
@@ -242,7 +235,7 @@ def parse_polynomial(text: str, n_vars: int) -> Polynomial:
     multiply, so ``x1 - -x2`` is x1 + x2.  A text the grammar accepts is read
     factor by factor; one it refuses, or whose reading fails, is walked token
     by token, and the walk names the fault."""
-    _check_n_vars(n_vars)
+    check_bound(n_vars, "variable count", 1)
     if re.fullmatch(_GRAMMAR, text):
         try:
             return _read(re.findall(_FACTOR, text), n_vars)

@@ -18,6 +18,7 @@ from collections.abc import Iterable
 
 from ._record import Record
 from .counting import CountSequence
+from .graph import check_bound, check_ints
 from .polynomial import join_signed
 
 
@@ -32,9 +33,7 @@ class IntegerPolynomial(Record):
         object.__setattr__(self, "coefficients", tuple(coefficients))
         if not self.coefficients:
             raise ValueError("polynomial needs at least one coefficient")
-        for c in self.coefficients:
-            if not isinstance(c, int) or isinstance(c, bool):
-                raise ValueError(f"coefficient {c!r} is not an int")
+        check_ints(self.coefficients, "coefficient")
         if len(self.coefficients) > 1 and self.coefficients[-1] == 0:
             raise ValueError("leading coefficient must be nonzero")
 
@@ -62,13 +61,16 @@ class IntegerPolynomial(Record):
 
 
 class Recurrence(Record):
-    """f(k) = c_1 f(k-1) + ... + c_d f(k-d), asserted for k >= valid_from."""
+    """f(k) = c_1 f(k-1) + ... + c_d f(k-d), asserted for k >= valid_from;
+    each c_t an int and not a bool, valid_from an int >= 1."""
 
     __match_args__ = ("coefficients", "valid_from")
 
     def __init__(self, coefficients: Iterable[int], valid_from: int):
         object.__setattr__(self, "coefficients", tuple(coefficients))
         object.__setattr__(self, "valid_from", valid_from)
+        check_ints(self.coefficients, "coefficient")
+        check_bound(valid_from, "valid_from", 1)
 
     @property
     def order(self) -> int:
@@ -85,7 +87,8 @@ class Recurrence(Record):
             term = f"f(i+{shift})" if shift else "f(i)"
             mag = abs(c)
             terms.append((c, term if mag == 1 else f"{mag} {term}"))
-        return f"f(i+{d})={join_signed(terms)}"
+        lhs = f"f(i+{d})" if d else "f(i)"
+        return f"{lhs}={join_signed(terms)}"
 
 
 def characteristic_polynomial(a: list[list[int]]) -> IntegerPolynomial:

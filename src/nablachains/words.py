@@ -6,7 +6,7 @@ from collections.abc import Iterable, Sequence
 
 from ._record import Record
 from .errors import NotComposableError
-from .graph import _successors, as_dim, check_bound
+from .graph import _successors, check_bound
 
 
 class _NablaNames(dict):
@@ -34,7 +34,7 @@ class CompositionWord(Record):
     def __init__(self, n: int, indices: Iterable[int]):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "indices", tuple(indices))
-        as_dim(self.n)
+        check_bound(self.n, "dimension", 3)
         if not self.indices:
             raise ValueError("composition word must be nonempty")
         for i in self.indices:
@@ -67,7 +67,7 @@ WordLike = CompositionWord | Sequence[int]
 
 
 def as_word(w: WordLike, n: int) -> CompositionWord:
-    n = as_dim(n)
+    check_bound(n, "dimension", 3)
     if isinstance(w, CompositionWord):
         if w.n != n:
             raise ValueError(f"word is for n={w.n}, expected n={n}")

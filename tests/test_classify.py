@@ -52,8 +52,8 @@ def test_classify_pair_rejects_bad_index():
 @pytest.mark.parametrize(
     "k, j, n, message",
     [
-        (1, 2, 2, "dimension must be an int >= 3, got 2"),
-        (1, 2, 3.0, "dimension must be an int >= 3, got 3.0"),
+        (1, 2, 2, "dimension must be >= 3, got 2"),
+        (1, 2, 3.0, "dimension must be an int, got 3.0"),
         (0, 9, 3, "operator index 0 out of range 1..3"),
         (1, 4, 3, "operator index 4 out of range 1..3"),
     ],

@@ -191,14 +191,14 @@ P4 = Polynomial.monomial(4, (1, 0, 0, 0))
         # the level helpers, subsets and the enumeration cap, by graph's rules
         (lambda: domain_level(5, 3), "operator index 5 out of range 1..3"),
         (lambda: codomain_level(7, 3), "operator index 7 out of range 1..3"),
-        (lambda: domain_level(True, 3), "operator index True out of range 1..3"),
-        (lambda: domain_level(1, 2), "dimension must be an int >= 3, got 2"),
-        (lambda: codomain_level(2, 3.0), "dimension must be an int >= 3, got 3.0"),
-        (lambda: complement_sign((1,), True), "n must be >= 0, got True"),
+        (lambda: domain_level(True, 3), "operator index must be an int, got True"),
+        (lambda: domain_level(1, 2), "dimension must be >= 3, got 2"),
+        (lambda: codomain_level(2, 3.0), "dimension must be an int, got 3.0"),
+        (lambda: complement_sign((1,), True), "n must be an int, got True"),
         (lambda: subsets(3, -1), "size must be >= 0, got -1"),
-        (lambda: subsets(3, 1.0), "size must be >= 0, got 1.0"),
-        (lambda: enumerate_words(3, 1, cap=True), "cap must be >= 0, got True"),
-        (lambda: enumerate_words(3, 1, cap=2.5), "cap must be >= 0, got 2.5"),
+        (lambda: subsets(3, 1.0), "size must be an int, got 1.0"),
+        (lambda: enumerate_words(3, 1, cap=True), "cap must be an int, got True"),
+        (lambda: enumerate_words(3, 1, cap=2.5), "cap must be an int, got 2.5"),
     ],
 )
 def test_form_and_vector_checks_name_the_fault(build, message):
@@ -214,7 +214,7 @@ def test_subset_readers_check_n_before_their_tables(read):
     forms._basis.cache_clear()
     forms._complement_sign.cache_clear()
     for _ in ("cold", "warm"):
-        with pytest.raises(ValueError, match=r"^n must be >= 0, got 3\.0$"):
+        with pytest.raises(ValueError, match=r"^n must be an int, got 3\.0$"):
             read(3.0)
         read(3)
 

@@ -20,7 +20,9 @@ from nablachains import (
     nabla,
     successors,
 )
+from nablachains.forms import codomain_level, domain_level
 from nablachains.graph import total_count_polynomial
+from nablachains.words import as_word
 
 
 def test_dimension_rejects_small_n():
@@ -44,14 +46,51 @@ def test_is_composable(i, j, n, expected):
 
 def test_dimensions_and_indices_must_be_ints():
     # a float was once truncated (n) or only compared (indices)
-    with pytest.raises(ValueError, match="dimension must be an int"):
+    with pytest.raises(ValueError, match=r"^dimension must be an int, got 3\.9$"):
         count_total(3.9, 5)
-    with pytest.raises(ValueError, match="dimension must be an int"):
+    with pytest.raises(ValueError, match=r"^dimension must be an int, got 3\.5$"):
         build_adjacency(3.5)
-    with pytest.raises(ValueError, match="dimension must be an int"):
+    with pytest.raises(ValueError, match=r"^dimension must be an int, got 3\.5$"):
         is_zero_operator((1, 2), 3.5)
-    with pytest.raises(ValueError, match="operator index 1.5"):
+    with pytest.raises(ValueError, match=r"^operator index must be an int, got 1\.5$"):
         CompositionWord(3, (1.5, 2.5))
+
+
+# every entry point that checks a dimension, called with dimension n
+DIMENSION_ENTRY_POINTS = {
+    "is_composable": lambda n: is_composable(1, 2, n),
+    "build_adjacency": build_adjacency,
+    "successors": lambda n: successors(1, n),
+    "total_count_polynomial": total_count_polynomial,
+    "CompositionWord": lambda n: CompositionWord(n, (1,)),
+    "as_word": lambda n: as_word((1,), n),
+    "count_per_start": lambda n: count_per_start(n, 1),
+    "count_total": lambda n: count_total(n, 1),
+    "count_sequence": lambda n: count_sequence(n, 1),
+    "enumerate_words": lambda n: enumerate_words(n, 1),
+    "brute_force_count": lambda n: brute_force_count(n, 1),
+    "enumerate_nontrivial": lambda n: enumerate_nontrivial(n, 1),
+    "count_nontrivial": lambda n: count_nontrivial(n, 2),
+    "DifferentialForm": lambda n: DifferentialForm(n, 0, {}),
+    "ComponentVector": lambda n: ComponentVector(n, 0, (Polynomial.zero(3),)),
+    "domain_level": lambda n: domain_level(1, n),
+    "codomain_level": lambda n: codomain_level(1, n),
+}
+
+
+@pytest.mark.parametrize(
+    "call, n, message",
+    # 3.0 and True compare equal to an int in range, so only their type refuses them
+    [pytest.param(call, 2, "dimension must be >= 3, got 2", id=f"{name}-2")
+     for name, call in DIMENSION_ENTRY_POINTS.items()]
+    + [pytest.param(call, n, f"dimension must be an int, got {n!r}", id=f"{name}-{n!r}")
+       for name, call in DIMENSION_ENTRY_POINTS.items() for n in (3.0, True, "3")],
+)
+def test_dimension_message_is_shared(call, n, message):
+    call(3)
+    with pytest.raises(ValueError) as info:
+        call(n)
+    assert str(info.value) == message
 
 
 def test_index_out_of_range():
@@ -76,35 +115,45 @@ INDEX_ENTRY_POINTS = {
 
 
 @pytest.mark.parametrize(
-    "call, index",
-    # a bool is refused, though isinstance(True, int) and True == 1
-    [pytest.param(call, 4, id=name) for name, call in INDEX_ENTRY_POINTS.items()]
-    + [pytest.param(call, True, id=f"{name}-True") for name, call in INDEX_ENTRY_POINTS.items()],
+    "call, index, message",
+    # a bool is refused by its type, though isinstance(True, int) and True == 1
+    [pytest.param(call, 4, "operator index 4 out of range 1..3", id=name)
+     for name, call in INDEX_ENTRY_POINTS.items()]
+    + [pytest.param(call, i, f"operator index must be an int, got {i!r}", id=f"{name}-{i!r}")
+       for name, call in INDEX_ENTRY_POINTS.items() for i in (True, 1.0, "1")],
 )
-def test_operator_index_message_is_shared(call, index):
-    with pytest.raises(ValueError, match=rf"^operator index {index} out of range 1\.\.3$"):
+def test_operator_index_message_is_shared(call, index, message):
+    with pytest.raises(ValueError) as info:
         call(index)
+    assert str(info.value) == message
 
 
 # every order, length, level and degree argument, at n = 3: (call with the
-# value, the least value taken, the message that refuses value v)
+# value, the least value taken, the argument's name, the message that
+# refuses an int v out of range)
 BOUND_ENTRY_POINTS = {
-    "count_per_start": (lambda k: count_per_start(3, k), 1, "order k must be >= 1, got {!r}"),
-    "count_total": (lambda k: count_total(3, k), 0, "order k must be >= 0, got {!r}"),
-    "count_sequence": (lambda k: count_sequence(3, k), 1, "k_max must be >= 1, got {!r}"),
-    "enumerate_words": (lambda k: enumerate_words(3, k), 1, "length k must be >= 1, got {!r}"),
-    "brute_force_count": (lambda k: brute_force_count(3, k), 0, "order k must be >= 0, got {!r}"),
-    "enumerate_nontrivial": (lambda k: enumerate_nontrivial(3, k), 1, "length must be >= 1, got {!r}"),
-    "count_nontrivial": (lambda k: count_nontrivial(3, k), 2, "length must be >= 2, got {!r}"),
-    "DifferentialForm": (lambda d: DifferentialForm(3, d, {}), 0, "degree {!r} out of range 0..3"),
+    "count_per_start": (lambda k: count_per_start(3, k), 1,
+                        "order k", "order k must be >= 1, got {!r}"),
+    "count_total": (lambda k: count_total(3, k), 0, "order k", "order k must be >= 0, got {!r}"),
+    "count_sequence": (lambda k: count_sequence(3, k), 1, "k_max", "k_max must be >= 1, got {!r}"),
+    "enumerate_words": (lambda k: enumerate_words(3, k), 1,
+                        "length k", "length k must be >= 1, got {!r}"),
+    "brute_force_count": (lambda k: brute_force_count(3, k), 0,
+                          "order k", "order k must be >= 0, got {!r}"),
+    "enumerate_nontrivial": (lambda k: enumerate_nontrivial(3, k), 1,
+                             "length", "length must be >= 1, got {!r}"),
+    "count_nontrivial": (lambda k: count_nontrivial(3, k), 2,
+                         "length", "length must be >= 2, got {!r}"),
+    "DifferentialForm": (lambda d: DifferentialForm(3, d, {}), 0,
+                         "degree", "degree {!r} out of range 0..3"),
     "ComponentVector": (lambda m: ComponentVector(3, m, (Polynomial.zero(3),)), 0,
-                        "level {!r} out of range 0..1"),
+                        "level", "level {!r} out of range 0..1"),
 }
 
 
 @pytest.mark.parametrize("name", BOUND_ENTRY_POINTS)
 def test_bound_takes_its_least_value_and_refuses_the_one_below(name):
-    call, low, message = BOUND_ENTRY_POINTS[name]
+    call, low, _, message = BOUND_ENTRY_POINTS[name]
     call(low)
     with pytest.raises(ValueError) as info:
         call(low - 1)
@@ -114,17 +163,17 @@ def test_bound_takes_its_least_value_and_refuses_the_one_below(name):
 @pytest.mark.parametrize(
     "name, value",
     # a bool or float whose value is in range: each site once took one, or
-    # raised TypeError from inside range(); a str is named as given, not as
-    # the int it prints as
+    # raised TypeError from inside range(), and later named its range as the
+    # fault; a str is named as given, not as the int it prints as
     [pytest.param(name, value, id=f"{name}-{value!r}")
-     for name, (_, low, _) in BOUND_ENTRY_POINTS.items()
+     for name, (_, low, _, _) in BOUND_ENTRY_POINTS.items()
      for value in [b for b in (False, True) if b >= low] + [float(low), low + 0.5, str(low)]],
 )
 def test_bound_refuses_a_bool_or_non_int(name, value):
-    call, _, message = BOUND_ENTRY_POINTS[name]
+    call, _, arg, _ = BOUND_ENTRY_POINTS[name]
     with pytest.raises(ValueError) as info:
         call(value)
-    assert str(info.value) == message.format(value)
+    assert str(info.value) == f"{arg} must be an int, got {value!r}"
 
 
 def test_adjacency_n3_matches_known_table():

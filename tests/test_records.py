@@ -18,7 +18,10 @@ from nablachains import (
     IntegerPolynomial,
     Polynomial,
     Recurrence,
+    count_sequence,
+    minimal_recurrence,
     recurrence_from_polynomial,
+    verify_recurrence,
 )
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -160,6 +163,33 @@ def test_integer_polynomial_refuses_a_coefficient_that_is_not_an_int(coefficient
     with pytest.raises(ValueError) as info:
         IntegerPolynomial(coefficients)
     assert str(info.value) == f"coefficient {bad!r} is not an int"
+
+
+@pytest.mark.parametrize("build, message", [
+    # a float value once reached Berlekamp-Massey, which raised TypeError
+    (lambda: minimal_recurrence(CountSequence(3, [1.5] * 10)), "value 1.5 is not an int"),
+    (lambda: CountSequence(3, [1, True]), "value True is not an int"),
+    (lambda: CountSequence(3, ["1"]), "value '1' is not an int"),
+    (lambda: CountSequence(0, [1]), "n must be >= 1, got 0"),
+    (lambda: CountSequence(3.0, [1]), "n must be an int, got 3.0"),
+    (lambda: CountSequence(True, [1]), "n must be an int, got True"),
+    # a float coefficient was once printed as f(i+1)=1.5 f(i)
+    (lambda: Recurrence([1.5], 1), "coefficient 1.5 is not an int"),
+    (lambda: Recurrence([1, Fraction(2)], 1), "coefficient Fraction(2, 1) is not an int"),
+    (lambda: Recurrence([True], 1), "coefficient True is not an int"),
+    # a str valid_from once raised TypeError inside verify_recurrence
+    (lambda: verify_recurrence(Recurrence([1], "a"), count_sequence(3, 10)),
+     "valid_from must be an int, got 'a'"),
+    (lambda: Recurrence([1], 1.5), "valid_from must be an int, got 1.5"),
+    (lambda: Recurrence([1], 0), "valid_from must be >= 1, got 0"),
+], ids=["CountSequence-float", "CountSequence-bool", "CountSequence-str", "CountSequence-n0",
+        "CountSequence-n-float", "CountSequence-n-bool", "Recurrence-float", "Recurrence-Fraction",
+        "Recurrence-bool", "Recurrence-valid_from-str", "Recurrence-valid_from-float",
+        "Recurrence-valid_from-0"])
+def test_count_sequence_and_recurrence_refuse_a_field_that_is_not_an_int(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
 
 
 def test_integer_polynomial_prints_its_constant_term():

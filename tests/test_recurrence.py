@@ -570,6 +570,11 @@ def test_minimal_charpoly_divides_matrix_charpoly_times_power_of_t(n):
     assert _poly_divides(minimal_poly, padded)
 
 
+def test_order_zero_renders_its_left_side_as_f_i():
+    # f(k) = 0 for k >= valid_from: the left side drops a +0 shift, as the right side does
+    assert Recurrence((), 1).relation_string() == "f(i)=0"
+
+
 def test_relation_rendering():
     assert Recurrence((4, 0, 0, -3), 5).relation_string() == "f(i+4)=4 f(i+3) - 3 f(i)"
     assert Recurrence((0, 5, 0, -6, 0, 1), 7).relation_string() == (
