@@ -81,14 +81,21 @@ MUTANTS = [
     # an enumeration's least length, checked before the cap
     ("src/nablachains/counting.py", '"length k", 1)', '"length k", 0)',
      "tests/test_graph.py::test_bound_takes_its_least_value_and_refuses_the_one_below"),
-    # a text the grammar refuses is not read factor by factor (7 x1 would be
-    # two terms), a term's signs multiply, apply_word gives an integral
-    # coefficient as an int, clears by the lcm of the denominators, takes a
-    # D of exactly the cutoff's bits, and past the cutoff divides by 1, not D
-    ("src/nablachains/polynomial.py", "if re.fullmatch(_GRAMMAR, text):", "if True:",
-     "tests/test_polynomial.py::test_parse_values_and_messages_agree_with_the_oracle"),
-    ("src/nablachains/polynomial.py", 'if signs and signs.count("-") & 1:',
-     'if signs and not signs.count("-") & 1:', "tests/test_polynomial.py::test_parse_basic"),
+    # the parser's walk: a term after the first needs signs (7 x1 is not
+    # 7 + x1), a factor after '*' has none (x1*-x2 is not -x1*x2), a
+    # character no token starts with outranks a grammar fault (3 /4 is named
+    # by its /), and a term's signs multiply; then apply_word gives an
+    # integral coefficient as an int, clears by the lcm of the denominators,
+    # takes a D of exactly the cutoff's bits, and past the cutoff divides by
+    # 1, not D
+    ("src/nablachains/polynomial.py", """raise ValueError(f"expected '+' or '-', got {token!r}")""", "pass",
+     "tests/test_polynomial.py::test_grammar_edges_that_are_refused"),
+    ("src/nablachains/polynomial.py", 'raise ValueError(f"unexpected token {signs[0]!r}")', "pass",
+     "tests/test_polynomial.py::test_grammar_edges_that_are_refused"),
+    ("src/nablachains/polynomial.py", "fault = _text_fault(text)", "fault = None",
+     "tests/test_polynomial.py::test_grammar_edges_that_are_refused"),
+    ("src/nablachains/polynomial.py", 'if signs.count("-") & 1:',
+     'if not signs.count("-") & 1:', "tests/test_polynomial.py::test_parse_basic"),
     ("src/nablachains/forms.py", "out[e] = q if not r else", "out[e] = Fraction(c, d) if True else",
      "tests/test_forms.py::test_apply_word_gives_an_int_for_each_integral_coefficient"),
     ("src/nablachains/forms.py", "math.lcm(d, den)", "max(d, den)",
@@ -166,9 +173,6 @@ MUTANTS = [
 # the argument for it and is not run.  Its old text is checked like a
 # mutant's, so the list cannot outlive the code it names.
 EQUIVALENT = [
-    # an empty run of signs holds no '-', so skipping the count for it only
-    # saves a call
-    ("src/nablachains/polynomial.py", 'if signs and signs.count("-") & 1:', 'if signs.count("-") & 1:'),
     # an int's denominator is 1, so reading it too clears an all-int vector
     # at D = 1 and divides each output term by 1, which changes no value
     ("src/nablachains/forms.py", "\n            if isinstance(c, Fraction)}", "}"),

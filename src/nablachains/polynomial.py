@@ -205,23 +205,15 @@ def join_signed(terms: Iterable[tuple[int, str]]) -> str:
     return " ".join(parts) if parts else "0"
 
 
-# The docstring's grammar as one regex: a factor, then factors each after a
-# '*' or a run of signs, with whitespace around any token.  Each step is
-# read as (?=(step))\N, an atomic group: the match never backtracks into a
-# step it has read, so a text it refuses fails in one pass, and the match
-# holds about 120 bytes of state a factor, where plain groups hold 500-700.
-_GRAMMAR = r"[-+\s]*(?=({0}))\1(?:(?=(\s*(?:\*\s*|[-+][-+\s]*){0}))\2)*\s*".format(
-    r"(?:x[0-9]+(?:\s*\^\s*[0-9]+)?|[0-9]+(?:/[0-9]+)?)"
-)
-# A factor of a text the grammar accepts, with the signs and whitespace
-# before it and the '*' after it, as (signs, numerator, denominator,
-# variable digits, power, star); the grammar has checked the order of its
-# parts.
-_FACTOR = r"([-+\s]*)(?:([0-9]+)/?([0-9]*)|x([0-9]+)[\s^]*([0-9]*))\s*(\*?)"
-# A token and the whitespace before it, as (num, var, op, bad), one group
-# non-empty; bad is a character no token starts with, so the tokens cover
-# the text up to trailing whitespace.
-_TOKEN = r"\s*(?:(?P<num>[0-9]+(?:/[0-9]+)?)|(?P<var>x[0-9]+)|(?P<op>[-+*^])|(?P<bad>\S))"
+# A factor of the docstring's grammar and what stands before and after it,
+# as (signs, numerator, denominator, variable digits, '^', power, other,
+# star): a run of signs and whitespace, then a number, a variable with an
+# optional power (read as a number token, so that x1^2/3 is refused at its
+# power), one character no factor starts with, or the end of the text, then
+# a '*' if one follows.  Every text is a run of these matches, the last at
+# its end, so one findall reads it and _read checks their order.
+_FACTOR = (r"\s*([-+][-+\s]*|)(?:([0-9]+)(?:/([0-9]+))?"
+           r"|x([0-9]+)(?:\s*(\^)\s*([0-9]+(?:/[0-9]+)?)?)?|(\S)|\Z)\s*(\*?)")
 
 
 def parse_polynomial(text: str, n_vars: int) -> Polynomial:
@@ -232,39 +224,67 @@ def parse_polynomial(text: str, n_vars: int) -> Polynomial:
         number = digits, ["/", digits] ;   (* one token; whitespace only between tokens *)
 
     digits are ASCII 0-9, and "x", digits is one token too.  A term's signs
-    multiply, so ``x1 - -x2`` is x1 + x2.  A text the grammar accepts is read
-    factor by factor; one it refuses, or whose reading fails, is walked token
-    by token, and the walk names the fault."""
+    multiply, so ``x1 - -x2`` is x1 + x2.  A refused text is named by one
+    fault: the first character no token starts with or number over the
+    digit limit, in text order, else the first grammar, variable or zero
+    denominator fault in token order, so ``x9 + 7 x1`` names x9."""
     check_bound(n_vars, "variable count", 1)
-    if re.fullmatch(_GRAMMAR, text):
-        try:
-            return _read(re.findall(_FACTOR, text), n_vars)
-        except (ValueError, ZeroDivisionError):
-            pass  # a number over the digit limit, a zero denominator or a variable out of range
-    _refuse(text, n_vars)
+    try:
+        return _read(re.findall(_FACTOR, text), n_vars)
+    except ValueError:
+        fault = _text_fault(text)
+        if fault is None:
+            raise
+    raise ValueError(fault)
 
 
-def _read(factors: list[tuple[str, str, str, str, str, str]], n_vars: int) -> Polynomial:
-    """The polynomial an accepted text spells, from its factors as _FACTOR
-    reads them.  A term is a single monomial, whose numerator and
+def _read(factors: list[tuple[str, ...]], n_vars: int) -> Polynomial:
+    """The polynomial a text spells, from its matches of _FACTOR, walked
+    by the grammar: a term after the first needs signs, and a factor after
+    a '*' has none.  A term is a single monomial, whose numerator and
     denominator multiply as ints, so one Fraction is made per term whose
-    denominator is not 1.  A fault raises with no message."""
+    denominator is not 1.  Raises ValueError at the first grammar, variable
+    or zero denominator fault; at a number over the digit limit, int()
+    raises its own, which parse_polynomial renames."""
     terms: dict[Exponents, Scalar] = {}
     num = den = 1
     exps = [0] * n_vars
-    for signs, top, bottom, var, power, star in factors:
-        if var:
-            i = int(var)
-            if not 0 < i <= n_vars:
-                raise ValueError
-            exps[i - 1] += int(power) if power else 1
-        else:
+    after = 0  # what the last factor ended: 0 none yet, 1 a term, 2 a '*'
+    for signs, top, bottom, var, caret, power, other, star in factors:
+        if signs:
+            if after == 2:
+                raise ValueError(f"unexpected token {signs[0]!r}")
+            if signs.count("-") & 1:
+                num = -num
+        elif after == 1:
+            if not (top or var or other):
+                break  # the end of the text
+            token = f"x{var}" if var else other or (f"{top}/{bottom}" if bottom else top)
+            raise ValueError(f"expected '+' or '-', got {token!r}")
+        if top:
             num *= int(top)
             if bottom:
-                den *= int(bottom)
-        if signs and signs.count("-") & 1:
-            num = -num
-        if not star:
+                d = int(bottom)
+                if not d:
+                    raise ValueError(f"zero denominator in '{top}/{bottom}'")
+                den *= d
+        elif var:
+            i = int(var)
+            if not 0 < i <= n_vars:
+                raise ValueError(f"variable x{var} out of range for n={n_vars}")
+            if not caret:
+                exps[i - 1] += 1
+            elif power and "/" not in power:
+                exps[i - 1] += int(power)
+            else:
+                raise ValueError("expected integer exponent after '^'")
+        elif other:
+            raise ValueError(f"unexpected token {other!r}")
+        else:
+            raise ValueError("unexpected end of polynomial" if signs or after else "empty polynomial")
+        if star:
+            after = 2
+        else:
             key = tuple(exps)
             c = num if den == 1 else Fraction(num, den)
             # adding to one dict keeps parsing linear in the number of terms
@@ -272,61 +292,26 @@ def _read(factors: list[tuple[str, str, str, str, str, str]], n_vars: int) -> Po
             terms[key] = c if old is None else old + c
             num = den = 1
             exps = [0] * n_vars
+            after = 1
     # the keys are tuples of n_vars ints >= 0 and each sum an int or
     # Fraction, so only the zeros that cancelling terms made are dropped
     return _built(n_vars, terms if all(terms.values()) else {e: c for e, c in terms.items() if c})
 
 
-def _refuse(text: str, n_vars: int) -> None:
-    """Raise the fault of a text that parse_polynomial cannot read: the
-    first character no token starts with or number over the digit limit, in
-    text order, else the first fault met walking the tokens by the grammar,
-    so a variable or denominator fault comes before a later grammar fault."""
+def _text_fault(text: str) -> str | None:
+    """The message of the first character no token starts with or number
+    over the digit limit in text, in text order, or None if it has none."""
     # int() refuses digit strings over this limit (0: none; Python before
     # 3.10.7 has none) with advice that a CLI user cannot act on
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    tokens = []
-    for m in re.finditer(_TOKEN, text):
-        if m.lastgroup == "bad":
-            raise ValueError(f"cannot parse polynomial near {text[m.start():]!r}")
-        tok = m.group(m.lastgroup)
-        if limit and len(tok) > limit:
-            digits = max(len(part) for part in tok.lstrip("x").split("/"))
-            if digits > limit:
-                raise ValueError(f"number too long: {digits} digits (limit {limit})")
-        tokens.append(m.groups(""))
-    if not tokens:
-        raise ValueError("empty polynomial")
-    idx, end = 0, len(tokens)
-    while True:
-        # a term: a run of signs, then factors joined by '*'
-        while idx < end and tokens[idx][2] in ("+", "-"):
-            idx += 1
-        while True:
-            if idx == end:
-                raise ValueError("unexpected end of polynomial")
-            number, var, op, _ = tokens[idx]
-            idx += 1
-            if number:
-                _, _, bottom = number.partition("/")
-                if bottom and not int(bottom):
-                    raise ValueError(f"zero denominator in {number!r}")
-            elif var:
-                if not 1 <= int(var[1:]) <= n_vars:
-                    raise ValueError(f"variable {var} out of range for n={n_vars}")
-                if idx < end and tokens[idx][2] == "^":
-                    idx += 1
-                    if idx == end or not tokens[idx][0] or "/" in tokens[idx][0]:
-                        raise ValueError("expected integer exponent after '^'")
-                    idx += 1
-            else:
-                raise ValueError(f"unexpected token {op!r}")
-            if idx == end or tokens[idx][2] != "*":
-                break
-            idx += 1
-        if idx == end:
-            raise AssertionError(f"the grammar refuses {text!r}, which the token walk reads")
-        # the next term's signs separate it from this one
-        number, var, op, _ = tokens[idx]
-        if op not in ("+", "-"):
-            raise ValueError(f"expected '+' or '-', got {number or var or op!r}")
+    for m in re.finditer(_FACTOR, text):
+        _, top, bottom, var, _, power, other, _ = m.groups("")
+        if other and other not in "*^":
+            before = text[:m.start(7)].rstrip()  # up to the end of the token before it
+            return f"cannot parse polynomial near {text[len(before):]!r}"
+        if limit:
+            for token in (f"{top}/{bottom}", var, power):
+                digits = max(len(part) for part in token.split("/"))
+                if digits > limit:
+                    return f"number too long: {digits} digits (limit {limit})"
+    return None

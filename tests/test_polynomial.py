@@ -1,7 +1,6 @@
 import re
 import sys
 import time
-from decimal import Decimal
 from enum import IntEnum
 from fractions import Fraction
 
@@ -203,10 +202,11 @@ def test_str_refuses_coefficients_over_the_digit_limit(coeff, digits):
 @pytest.mark.parametrize("k", [sys.get_int_max_str_digits(), 299_999])
 @pytest.mark.parametrize("delta", [-1, 0], ids=["10^k-1", "10^k"])
 def test_decimal_digits_agree_with_the_decimal_count(k, delta):
-    # the oracle is the count str() made before: through Decimal, which is not
-    # held to the digit limit, at a cost quadratic in the digits
+    # m has d decimal digits exactly when 10^(d-1) <= m < 10^d: two powers,
+    # where a count through the decimal text is quadratic in the digits
     m = 10**k + delta
-    assert _decimal_digits(m) == Decimal(m).adjusted() + 1
+    d = _decimal_digits(m)
+    assert 10 ** (d - 1) <= m < 10**d
 
 
 @pytest.mark.parametrize(
@@ -489,8 +489,14 @@ def test_grammar_edges_that_are_read(text, want):
     ("-", "unexpected end of polynomial"),
     ("x1 +", "unexpected end of polynomial"),
     ("", "empty polynomial"),
-    # a variable fault before a later grammar fault is the one named
+    # a factor after '*' has no sign, and a term starts with no '*'
+    ("x1*-x2", "unexpected token '-'"),
+    ("*x1", "unexpected token '*'"),
+    # a variable or denominator fault before a later grammar fault is the
+    # one named, and of two such faults the first in token order
     ("x9 + 7 x1", "variable x9 out of range for n=3"),
+    ("0/0*x9", "zero denominator in '0/0'"),
+    ("x9*0/0", "variable x9 out of range for n=3"),
 ])
 def test_grammar_edges_that_are_refused(text, message):
     assert outcome(parse_polynomial, text, 3) == outcome(fraction_per_factor_parse, text, 3) \
