@@ -105,6 +105,10 @@ MUTANTS = [
      "tests/test_forms.py::test_apply_word_clears_a_denominator_of_exactly_the_cutoff_bits"),
     ("src/nablachains/forms.py", "d, cleared = 1, False", "cleared = False",
      "tests/test_forms.py::test_apply_word_folds_over_one_shared_denominator"),
+    # one term rule renders Polynomial and IntegerPolynomial: a magnitude of
+    # 1 is left out before a power
+    ("src/nablachains/polynomial.py", 'elif mag == "1":', "elif False:",
+     "tests/test_recurrence.py::test_integer_polynomial_renders_as_its_term_loop"),
     # a polynomial's exponent tuples are distinct
     ("src/nablachains/polynomial.py", "if key in canon:", "if key is canon:",
      "tests/test_polynomial.py::test_constructor_rejects_a_key_repeated_after_tuple"),
@@ -128,6 +132,9 @@ MUTANTS = [
      "tests/test_cli.py::test_count_bit_budget_boundary"),
     ("src/nablachains/cli.py", "if bits > MAX_SEQUENCE_BITS:", "if bits >= MAX_SEQUENCE_BITS:",
      "tests/test_cli.py::test_sequence_bit_budget_boundary"),
+    # a refusal writes its bit count in full, past str()'s digit limit
+    ("src/nablachains/cli.py", "f(k) may need up to {_decimal(bits)} bits", "f(k) may need up to {bits} bits",
+     "tests/test_cli.py::test_budget_refusal_writes_a_bit_count_past_the_digit_limit[count]"),
     # each verify check, narrowed or emptied, is caught by its planted fault
     ("src/nablachains/cli.py", "range(1, 11)", "range(1, 10)",
      "tests/test_cli.py::test_verify_oracle_runs_every_pair"),

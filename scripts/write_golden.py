@@ -61,6 +61,8 @@ CALLS = {
         ["count", "--n", "2", "--k", "5"],
         ["count", "--n", "65", "--k", "5"],
         ["count", "--n", "3", "--k", "131100"],
+        # a bit bound longer than str() writes is written in full
+        ["count", "--n", "3", "--k", "9" * 4300],
     ],
     "sequence": [
         ["sequence", "--n", "3", "--k-max", "10"],
@@ -70,6 +72,7 @@ CALLS = {
         ["sequence", "--n", "3", "--k-max", "0"],
         ["sequence", "--n", "3", "--k-max", "40000"],
         ["sequence", "--n", "3", "--k-max", "1.5"],
+        ["sequence", "--n", "3", "--k-max", "9" * 2200],
     ],
     "recurrence": [
         ["recurrence", "--n", str(n), "--format", fmt]

@@ -128,7 +128,7 @@ def cmd_count(args) -> int:
     bits = args.k - 1 + args.n.bit_length()
     if bits > MAX_COUNT_BITS:
         raise ValueError(
-            f"f(k) may need up to {bits} bits, over the budget of {MAX_COUNT_BITS} bits"
+            f"f(k) may need up to {_decimal(bits)} bits, over the budget of {MAX_COUNT_BITS} bits"
         )
     value = count_total(args.n, args.k)
     if args.format == "json":
@@ -147,7 +147,7 @@ def cmd_sequence(args) -> int:
     bits = k_max * (k_max - 1) // 2 + k_max * args.n.bit_length()
     if bits > MAX_SEQUENCE_BITS:
         raise ValueError(
-            f"f(1..k_max) may need up to {bits} bits in all, "
+            f"f(1..k_max) may need up to {_decimal(bits)} bits in all, "
             f"over the budget of {MAX_SEQUENCE_BITS} bits"
         )
     # Each value is written as it is made, and none is kept.  The walk steps

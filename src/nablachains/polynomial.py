@@ -128,37 +128,43 @@ class Polynomial:
 
     def __str__(self) -> str:
         ordered = sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
-        names = [f"x{i}" for i in range(1, self.n_vars + 1)]
-        terms: list[tuple[int, str]] = []
-        try:
-            for e, c in ordered:
-                # an int is its own numerator over 1, and a Fraction gives
-                # both at once; as ints they make no Fraction for abs() or a
-                # comparison
-                num, den = (c, 1) if type(c) is int else c.as_integer_ratio()
-                mag = str(abs(num))
-                if den != 1:
-                    mag = f"{mag}/{den}"
-                factors = [names[i] if p == 1 else f"{names[i]}^{p}" for i, p in enumerate(e) if p]
-                if not factors:
-                    body = mag
-                elif mag == "1":
-                    body = "*".join(factors)
-                else:
-                    body = "*".join([mag] + factors)
-                terms.append((num, body))
-        except ValueError:
-            # str() refused an int over the digit limit, with advice that a
-            # CLI user cannot act on; the longest part is named instead
-            longest = max(max(abs(c.numerator), c.denominator) for c in self.terms.values())
-            limit = sys.get_int_max_str_digits()
-            raise ValueError(
-                f"coefficient too long to print: {_decimal_digits(longest)} digits (limit {limit})"
-            ) from None
-        return join_signed(terms)
+        return _render(ordered, [f"x{i}" for i in range(1, self.n_vars + 1)])
 
     def __repr__(self) -> str:
         return f"Polynomial({self.n_vars}, {self})"
+
+
+def _render(items: list[tuple[Exponents, Scalar]], names: list[str]) -> str:
+    """The signed sum of (exponents, coefficient) items over the variable
+    names, in the order given: each term its magnitude, then /den if any,
+    then its powers, leaving out a magnitude of 1 and a power of 1."""
+    terms: list[tuple[int, str]] = []
+    try:
+        for e, c in items:
+            # an int is its own numerator over 1, and a Fraction gives
+            # both at once; as ints they make no Fraction for abs() or a
+            # comparison
+            num, den = (c, 1) if type(c) is int else c.as_integer_ratio()
+            mag = str(abs(num))
+            if den != 1:
+                mag = f"{mag}/{den}"
+            factors = [names[i] if p == 1 else f"{names[i]}^{p}" for i, p in enumerate(e) if p]
+            if not factors:
+                body = mag
+            elif mag == "1":
+                body = "*".join(factors)
+            else:
+                body = "*".join([mag] + factors)
+            terms.append((num, body))
+    except ValueError:
+        # str() refused an int over the digit limit, with advice that a
+        # CLI user cannot act on; the longest part is named instead
+        longest = max(max(abs(c.numerator), c.denominator) for _, c in items)
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(
+            f"coefficient too long to print: {_decimal_digits(longest)} digits (limit {limit})"
+        ) from None
+    return join_signed(terms)
 
 
 def _decimal_digits(m: int) -> int:

@@ -7,6 +7,7 @@ each row packed into one int, and the minimal recurrence of the computed
 sequence itself, found by fraction-free Berlekamp-Massey: the shortest
 relation that holds from the first term, with a nonzero last coefficient.
 Both work on Python ints only.
+IntegerPolynomial renders through polynomial's renderer, as Polynomial does.
 A reference table for n = 3..10 is shipped for regression comparison;
 reference_recurrences states how its rows relate to the counts.
 """
@@ -19,7 +20,7 @@ from collections.abc import Iterable
 from ._record import Record
 from .counting import CountSequence
 from .graph import check_bound, check_ints
-from .polynomial import join_signed
+from .polynomial import _render, join_signed
 
 
 class IntegerPolynomial(Record):
@@ -45,19 +46,8 @@ class IntegerPolynomial(Record):
         return self.coefficients[-1] == 1
 
     def __str__(self) -> str:
-        terms = []
-        for p in range(self.degree, -1, -1):
-            c = self.coefficients[p]
-            if c == 0:
-                continue
-            mag = abs(c)
-            if p == 0:
-                body = str(mag)
-            else:
-                power = "t" if p == 1 else f"t^{p}"
-                body = power if mag == 1 else f"{mag}*{power}"
-            terms.append((c, body))
-        return join_signed(terms)
+        items = [((p,), c) for p in range(self.degree, -1, -1) if (c := self.coefficients[p])]
+        return _render(items, ["t"])
 
 
 class Recurrence(Record):

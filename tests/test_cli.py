@@ -169,6 +169,18 @@ def test_sequence_bit_budget_boundary(capsys, monkeypatch):
     assert err == "error: f(1..k_max) may need up to 77 bits in all, over the budget of 65 bits\n"
 
 
+@pytest.mark.parametrize("argv, head, bits, tail", [
+    (("count", "--n", "3", "--k", "9" * 4300), "f(k) may need up to", 10**4300,
+     "bits, over the budget of 131072 bits"),
+    (("sequence", "--n", "3", "--k-max", "9" * 2200), "f(1..k_max) may need up to",
+     (10**2200 - 1) * (10**2200 - 2) // 2 + (10**2200 - 1) * 2,
+     "bits in all, over the budget of 536870912 bits"),
+], ids=["count", "sequence"])
+def test_budget_refusal_writes_a_bit_count_past_the_digit_limit(capsys, argv, head, bits, tail):
+    # the bound has more digits than str() writes; the refusal names it in full
+    assert run(capsys, *argv) == (1, "", f"error: {head} {_digits(bits)} {tail}\n")
+
+
 def test_sequence_csv_beyond_str_digit_limit():
     # streamed from a child process: the whole output is about 94 MB
     argv = ["sequence", "--n", "3", "--k-max", "30000", "--format", "csv"]
@@ -681,7 +693,7 @@ def test_bad_flags_exit_2(capsys):
 DEFAULT_FORMATS = {"count": "plain", "sequence": "plain", "recurrence": "json",
                    "enumerate": "json", "apply": "json"}
 EDGE_INTEGERS = ["", "-0", "007", "+5", "5_000", " 5", "5 ", "\u0663", "0x10", "1e3", "1000000000",
-                 "9" * 5000]
+                 "9" * 4300, "9" * 5000]
 POLYNOMIALS = ["x1", "-x2^2", "1/2*x1*x3", "--x1", "0", "7*x2^3 - x3", "x1 - - x2", " 4 "]
 BAD_POLYNOMIALS = ["x9", "3/0", "x1 +", "x1^", "?", "", "x1*-x2"]
 
@@ -745,6 +757,8 @@ def test_main_exits_0_1_or_2_with_one_error_line_or_valid_json(capsys, argv):
     assert code in (0, 1, 2)
     if code:
         assert sum("error:" in line for line in err.splitlines()) == 1
+        # str()'s digit-limit advice is not a message a CLI user can act on
+        assert "set_int_max_str_digits" not in err
         return
     assert err == ""
     formats = [argv[i + 1] for i, arg in enumerate(argv) if arg == "--format"]

@@ -7,10 +7,11 @@ finding in full.
 """
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nablachains import (
@@ -26,6 +27,7 @@ from nablachains import (
     verify_recurrence,
 )
 from nablachains.graph import total_count_polynomial
+from nablachains.polynomial import join_signed
 
 # reference rows the total-count sequence needs in full
 TABLE_MATCHES_MINIMAL = (3, 4, 5, 7, 9)
@@ -580,3 +582,60 @@ def test_relation_rendering():
     assert Recurrence((0, 5, 0, -6, 0, 1), 7).relation_string() == (
         "f(i+6)=5 f(i+4) - 6 f(i+2) + f(i)"
     )
+
+
+def _term_loop_str(self) -> str:
+    # IntegerPolynomial.__str__ as it was written before it rendered through
+    # polynomial's renderer, kept as the oracle
+    terms = []
+    for p in range(self.degree, -1, -1):
+        c = self.coefficients[p]
+        if c == 0:
+            continue
+        mag = abs(c)
+        if p == 0:
+            body = str(mag)
+        else:
+            power = "t" if p == 1 else f"t^{p}"
+            body = power if mag == 1 else f"{mag}*{power}"
+        terms.append((c, body))
+    return join_signed(terms)
+
+
+_DIGIT_LIMIT = sys.get_int_max_str_digits()
+
+
+@st.composite
+def _integer_polynomials(draw):
+    # zeros and +-1 often, and magnitudes up to the digit limit: all nines
+    # of any length, or any negative int that str() writes
+    coefficient = st.one_of(
+        st.sampled_from([0, 1, -1]),
+        st.integers(-1000, 1000),
+        st.integers(1, _DIGIT_LIMIT).map(lambda d: 10**d - 1),
+        st.integers(1 - 10**_DIGIT_LIMIT, -1),
+    )
+    coefficients = draw(st.lists(coefficient, min_size=1, max_size=8))
+    while len(coefficients) > 1 and coefficients[-1] == 0:
+        coefficients.pop()
+    return IntegerPolynomial(coefficients)
+
+
+@given(_integer_polynomials())
+@example(IntegerPolynomial((0,)))
+@example(IntegerPolynomial((-7,)))
+@example(IntegerPolynomial((1, -1)))
+@example(IntegerPolynomial((-2, 0, 1)))
+@example(IntegerPolynomial((0, 1, 0, -1)))
+@example(IntegerPolynomial((1 - 10**_DIGIT_LIMIT, 10**_DIGIT_LIMIT - 1, -3)))
+@settings(max_examples=200, deadline=None)
+def test_integer_polynomial_renders_as_its_term_loop(p):
+    assert str(p) == _term_loop_str(p)
+
+
+@pytest.mark.parametrize("coefficients", [(10**_DIGIT_LIMIT, 1), (1, -(10**_DIGIT_LIMIT), 0, 1)])
+def test_integer_polynomial_refuses_a_coefficient_past_the_digit_limit(coefficients):
+    with pytest.raises(ValueError, match=(
+        f"^coefficient too long to print: {_DIGIT_LIMIT + 1} digits \\(limit {_DIGIT_LIMIT}\\)$"
+    )):
+        str(IntegerPolynomial(coefficients))
