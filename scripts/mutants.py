@@ -12,8 +12,6 @@ run fails, each runs alone, and every one that fails is named.  Prints
 killed or survived per mutant, then a summary that ends with the run's wall
 time, and exits 1 if any survived, 2 if an edit or a baseline run is
 refused.
-EQUIVALENT lists edits that change no answer, each with its argument; their
-old text is checked as a mutant's is, but they are not run.
 
     python3 scripts/mutants.py
 
@@ -64,15 +62,22 @@ MUTANTS = [
     ("src/nablachains/forms.py", "if (expected := _level(target_degree, v.n)) != v.level:",
      "if False and (expected := _level(target_degree, v.n)) != v.level:",
      "tests/test_forms.py::test_nabla_level_mismatch"),
-    # the zero test: a word of length 1 or 2 is read from the table, a longer
-    # word is refused before its pairs are read, and a zero pair ends the
-    # decision with no whole-word probe
+    # the zero test: a word of length 1 or 2 is read from the table, which
+    # holds no refusal, a longer word is refused before its pairs are read,
+    # a zero pair ends the decision with no whole-word probe, and the probe
+    # folds every operator of the word
     ("src/nablachains/forms.py", "if len(word) <= 2:", "if len(word) <= 1:",
      "tests/test_forms.py::test_short_words_are_decided_once"),
+    ("src/nablachains/forms.py", "    word.require_meaningful()\n    return _zero_by_probe(word)",
+     "    return _zero_by_probe(word)",
+     "tests/test_forms.py::test_short_word_table_holds_no_refusal"),
     ("src/nablachains/forms.py", "    word.require_meaningful()\n    if any(", "    if any(",
      "tests/test_forms.py::test_is_zero_operator_refuses_a_word_before_reading_its_pairs"),
     ("src/nablachains/forms.py", "if any(_zero_short(", "if False and any(_zero_short(",
      "tests/test_forms.py::test_is_zero_operator_ends_at_a_zero_pair"),
+    ("src/nablachains/forms.py", "for i in word.indices:\n        v = nabla(i, v)\n    return v.is_zero()",
+     "for i in word.indices[:1]:\n        v = nabla(i, v)\n    return v.is_zero()",
+     "tests/test_forms.py::test_is_zero_operator_known_pairs"),
     # the probe's exponents are the word's length, so every derivative of
     # that order leaves a term: one less reads nabla_2 at n = 3 as zero on 1
     ("src/nablachains/forms.py", "Polynomial.monomial(n, (len(word),) * n)",
@@ -176,21 +181,12 @@ MUTANTS = [
      "tests/test_forms.py::test_cached_tables_equal_their_derivations"),
 ]
 
-# Edits that change no answer, so no test can kill them; each is listed with
-# the argument for it and is not run.  Its old text is checked like a
-# mutant's, so the list cannot outlive the code it names.
-EQUIVALENT = [
-    # an int's denominator is 1, so reading it too clears an all-int vector
-    # at D = 1 and divides each output term by 1, which changes no value
-    ("src/nablachains/forms.py", "\n            if isinstance(c, Fraction)}", "}"),
-]
-
 
 def misplaced(root: pathlib.Path) -> list[str]:
-    """Why each listed edit, mutant or equivalent, cannot be made under root:
-    its old text does not occur exactly once in its file."""
+    """Why each listed mutant cannot be made under root: its old text does
+    not occur exactly once in its file."""
     faults = []
-    for path, old, *_ in MUTANTS + EQUIVALENT:
+    for path, old, *_ in MUTANTS:
         found = (root / path).read_text(encoding="utf-8").count(old)
         if found != 1:
             faults.append(f"{old!r} occurs {found} times in {path}, not once")
@@ -246,7 +242,6 @@ def main() -> int:
             verdict = "SURVIVED" if passed else "killed"
             print(f"{verdict:8}  {path}: {old!r} -> {new!r}  by {target}  ({seconds:.1f} s)")
     print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} mutants killed; "
-          f"{len(EQUIVALENT)} listed as equivalent, not run; "
           f"{time.perf_counter() - start:.0f} s wall")
     return 1 if survivors else 0
 

@@ -30,8 +30,8 @@ i has at most two successors, so at most 3n words per n.
 
 The operator chain machinery (nabla, apply_word) and the exact
 zero-operator decision procedure live here too; apply_word folds an input
-with a Fraction as the int vector D*v divided by D once at the end, unless D
-is past the cutoff, and an all-int input as given, as its docstring states.
+as the int vector D*v divided by D once at the end, unless D is past the
+cutoff, and the zero test folds nabla on its own int probe.
 """
 
 from __future__ import annotations
@@ -284,21 +284,18 @@ def apply_word(w: WordLike, v: ComponentVector) -> ComponentVector:
     """Fold nabla over the word in application order.
 
     The chain is linear over Z, so it maps v = (D*v)/D to chain(D*v)/D, D
-    the lcm of the denominators of v's Fraction coefficients.  An all-int v
-    folds as given.  A v with a Fraction folds as the int vector D*v when D
-    has at most _CLEARED_DENOMINATOR_BITS bits (D = 1 included), and as given
-    past that; either way each output term is divided once at the end, by D
-    or by 1, so every output coefficient is an int when it is integral and a
-    Fraction otherwise.
+    the lcm of the denominators of v's coefficients, an int's being 1.  v
+    folds as the int vector D*v when D has at most _CLEARED_DENOMINATOR_BITS
+    bits (D = 1 included), and as given past that; either way each output
+    term is divided once at the end, by D or by 1, so every output
+    coefficient is an int when it is integral and a Fraction otherwise.
     """
     word = as_word(w, v.n)
     word.require_meaningful()
     n = v.n
-    # ints and empty slots are skipped, as the zero-test probe fills one slot
-    # of many with an int; the lcm stops growing past the cutoff, as the lcm
-    # of many long denominators alone can cost more than the fold
-    dens = {c.denominator for p in v.entries if p.terms for c in p.terms.values()
-            if isinstance(c, Fraction)}
+    # the lcm stops growing past the cutoff, as the lcm of many long
+    # denominators alone can cost more than the fold
+    dens = {c.denominator for p in v.entries for c in p.terms.values()}
     d, cleared = 1, True
     for den in dens:
         d = math.lcm(d, den)
@@ -307,16 +304,14 @@ def apply_word(w: WordLike, v: ComponentVector) -> ComponentVector:
             break
     # keys carry over and nonzero values stay nonzero, so both conversions
     # build canonical polynomials directly
-    if dens and cleared:
+    if cleared:
         v = ComponentVector(n, v.level, tuple(
             _built(n, {e: c.numerator * (d // c.denominator) for e, c in p.terms.items()})
             for p in v.entries
         ))
     for i in word.indices:
         v = nabla(i, v)
-    if dens:
-        v = ComponentVector(n, v.level, tuple(_built(n, _over(p.terms, d)) for p in v.entries))
-    return v
+    return ComponentVector(n, v.level, tuple(_built(n, _over(p.terms, d)) for p in v.entries))
 
 
 def _over(terms: dict[tuple[int, ...], Scalar], d: int) -> dict[tuple[int, ...], Scalar]:
@@ -354,13 +349,15 @@ def is_zero_operator(w: WordLike, n: int) -> bool:
 @functools.cache
 def _zero_short(n: int, indices: tuple[int, ...]) -> bool:
     """The probe decision of a word of length 1 or 2, held once it is made;
-    a word that does not compose raises from the probe, so no refusal is
+    a word that does not compose raises before the probe, so no refusal is
     held."""
-    return _zero_by_probe(CompositionWord(n, indices))
+    word = CompositionWord(n, indices)
+    word.require_meaningful()
+    return _zero_by_probe(word)
 
 
 def _zero_by_probe(word: CompositionWord) -> bool:
-    """Decide a word by one fold of apply_word: x^(L, ..., L) in slot 0.
+    """Decide a composable word by one fold of nabla: x^(L, ..., L) in slot 0.
 
     Each nabla_i = iso . d . iso is first order and homogeneous with constant
     coefficients, so a chain of length L is sum_{|a|=L} C_a d^a with constant
@@ -377,4 +374,7 @@ def _zero_by_probe(word: CompositionWord) -> bool:
     level = domain_level(word.indices[0], n)
     zero = Polynomial.zero(n)
     probe = (Polynomial.monomial(n, (len(word),) * n),) + (zero,) * (math.comb(n, level) - 1)
-    return apply_word(word, ComponentVector(n, level, probe)).is_zero()
+    v = ComponentVector(n, level, probe)
+    for i in word.indices:
+        v = nabla(i, v)
+    return v.is_zero()

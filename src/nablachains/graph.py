@@ -9,8 +9,9 @@ word checks all read it, and the rest of the package is driven by them.
 Indices are 1-based throughout the public surface.  Every bounded integer
 argument of the package, from a dimension to a variable count, is checked by
 one rule, check_bound: a non-int (a bool included) is named as a non-int,
-and an int out of its bounds by its range.  check_ints states the same int
-test for unbounded data, such as a recurrence's coefficients.
+and an int out of its bounds by its range, and by its digit count when it
+is too long for str().  check_ints states the same int test for unbounded
+data, such as a recurrence's coefficients.
 """
 
 from __future__ import annotations
@@ -22,8 +23,19 @@ def check_bound(value: int, name: str, low: int, high: int | None = None) -> Non
     if type(value) is not int and (isinstance(value, bool) or not isinstance(value, int)):
         raise ValueError(f"{name} must be an int, got {value!r}")
     if value < low or high is not None and value > high:
-        raise ValueError(f"{name} must be >= {low}, got {value!r}" if high is None
-                         else f"{name} {value!r} out of range {low}..{high}")
+        try:
+            shown = repr(value)
+        except ValueError:  # past str()'s digit limit, whose advice names no bound
+            shown = f"{'-' * (value < 0)}<{_decimal_digits(abs(value))} digits>"
+        raise ValueError(f"{name} must be >= {low}, got {shown}" if high is None
+                         else f"{name} {shown} out of range {low}..{high}")
+
+
+def _decimal_digits(m: int) -> int:
+    """Decimal digits of an int m >= 1, without its text: r, (bits - 1/2) *
+    log10(2) rounded, is within 0.66 of log10(m), so m has r or r + 1 digits."""
+    r = ((2 * m.bit_length() - 1) * 30102999566398 + 10**14) // (2 * 10**14)
+    return r + (m >= 10**r)
 
 
 def check_ints(values: tuple, name: str) -> None:

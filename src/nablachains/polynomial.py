@@ -16,7 +16,7 @@ import sys
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
 
-from .graph import check_bound
+from .graph import _decimal_digits, check_bound
 
 Exponents = tuple[int, ...]
 Scalar = int | Fraction
@@ -156,22 +156,16 @@ def _render(items: list[tuple[Exponents, Scalar]], names: list[str]) -> str:
             else:
                 body = "*".join([mag] + factors)
             terms.append((num, body))
-    except ValueError:
-        # str() refused an int over the digit limit, with advice that a
-        # CLI user cannot act on; the longest part is named instead
-        longest = max(max(abs(c.numerator), c.denominator) for _, c in items)
-        limit = sys.get_int_max_str_digits()
-        raise ValueError(
-            f"coefficient too long to print: {_decimal_digits(longest)} digits (limit {limit})"
-        ) from None
+    except ValueError:  # str() refused an int over the digit limit
+        raise _too_long(max(max(abs(c.numerator), c.denominator) for _, c in items)) from None
     return join_signed(terms)
 
 
-def _decimal_digits(m: int) -> int:
-    """Decimal digits of an int m >= 1, without its text: r, (bits - 1/2) *
-    log10(2) rounded, is within 0.66 of log10(m), so m has r or r + 1 digits."""
-    r = ((2 * m.bit_length() - 1) * 30102999566398 + 10**14) // (2 * 10**14)
-    return r + (m >= 10**r)
+def _too_long(longest: int) -> ValueError:
+    """The refusal of a coefficient whose longest part str() refused, named
+    by its digits, instead of str()'s advice, which a CLI user cannot act on."""
+    digits, limit = _decimal_digits(longest), sys.get_int_max_str_digits()
+    return ValueError(f"coefficient too long to print: {digits} digits (limit {limit})")
 
 
 def _built(n_vars: int, terms: dict[Exponents, Scalar]) -> Polynomial:

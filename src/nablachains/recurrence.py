@@ -20,7 +20,7 @@ from collections.abc import Iterable
 from ._record import Record
 from .counting import CountSequence
 from .graph import check_bound, check_ints
-from .polynomial import _render, join_signed
+from .polynomial import _render, _too_long, join_signed
 
 
 class IntegerPolynomial(Record):
@@ -67,17 +67,14 @@ class Recurrence(Record):
         return len(self.coefficients)
 
     def relation_string(self) -> str:
-        """Render in the shifted style f(i+d) = c_1 f(i+d-1) + ..."""
-        d = self.order
-        terms = []
-        for t, c in enumerate(self.coefficients, start=1):
-            if c == 0:
-                continue
-            shift = d - t
-            term = f"f(i+{shift})" if shift else "f(i)"
-            mag = abs(c)
-            terms.append((c, term if mag == 1 else f"{mag} {term}"))
-        lhs = f"f(i+{d})" if d else "f(i)"
+        """Render in the shifted style f(i+d) = c_1 f(i+d-1) + ...; a
+        coefficient str() refuses is refused as a polynomial's is."""
+        lhs, *names = [f"f(i+{s})" if s else "f(i)" for s in range(self.order, -1, -1)]
+        try:
+            terms = [(c, name if abs(c) == 1 else f"{abs(c)} {name}")
+                     for c, name in zip(self.coefficients, names) if c]
+        except ValueError:
+            raise _too_long(max(map(abs, self.coefficients))) from None
         return f"{lhs}={join_signed(terms)}"
 
 

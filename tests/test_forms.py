@@ -446,14 +446,22 @@ def test_is_zero_operator_refuses_a_word_before_reading_its_pairs():
 
 @pytest.mark.parametrize("word, probes", [((1, 2), 1), ((1, 3), 1), ((2, 3), 1), ((2, 2, 2), 1)])
 def test_is_zero_operator_scans_composability_once_per_probe(monkeypatch, word, probes):
-    # the probe's apply_word refuses a word that is not meaningful, so the
-    # probe decision need not scan it first
-    scans, folds = [], []
-    scan, fold = CompositionWord.first_invalid_pair, forms.apply_word
-    monkeypatch.setattr(CompositionWord, "first_invalid_pair", lambda w: scans.append(w) or scan(w))
-    monkeypatch.setattr(forms, "apply_word", lambda w, v: folds.append(w) or fold(w, v))
+    # each decision scans its word once, before its probe: is_zero_operator
+    # a long word, and _zero_short a cold short one; the probe itself scans
+    # nothing and makes one fold, one nabla call per operator
+    scans, calls = [], []
+    scan, step = CompositionWord.first_invalid_pair, forms.nabla
+    monkeypatch.setattr(CompositionWord, "first_invalid_pair",
+                        lambda w: scans.append(w.indices) or scan(w))
+    monkeypatch.setattr(forms, "nabla", lambda i, v: calls.append(i) or step(i, v))
     forms._zero_by_probe(CompositionWord(3, word))
-    assert folds == [CompositionWord(3, word)] * probes and len(scans) == probes
+    assert scans == [] and calls == list(word) * probes
+    forms._zero_short.cache_clear()
+    for warm in (False, True):
+        scans.clear()
+        is_zero_operator(word, 3)
+        short = [] if warm else [word[:2]]
+        assert scans == (short if len(word) <= 2 else [word] + short), warm
 
 
 def test_is_zero_operator_ends_at_a_zero_pair(monkeypatch):
@@ -461,8 +469,8 @@ def test_is_zero_operator_ends_at_a_zero_pair(monkeypatch):
     # without one makes the probe the probe decision makes on it alone.
     # Which pairs are zero comes from the one-probe-per-slot oracle.
     folds = []
-    fold = forms.apply_word
-    monkeypatch.setattr(forms, "apply_word", lambda u, v: folds.append(u) or fold(u, v))
+    fold = forms._zero_by_probe
+    monkeypatch.setattr(forms, "_zero_by_probe", lambda u: folds.append(u) or fold(u))
 
     def whole_word_folds(decide, w):
         folds.clear()
@@ -508,11 +516,11 @@ def test_short_word_table_agrees_with_its_oracles(n):
 
 
 def test_short_words_are_decided_once(monkeypatch):
-    # a cold word of length 1 or 2 makes the probe decision's folds, and the
+    # a cold word of length 1 or 2 makes the probe decision's fold, and the
     # same word warm makes no fold at all
     folds = []
-    fold = forms.apply_word
-    monkeypatch.setattr(forms, "apply_word", lambda u, v: folds.append(u) or fold(u, v))
+    fold = forms._zero_by_probe
+    monkeypatch.setattr(forms, "_zero_by_probe", lambda u: folds.append(u) or fold(u))
     forms._zero_short.cache_clear()
     for n in range(3, 6):
         for length in (1, 2):
@@ -618,15 +626,16 @@ def test_probe_lemma_coefficients():
 def test_is_zero_operator_makes_one_probe(monkeypatch):
     # the probe decision behind is_zero_operator, on any word, must feed
     # exactly the probe the lemma above is about, x^(L, ..., L) in slot 0
-    # alone, once, and answer with that fold's zero-ness
+    # alone, to one fold of the word's L nabla calls, and answer with that
+    # fold's zero-ness
     calls = []
 
-    def spy(word, v):
-        out = apply_word(word, v)
-        calls.append((v, out.is_zero()))
+    def spy(i, v):
+        out = nabla(i, v)
+        calls.append((i, v, out))
         return out
 
-    monkeypatch.setattr(forms, "apply_word", spy)
+    monkeypatch.setattr(forms, "nabla", spy)
     for n in range(3, 6):
         for length in range(1, 4):
             for w in enumerate_words(n, length):
@@ -635,11 +644,25 @@ def test_is_zero_operator_makes_one_probe(monkeypatch):
                 level = domain_level(w.indices[0], n)
                 slots = math.comb(n, level)
                 probe = Polynomial.monomial(n, (length,) * n)
-                assert len(calls) == 1, (n, w.indices)
-                (v, out_zero), = calls
+                assert [i for i, _, _ in calls] == list(w.indices), (n, w.indices)
+                assert all(a[2] is b[1] for a, b in zip(calls, calls[1:])), (n, w.indices)
+                v = calls[0][1]
                 assert v.level == level
                 assert v.entries == (probe,) + (Polynomial.zero(n),) * (slots - 1)
-                assert out_zero is zero, (n, w.indices)
+                assert calls[-1][2].is_zero() is zero, (n, w.indices)
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_probe_fold_agrees_with_apply_word(n):
+    # the zero test folds nabla on its own probe, and apply_word on the same
+    # probe must give the same zero-ness, whichever route apply_word takes
+    for length in range(1, 5):
+        for w in enumerate_words(n, length):
+            level = domain_level(w.indices[0], n)
+            probe = (Polynomial.monomial(n, (length,) * n),) + (Polynomial.zero(n),) * (
+                math.comb(n, level) - 1)
+            want = apply_word(w, ComponentVector(n, level, probe)).is_zero()
+            assert forms._zero_by_probe(w) is want, w.indices
 
 
 def probe_zero_per_slot(w: CompositionWord):

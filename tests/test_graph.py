@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from nablachains import (
@@ -174,6 +176,28 @@ def test_bound_refuses_a_bool_or_non_int(name, value):
     with pytest.raises(ValueError) as info:
         call(value)
     assert str(info.value) == f"{arg} must be an int, got {value!r}"
+
+
+# one digit past str()'s limit, so that repr() raises on the value itself
+_LONG = 10 ** sys.get_int_max_str_digits()
+_LONG_DIGITS = sys.get_int_max_str_digits() + 1
+
+
+@pytest.mark.parametrize(
+    "call, value, message",
+    # str() refuses the value with advice that names no bound: the message
+    # names the bound and gives the value by its sign and digit count
+    [pytest.param(call, -_LONG, f"dimension must be >= 3, got -<{_LONG_DIGITS} digits>",
+                  id=f"dimension-{name}") for name, call in DIMENSION_ENTRY_POINTS.items()]
+    + [pytest.param(call, _LONG, f"operator index <{_LONG_DIGITS} digits> out of range 1..3",
+                    id=f"index-{name}") for name, call in INDEX_ENTRY_POINTS.items()]
+    + [pytest.param(call, -_LONG, message.replace("{!r}", f"-<{_LONG_DIGITS} digits>"), id=name)
+       for name, (call, _, _, message) in BOUND_ENTRY_POINTS.items()],
+)
+def test_bound_names_an_int_past_the_digit_limit_by_its_digits(call, value, message):
+    with pytest.raises(ValueError) as info:
+        call(value)
+    assert str(info.value) == message
 
 
 def test_adjacency_n3_matches_known_table():

@@ -9,8 +9,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from nablachains import Polynomial, parse_polynomial
-from nablachains.polynomial import _decimal_digits
 from nablachains.cli import main
+from nablachains.graph import _decimal_digits
 
 
 def poly_strategy(n_vars=3, max_degree=3, max_terms=4):

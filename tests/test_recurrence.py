@@ -639,3 +639,14 @@ def test_integer_polynomial_refuses_a_coefficient_past_the_digit_limit(coefficie
         f"^coefficient too long to print: {_DIGIT_LIMIT + 1} digits \\(limit {_DIGIT_LIMIT}\\)$"
     )):
         str(IntegerPolynomial(coefficients))
+
+
+@pytest.mark.parametrize("coefficients", [
+    (10**_DIGIT_LIMIT,), (1, 0, -(10**_DIGIT_LIMIT), 10**(_DIGIT_LIMIT - 1)),
+])
+def test_relation_refuses_a_coefficient_past_the_digit_limit(coefficients):
+    # named by its digits, as a polynomial's coefficient is, not with str()'s advice
+    with pytest.raises(ValueError, match=(
+        f"^coefficient too long to print: {_DIGIT_LIMIT + 1} digits \\(limit {_DIGIT_LIMIT}\\)$"
+    )):
+        Recurrence(coefficients, 1).relation_string()
