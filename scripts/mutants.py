@@ -42,8 +42,18 @@ MUTANTS = [
     ("src/nablachains/graph.py", "isinstance(value, bool) or ", "",
      "tests/test_graph.py::test_operator_index_message_is_shared"),
     # a non-int whose value is in range is named as a non-int, not taken
-    ("src/nablachains/graph.py", 'raise ValueError(f"{name} must be an int, got {value!r}")', "pass",
-     "tests/test_graph.py::test_dimension_message_is_shared"),
+    ("src/nablachains/graph.py", 'raise ValueError(f"{name} must be an int, got {_shown(value)}")',
+     "pass", "tests/test_graph.py::test_dimension_message_is_shared"),
+    # a refusal names a value past str()'s digit limit, a non-int by its type,
+    # and writes a value within it as the message always did; the renderer
+    # names the longest number it refuses by its role
+    ("src/nablachains/graph.py", "    except ValueError:\n        if isinstance(value, int):",
+     "    except (ValueError if isinstance(value, int) else ()):\n        if isinstance(value, int):",
+     "tests/test_graph.py::test_every_refusal_names_a_value_past_the_digit_limit"),
+    ("src/nablachains/forms.py", "bad basis subset {_shown(key, format)}", "bad basis subset {_shown(key)}",
+     "tests/test_graph.py::test_a_value_written_bare_keeps_its_format"),
+    ("src/nablachains/polynomial.py", '(power, "exponent")', '(power, "coefficient")',
+     "tests/test_polynomial.py::test_str_names_the_longest_number_past_the_digit_limit_by_its_role"),
     # a form's keys are its basis subsets, each strictly ascending, and
     # complement_sign reads its subset through the same table
     ("src/nablachains/forms.py", "s for s in itertools.combinations(range(1, n + 1), size)}",

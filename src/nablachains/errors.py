@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+from .graph import _shown
+
 
 class NotComposableError(ValueError):
     """Raised when a chain of operators contains a pair that cannot be composed.
@@ -11,9 +13,8 @@ class NotComposableError(ValueError):
     def __init__(self, first: int, second: int, n: int):
         self.pair = (first, second)
         self.n = n
-        super().__init__(
-            f"operators ({first}, {second}) are not composable in dimension n={n}"
-        )
+        super().__init__(f"operators ({_shown(first, format)}, {_shown(second, format)}) are not "
+                         f"composable in dimension n={_shown(n, format)}")
 
 
 class LevelMismatchError(ValueError):
@@ -23,7 +24,8 @@ class LevelMismatchError(ValueError):
     def __init__(self, expected: int, got: int):
         self.expected = expected
         self.got = got
-        super().__init__(f"expected component vector at level {expected}, got level {got}")
+        super().__init__(f"expected component vector at level {_shown(expected, format)}, "
+                         f"got level {_shown(got, format)}")
 
 
 class EnumerationCapError(ValueError):
@@ -32,4 +34,5 @@ class EnumerationCapError(ValueError):
     def __init__(self, count: int, cap: int):
         self.count = count
         self.cap = cap
-        super().__init__(f"enumeration of at least {count} words exceeds the cap of {cap}")
+        super().__init__(f"enumeration of at least {_shown(count, format)} words exceeds "
+                         f"the cap of {_shown(cap, format)}")

@@ -44,7 +44,7 @@ from fractions import Fraction
 
 from ._record import Record
 from .errors import LevelMismatchError
-from .graph import check_bound
+from .graph import _shown, check_bound
 from .polynomial import Polynomial, Scalar, _built
 from .words import CompositionWord, WordLike, as_word
 
@@ -66,7 +66,7 @@ def _subset(basis: dict[Subset, Subset], key, size: int) -> Subset:
     except TypeError:  # a key that is not iterable, or holds an unhashable element
         s = None
     if s is None:
-        raise ValueError(f"bad basis subset {key} for degree {size}")
+        raise ValueError(f"bad basis subset {_shown(key, format)} for degree {size}")
     return s
 
 
@@ -151,7 +151,7 @@ class DifferentialForm(Record):
         for key, poly in components.items():
             s = _subset(basis, key, degree)
             if not isinstance(poly, Polynomial):
-                raise ValueError(f"component {poly!r} is not a polynomial")
+                raise ValueError(f"component {_shown(poly)} is not a polynomial")
             if poly.n_vars != n:
                 raise ValueError("component polynomial has wrong variable count")
             if poly.terms:
@@ -184,11 +184,11 @@ class ComponentVector(Record):
         check_bound(level, "level", 0, n // 2)
         expected = math.comb(n, level)
         if len(entries) != expected:
-            raise ValueError(f"level {level} in dimension {n} needs {expected} entries, "
-                             f"got {len(entries)}")
+            raise ValueError(f"level {level} in dimension {_shown(n, format)} needs "
+                             f"{_shown(expected, format)} entries, got {len(entries)}")
         for p in entries:
             if not isinstance(p, Polynomial):
-                raise ValueError(f"entry {p!r} is not a polynomial")
+                raise ValueError(f"entry {_shown(p)} is not a polynomial")
             if p.n_vars != n:
                 raise ValueError("entry polynomial has wrong variable count")
         object.__setattr__(self, "n", n)

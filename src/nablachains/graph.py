@@ -9,26 +9,43 @@ word checks all read it, and the rest of the package is driven by them.
 Indices are 1-based throughout the public surface.  Every bounded integer
 argument of the package, from a dimension to a variable count, is checked by
 one rule, check_bound: a non-int (a bool included) is named as a non-int,
-and an int out of its bounds by its range, and by its digit count when it
-is too long for str().  check_ints states the same int test for unbounded
-data, such as a recurrence's coefficients.
+and an int out of its bounds by its range.  check_ints states the same int
+test for unbounded data.  Every refusal writes an outside value by _shown:
+past str()'s digit limit, an int by its digit count, else by its type.
 """
 
 from __future__ import annotations
+
+import sys
+
+_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)  # 0 (none) before Python 3.10.7
 
 
 def check_bound(value: int, name: str, low: int, high: int | None = None) -> None:
     """Reject a bounded integer argument that is not an int, or is a bool,
     then one outside low..high (no upper end when high is None)."""
     if type(value) is not int and (isinstance(value, bool) or not isinstance(value, int)):
-        raise ValueError(f"{name} must be an int, got {value!r}")
+        raise ValueError(f"{name} must be an int, got {_shown(value)}")
     if value < low or high is not None and value > high:
-        try:
-            shown = repr(value)
-        except ValueError:  # past str()'s digit limit, whose advice names no bound
-            shown = f"{'-' * (value < 0)}<{_decimal_digits(abs(value))} digits>"
-        raise ValueError(f"{name} must be >= {low}, got {shown}" if high is None
-                         else f"{name} {shown} out of range {low}..{high}")
+        raise ValueError(f"{name} must be >= {low}, got {_shown(value)}" if high is None
+                         else f"{name} {_shown(value)} out of range {low}..{high}")
+
+
+def _shown(value: object, spell=repr) -> str:
+    """spell(value) for a refusal (repr, or format where it is written bare);
+    past str()'s digit limit, an int by its sign and digit count, else its type."""
+    try:
+        return spell(value)
+    except ValueError:
+        if isinstance(value, int):
+            return f"{'-' * (value < 0)}<{_decimal_digits(abs(value))} digits>"
+        return f"<{type(value).__name__} past the digit limit>"
+
+
+def _too_long(number: int, role: str) -> ValueError:
+    """The refusal of a number str() cannot print, named by its role and digits."""
+    return ValueError(f"{role} too long to print: {_decimal_digits(number)} digits "
+                      f"(limit {_digit_limit()})")
 
 
 def _decimal_digits(m: int) -> int:
@@ -42,7 +59,7 @@ def check_ints(values: tuple, name: str) -> None:
     """Reject an entry of unbounded integer data that is not an int, or is a bool."""
     for v in values:
         if not isinstance(v, int) or isinstance(v, bool):
-            raise ValueError(f"{name} {v!r} is not an int")
+            raise ValueError(f"{name} {_shown(v)} is not an int")
 
 
 def is_composable(i: int, j: int, n: int) -> bool:

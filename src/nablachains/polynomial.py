@@ -12,11 +12,10 @@ and partial derivatives, and not products.
 from __future__ import annotations
 
 import re
-import sys
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
 
-from .graph import _decimal_digits, check_bound
+from .graph import _digit_limit, _shown, _too_long, check_bound
 
 Exponents = tuple[int, ...]
 Scalar = int | Fraction
@@ -37,9 +36,10 @@ class Polynomial:
             key = tuple(exps)
             if len(key) != n_vars or not all(
                     isinstance(e, int) and type(e) is not bool and e >= 0 for e in key):
-                raise ValueError(f"bad exponent tuple {key} for {n_vars} variables")
+                raise ValueError(f"bad exponent tuple {_shown(key)} "
+                                 f"for {_shown(n_vars, format)} variables")
             if key in canon:
-                raise ValueError(f"exponent tuple {key} given twice")
+                raise ValueError(f"exponent tuple {_shown(key)} given twice")
             canon[key] = _exact(coeff)
         self.n_vars = n_vars
         self.terms = canon if all(canon.values()) else {e: c for e, c in canon.items() if c}
@@ -156,16 +156,11 @@ def _render(items: list[tuple[Exponents, Scalar]], names: list[str]) -> str:
             else:
                 body = "*".join([mag] + factors)
             terms.append((num, body))
-    except ValueError:  # str() refused an int over the digit limit
-        raise _too_long(max(max(abs(c.numerator), c.denominator) for _, c in items)) from None
+    except ValueError:  # str() refused an int over the digit limit: name the longest
+        coeff = max(max(abs(c.numerator), c.denominator) for _, c in items)
+        power = max(max(e) for e, _ in items)
+        raise _too_long(*max((coeff, "coefficient"), (power, "exponent"))) from None
     return join_signed(terms)
-
-
-def _too_long(longest: int) -> ValueError:
-    """The refusal of a coefficient whose longest part str() refused, named
-    by its digits, instead of str()'s advice, which a CLI user cannot act on."""
-    digits, limit = _decimal_digits(longest), sys.get_int_max_str_digits()
-    return ValueError(f"coefficient too long to print: {digits} digits (limit {limit})")
 
 
 def _built(n_vars: int, terms: dict[Exponents, Scalar]) -> Polynomial:
@@ -188,7 +183,7 @@ def _exact(c: Scalar) -> Scalar:
         return int(c)
     if isinstance(c, Fraction):
         return Fraction(c)
-    raise ValueError(f"coefficient must be an int or Fraction, got {c!r}")
+    raise ValueError(f"coefficient must be an int or Fraction, got {_shown(c)}")
 
 
 def join_signed(terms: Iterable[tuple[int, str]]) -> str:
@@ -301,9 +296,7 @@ def _read(factors: list[tuple[str, ...]], n_vars: int) -> Polynomial:
 def _text_fault(text: str) -> str | None:
     """The message of the first character no token starts with or number
     over the digit limit in text, in text order, or None if it has none."""
-    # int() refuses digit strings over this limit (0: none; Python before
-    # 3.10.7 has none) with advice that a CLI user cannot act on
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    limit = _digit_limit()  # int() refuses longer digit strings with unusable advice
     for m in re.finditer(_FACTOR, text):
         _, top, bottom, var, _, power, other, _ = m.groups("")
         if other and other not in "*^":

@@ -19,8 +19,8 @@ from collections.abc import Iterable
 
 from ._record import Record
 from .counting import CountSequence
-from .graph import check_bound, check_ints
-from .polynomial import _render, _too_long, join_signed
+from .graph import _shown, _too_long, check_bound, check_ints
+from .polynomial import _render, join_signed
 
 
 class IntegerPolynomial(Record):
@@ -74,7 +74,7 @@ class Recurrence(Record):
             terms = [(c, name if abs(c) == 1 else f"{abs(c)} {name}")
                      for c, name in zip(self.coefficients, names) if c]
         except ValueError:
-            raise _too_long(max(map(abs, self.coefficients))) from None
+            raise _too_long(max(map(abs, self.coefficients)), "coefficient") from None
         return f"{lhs}={join_signed(terms)}"
 
 
@@ -108,7 +108,7 @@ def characteristic_polynomial(a: list[list[int]]) -> IntegerPolynomial:
     for r, entries in enumerate(nonzero):
         for s, x in entries:
             if not isinstance(x, int) or isinstance(x, bool):
-                raise ValueError(f"matrix entry {x!r} at row {r}, column {s} is not an int")
+                raise ValueError(f"matrix entry {_shown(x)} at row {r}, column {s} is not an int")
     bound = max((sum(abs(x) for _, x in entries) for entries in nonzero), default=0)
     w = (bound**n).bit_length() + 1
     mask, half = (1 << w) - 1, 1 << (w - 1)
@@ -159,7 +159,8 @@ def minimal_recurrence(seq: CountSequence) -> Recurrence:
     """
     n, values = seq.n, seq.values
     if len(values) < 2 * n + 4:
-        raise ValueError(f"need at least {2 * n + 4} terms for n={n}, got {len(values)}")
+        raise ValueError(f"need at least {_shown(2 * n + 4, format)} terms "
+                         f"for n={_shown(n, format)}, got {len(values)}")
     # conn = lead * (1 - c_1 x - ... - c_d x^d) annihilates the terms read so
     # far; prev is conn as it was before the last change of order, when its
     # discrepancy was prev_disc, `gap` terms ago.  prev_disc * conn -

@@ -6,7 +6,7 @@ from collections.abc import Iterable, Sequence
 
 from ._record import Record
 from .errors import NotComposableError
-from .graph import _successors, check_bound
+from .graph import _shown, _successors, check_bound
 
 
 class _NablaNames(dict):
@@ -70,6 +70,6 @@ def as_word(w: WordLike, n: int) -> CompositionWord:
     check_bound(n, "dimension", 3)
     if isinstance(w, CompositionWord):
         if w.n != n:
-            raise ValueError(f"word is for n={w.n}, expected n={n}")
+            raise ValueError(f"word is for n={_shown(w.n, format)}, expected n={_shown(n, format)}")
         return w
     return CompositionWord(n, w)

@@ -1,15 +1,23 @@
 import sys
+from enum import IntEnum
+from fractions import Fraction
 
 import pytest
 
 from nablachains import (
     ComponentVector,
     CompositionWord,
+    CountSequence,
     DifferentialForm,
+    EnumerationCapError,
+    LevelMismatchError,
+    NotComposableError,
     Polynomial,
+    Recurrence,
     apply_word,
     brute_force_count,
     build_adjacency,
+    characteristic_polynomial,
     classify_pair,
     count_nontrivial,
     count_per_start,
@@ -19,6 +27,8 @@ from nablachains import (
     enumerate_words,
     is_composable,
     is_zero_operator,
+    iso_from_components,
+    minimal_recurrence,
     nabla,
     successors,
 )
@@ -197,6 +207,88 @@ _LONG_DIGITS = sys.get_int_max_str_digits() + 1
 def test_bound_names_an_int_past_the_digit_limit_by_its_digits(call, value, message):
     with pytest.raises(ValueError) as info:
         call(value)
+    assert str(info.value) == message
+
+
+_PAST = "past the digit limit"
+
+# one refusal per site that writes a value from outside: (call, the class it
+# raises, its message, and a check of the fields that class carries)
+LONG_REFUSALS = {
+    "check_bound-low": (lambda: count_total(3, -_LONG), ValueError,
+                        f"order k must be >= 0, got -<{_LONG_DIGITS} digits>", None),
+    "check_bound-range": (lambda: is_composable(_LONG, 2, 3), ValueError,
+                          f"operator index <{_LONG_DIGITS} digits> out of range 1..3", None),
+    "check_bound-non-int": (lambda: count_total(3, Fraction(_LONG)), ValueError,
+                            f"order k must be an int, got <Fraction {_PAST}>", None),
+    "check_ints": (lambda: Recurrence((Fraction(_LONG),), 1), ValueError,
+                   f"coefficient <Fraction {_PAST}> is not an int", None),
+    "Polynomial-key": (lambda: Polynomial(1, {(-_LONG,): 1}), ValueError,
+                       f"bad exponent tuple <tuple {_PAST}> for 1 variables", None),
+    "Polynomial-variables": (lambda: Polynomial(_LONG, {(1,): 1}), ValueError,
+                             f"bad exponent tuple (1,) for <{_LONG_DIGITS} digits> variables", None),
+    "Polynomial-twice": (lambda: Polynomial(1, {(_LONG,): 1, range(_LONG, _LONG + 1): 2}),
+                         ValueError, f"exponent tuple <tuple {_PAST}> given twice", None),
+    "Polynomial-coefficient": (lambda: Polynomial(1, {(0,): [_LONG]}), ValueError,
+                               f"coefficient must be an int or Fraction, got <list {_PAST}>", None),
+    "characteristic_polynomial": (lambda: characteristic_polynomial([[Fraction(_LONG)]]), ValueError,
+                                  f"matrix entry <Fraction {_PAST}> at row 0, column 0 is not an int",
+                                  None),
+    "minimal_recurrence": (lambda: minimal_recurrence(CountSequence(_LONG, [1])), ValueError,
+                           f"need at least <{_LONG_DIGITS} digits> terms "
+                           f"for n=<{_LONG_DIGITS} digits>, got 1", None),
+    "DifferentialForm-key": (lambda: DifferentialForm(3, 1, {(_LONG,): Polynomial.zero(3)}),
+                             ValueError, f"bad basis subset <tuple {_PAST}> for degree 1", None),
+    "DifferentialForm-component": (lambda: DifferentialForm(3, 1, {(1,): _LONG}), ValueError,
+                                   f"component <{_LONG_DIGITS} digits> is not a polynomial", None),
+    "ComponentVector-length": (lambda: ComponentVector(_LONG, 1, ()), ValueError,
+                               f"level 1 in dimension <{_LONG_DIGITS} digits> "
+                               f"needs <{_LONG_DIGITS} digits> entries, got 0", None),
+    "ComponentVector-entry": (lambda: ComponentVector(3, 0, (_LONG,)), ValueError,
+                              f"entry <{_LONG_DIGITS} digits> is not a polynomial", None),
+    "as_word": (lambda: as_word(CompositionWord(_LONG, (1,)), 3), ValueError,
+                f"word is for n=<{_LONG_DIGITS} digits>, expected n=3", None),
+    "NotComposableError": (lambda: CompositionWord(_LONG, (1, 5)).require_meaningful(),
+                           NotComposableError,
+                           f"operators (1, 5) are not composable in dimension n=<{_LONG_DIGITS} digits>",
+                           lambda e: (e.pair, e.n) == ((1, 5), _LONG)),
+    "LevelMismatchError": (lambda: iso_from_components(
+                               ComponentVector(2 * _LONG, 0, (Polynomial.zero(2 * _LONG),)), _LONG),
+                           LevelMismatchError,
+                           f"expected component vector at level <{_LONG_DIGITS} digits>, got level 0",
+                           lambda e: (e.expected, e.got) == (_LONG, 0)),
+    # the walk passes the cap within a factor of 2, so the count has its digits
+    "EnumerationCapError": (lambda: enumerate_words(3, 30_000, cap=_LONG), EnumerationCapError,
+                            f"enumeration of at least <{_LONG_DIGITS} digits> words exceeds "
+                            f"the cap of <{_LONG_DIGITS} digits>",
+                            lambda e: e.cap == _LONG < e.count < 2 * _LONG),
+}
+
+
+@pytest.mark.parametrize("name", LONG_REFUSALS)
+def test_every_refusal_names_a_value_past_the_digit_limit(name):
+    # str() refuses such a value with advice that names no fault, and once
+    # raised it from inside an exception's constructor, losing its class
+    call, error, message, fields = LONG_REFUSALS[name]
+    with pytest.raises(ValueError) as info:
+        call()
+    assert type(info.value) is error
+    assert "set_int_max_str_digits" not in str(info.value)
+    assert str(info.value) == message
+    assert fields is None or fields(info.value)
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: DifferentialForm(3, 1, {Fraction(1, 2): Polynomial.zero(3)}),
+                 "bad basis subset 1/2 for degree 1", id="DifferentialForm-key"),
+    pytest.param(lambda: CompositionWord(IntEnum("N", {"THREE": 3}).THREE, (1, 1)).require_meaningful(),
+                 "operators (1, 1) are not composable in dimension n=3", id="NotComposableError"),
+])
+def test_a_value_written_bare_keeps_its_format(call, message):
+    # within the limit, each message writes its value as it always did: by
+    # format() where it formatted the value bare, not by repr()
+    with pytest.raises(ValueError) as info:
+        call()
     assert str(info.value) == message
 
 

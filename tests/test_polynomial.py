@@ -199,6 +199,21 @@ def test_str_refuses_coefficients_over_the_digit_limit(coeff, digits):
         str(p)
 
 
+@pytest.mark.parametrize(
+    "terms, role, digits",
+    [({(10**5000,): 1}, "exponent", 5001),
+     ({(10**5000,): 10**4400}, "exponent", 5001),
+     ({(10**4400,): Fraction(1, 10**5000)}, "coefficient", 5001)],
+    ids=["exponent", "exponent-longer", "coefficient-longer"],
+)
+def test_str_names_the_longest_number_past_the_digit_limit_by_its_role(terms, role, digits):
+    # an exponent was once refused as a coefficient, with the coefficient's digits
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(ValueError) as info:
+        str(Polynomial(1, terms))
+    assert str(info.value) == f"{role} too long to print: {digits} digits (limit {limit})"
+
+
 @pytest.mark.parametrize("k", [sys.get_int_max_str_digits(), 299_999])
 @pytest.mark.parametrize("delta", [-1, 0], ids=["10^k-1", "10^k"])
 def test_decimal_digits_agree_with_the_decimal_count(k, delta):
